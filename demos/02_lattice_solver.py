@@ -18,7 +18,7 @@ from ezmerton import (
     consumption_grid,
     order_check,
     picard_solve,
-    transformed_consumption,
+    transformed_consumption_grid,
 )
 
 prefs = Preferences(b=1.0, delta=0.03, R=2.0, S=2.5)
@@ -31,11 +31,7 @@ lat = build_lattice(market, policy.strategy, dt=0.01, n_steps=500)
 tail = TailClosure.proportional(policy.strategy, prefs, market)
 
 # Move to the transformed coordinates: U = b*theta*e^{-delta t} C^{1-S}.
-cg = consumption_grid(lat)
-U = AdaptedGrid([
-    np.asarray(transformed_consumption(prefs, k * lat.dt, c), dtype=float)
-    for k, c in enumerate(cg.values)
-])
+U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
 
 # The reference process certificate: U^theta is comparable to its own
 # running conditional integral, which is what makes the iteration contract.
@@ -66,10 +62,7 @@ p2 = Preferences(b=1.0, delta=0.03, R=2.0, S=3.0)
 pol2 = candidate_policy(p2, market)
 lat2 = build_lattice(market, pol2.strategy, dt=0.01, n_steps=500)
 tail2 = TailClosure.proportional(pol2.strategy, p2, market)
-U2 = AdaptedGrid([
-    np.asarray(transformed_consumption(p2, k * lat2.dt, c), dtype=float)
-    for k, c in enumerate(consumption_grid(lat2).values)
-])
+U2 = transformed_consumption_grid(p2, lat2, consumption_grid(lat2))
 rep2 = picard_solve(p2, U2, lat2, tail2)
 print("\nsplit branch (rho = -1, chi = %.2f): V0 = %.4f vs closed %.4f"
       % (rep2.chi, rep2.utility_at_zero(p2), pol2.value(1.0)))

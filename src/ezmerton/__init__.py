@@ -45,6 +45,7 @@ from .lattice import (  # noqa: F401
     consumption_grid,
     mc_drift_check,
     step_expectation,
+    transformed_consumption_grid,
     unconditional_expectation,
 )
 from .solver import (  # noqa: F401

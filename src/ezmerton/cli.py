@@ -8,7 +8,9 @@ list      print the experiment catalog (sorted; --json for machine use)
 validate  check a scenario file against the schema and print its digest
 
 Exit codes: 0 success, 2 parse/validation error, 3 numeric failure, 4 I/O
-error.  Errors are emitted as one JSON object on stderr.
+error.  Errors are emitted as one JSON object on stderr; a validation error
+names the offending field.  Every number, experiment params included, must be
+finite: JSON's NaN and Infinity are rejected at validation.
 
 Scenario schema (version 1)::
 
@@ -33,6 +35,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,9 +44,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closed_form, experiments, solver
-from .errors import EzmertonError, ValidationError
-from .lattice import AdaptedGrid, TailClosure, build_lattice, consumption_grid, mc_drift_check
-from .preferences import Market, Preferences, transformed_consumption
+from .errors import EzmertonError, InvalidParameters, ValidationError
+from .lattice import (
+    TailClosure,
+    build_lattice,
+    consumption_grid,
+    mc_drift_check,
+    transformed_consumption_grid,
+)
+from .preferences import Market, Preferences
 from .experiments import EXPERIMENTS, ExperimentInfo
 
 __all__ = ["Scenario", "RunManifest", "parse_scenario", "canonical_dict",
@@ -105,18 +114,26 @@ def _require(cond: bool, message: str, field: str) -> None:
         raise ValidationError(f"{field}: {message}", field=field)
 
 
+def _number(val, field: str, integer: bool = False):
+    """val as a finite float, or as an int when integer is set."""
+    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
+             "must be a number", field)
+    try:
+        as_float = float(val)
+    except OverflowError:  # an integer beyond the float range
+        as_float = math.inf
+    _require(math.isfinite(as_float), "must be a finite number", field)
+    if integer:
+        _require(as_float.is_integer(), "must be an integer", field)
+        return int(val)
+    return as_float
+
+
 def _num(raw: dict, field_prefix: str, key: str, lo=None, hi=None,
          integer: bool = False):
     field = f"{field_prefix}.{key}"
     _require(key in raw, "missing required field", field)
-    val = raw[key]
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             "must be a number", field)
-    if integer:
-        _require(float(val).is_integer(), "must be an integer", field)
-        val = int(val)
-    else:
-        val = float(val)
+    val = _number(raw[key], field, integer)
     if lo is not None:
         _require(val >= lo, f"must be >= {lo}", field)
     if hi is not None:
@@ -155,6 +172,7 @@ def parse_scenario(raw: dict) -> Scenario:
     sigma = _num(market_raw, "market", "sigma")
     _require(sigma > 0.0, "must be > 0", "market.sigma")
 
+    _require(isinstance(raw.get("lattice", {}), dict), "must be an object", "lattice")
     lat_raw = {**_LATTICE_DEFAULTS, **raw.get("lattice", {})}
     dt = _num(lat_raw, "lattice", "dt")
     _require(dt > 0.0, "must be > 0", "lattice.dt")
@@ -163,6 +181,7 @@ def parse_scenario(raw: dict) -> Scenario:
     _require(tail in ("proportional", "zero"),
              "must be 'proportional' or 'zero'", "lattice.tail")
 
+    _require(isinstance(raw.get("solver", {}), dict), "must be an object", "solver")
     sol_raw = {**_SOLVER_DEFAULTS, **raw.get("solver", {})}
     epsilon = _num(sol_raw, "solver", "epsilon", lo=0.0)
     tol = _num(sol_raw, "solver", "tol")
@@ -179,12 +198,16 @@ def parse_scenario(raw: dict) -> Scenario:
     _require(isinstance(params, dict), "params must be an object", "experiment.params")
 
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "must be an integer", "seed")
+    _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+             "must be a non-negative integer", "seed")
 
+    try:
+        preferences = Preferences(b=b, delta=delta, R=R, S=S)
+    except InvalidParameters as exc:
+        raise ValidationError(f"preferences: {exc}", field="preferences") from exc
     return Scenario(
         id=raw["id"],
-        preferences=Preferences(b=b, delta=delta, R=R, S=S),
+        preferences=preferences,
         market=Market(r=r, mu=mu, sigma=sigma),
         lattice_cfg={"dt": dt, "n_steps": n_steps, "tail": tail},
         solver_cfg={"epsilon": epsilon, "tol": tol, "max_iter": max_iter},
@@ -221,15 +244,37 @@ def scenario_digest(scn: Scenario) -> str:
 # Dispatch
 # ---------------------------------------------------------------------------
 
+def _param(params: dict, key: str, default, integer: bool = False):
+    """Numeric experiment parameter `key`, or default when it is absent."""
+    if key not in params:
+        return default
+    return _number(params[key], f"experiment.params.{key}", integer)
+
+
+def _param_list(params: dict, key: str, default, length: int | None = None) -> list:
+    """List-of-numbers experiment parameter `key` (values kept as given), or
+    default when it is absent."""
+    field = f"experiment.params.{key}"
+    vals = params.get(key, default)
+    _require(isinstance(vals, list), "must be a list of numbers", field)
+    for i, v in enumerate(vals):
+        _number(v, f"{field}[{i}]")
+    if length is not None:
+        _require(len(vals) == length, f"must hold {length} numbers", field)
+    return vals
+
+
 def _grid_from_spec(spec, field: str) -> np.ndarray:
     if isinstance(spec, list):
+        for i, v in enumerate(spec):
+            _number(v, f"{field}[{i}]")
         arr = np.asarray(spec, dtype=float)
     elif isinstance(spec, dict):
-        try:
-            arr = np.arange(spec["start"], spec["stop"], spec["step"])
-        except KeyError as exc:
-            raise ValidationError(f"{field}: grid object needs start/stop/step",
-                                  field=field) from exc
+        for key in ("start", "stop", "step"):
+            _require(key in spec, "grid object needs start/stop/step", field)
+            _number(spec[key], f"{field}.{key}")
+        _require(spec["step"] != 0, "step must be non-zero", f"{field}.step")
+        arr = np.arange(spec["start"], spec["stop"], spec["step"])
     else:
         raise ValidationError(f"{field}: must be a list or start/stop/step object",
                               field=field)
@@ -240,8 +285,8 @@ def _grid_from_spec(spec, field: str) -> np.ndarray:
 
 def _candidate_strategy(scn: Scenario):
     policy = closed_form.candidate_policy(scn.preferences, scn.market)
-    pi = scn.params.get("pi", policy.pi_hat)
-    xi = scn.params.get("xi", policy.eta)
+    pi = _param(scn.params, "pi", policy.pi_hat)
+    xi = _param(scn.params, "xi", policy.eta)
     return closed_form.ProportionalStrategy(pi=float(pi), xi=float(xi))
 
 
@@ -267,11 +312,7 @@ def _dispatch(scn: Scenario):
             tail = TailClosure.proportional(strat, prefs, market)
         else:
             tail = TailClosure.zero()
-        c_grid = consumption_grid(lat)
-        u_grid = AdaptedGrid([
-            np.asarray(transformed_consumption(prefs, k * lat.dt, c), dtype=float)
-            for k, c in enumerate(c_grid.values)
-        ])
+        u_grid = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
         report = solver.picard_solve(
             prefs, u_grid, lat, tail,
             epsilon=scn.solver_cfg["epsilon"],
@@ -292,11 +333,11 @@ def _dispatch(scn: Scenario):
         return rows, summary
     if name == "mc_drift_check":
         strat = _candidate_strategy(scn)
-        nu = float(params.get("nu", prefs.delta * prefs.theta))
+        nu = _param(params, "nu", prefs.delta * prefs.theta)
         report = mc_drift_check(
             market, strat, nu, prefs.R,
-            n_paths=int(params.get("n_paths", 100_000)),
-            horizon=float(params.get("horizon", 5.0)),
+            n_paths=_param(params, "n_paths", 100_000, integer=True),
+            horizon=_param(params, "horizon", 5.0),
             seed=scn.seed,
         )
         rows = [{"t": t, "log_mean": lm}
@@ -306,15 +347,15 @@ def _dispatch(scn: Scenario):
                    "target": -closed_form.decay_rate(nu, prefs, market, strat)}
         return rows, summary
     if name == "crra_counterexample":
-        T_grid = params.get("T_grid", list(range(10, 101, 10)))
+        T_grid = _param_list(params, "T_grid", list(range(10, 101, 10)))
         rep = experiments.crra_counterexample(prefs.delta, prefs.R, T_grid)
         return rep.rows(), rep.summary()
     if name == "ezsdu_counterexample":
-        T_grid = params.get("T_grid", list(range(10, 101, 10)))
+        T_grid = _param_list(params, "T_grid", list(range(10, 101, 10)))
         rep = experiments.ezsdu_counterexample(prefs, T_grid)
         return rep.rows(), rep.summary()
     if name == "transversality_sweep":
-        nu = float(params.get("nu", prefs.delta))
+        nu = _param(params, "nu", prefs.delta)
         xi_grid = _grid_from_spec(
             params.get("xi_grid", {"start": 0.005, "stop": 0.2, "step": 0.005}),
             "experiment.params.xi_grid",
@@ -343,25 +384,27 @@ def _dispatch(scn: Scenario):
     if name == "aversion_demos":
         rep = experiments.aversion_demos(
             prefs, market,
-            y_values=tuple(params.get("y_values", (0.5, 1.5))),
-            temporal_levels=tuple(params.get("temporal_levels", (0.5, 1.5))),
-            temporal_switch_time=float(params.get("temporal_switch_time", 1.0)),
+            y_values=tuple(_param_list(params, "y_values", [0.5, 1.5], length=2)),
+            temporal_levels=tuple(
+                _param_list(params, "temporal_levels", [0.5, 1.5], length=2)),
+            temporal_switch_time=_param(params, "temporal_switch_time", 1.0),
         )
         return rep.rows(), rep.summary()
     if name == "wellposed_divergence":
         rep = experiments.wellposed_divergence(
             prefs, market,
-            probe_offsets=params.get("probe_offsets"),
-            n_levels=int(params.get("n_levels", 13)),
+            probe_offsets=(None if params.get("probe_offsets") is None
+                           else _param_list(params, "probe_offsets", None)),
+            n_levels=_param(params, "n_levels", 13, integer=True),
         )
         return rep.rows(), rep.summary()
     if name == "verification_check":
         rep = experiments.verification_check(
             prefs, market,
-            epsilon=float(params.get("epsilon", 0.1)),
-            n_strategies=int(params.get("n_strategies", 5)),
+            epsilon=_param(params, "epsilon", 0.1),
+            n_strategies=_param(params, "n_strategies", 5, integer=True),
             seed=scn.seed,
-            n_samples=int(params.get("n_samples", 10_000)),
+            n_samples=_param(params, "n_samples", 10_000, integer=True),
             dt=scn.lattice_cfg["dt"],
             n_steps=min(scn.lattice_cfg["n_steps"], 200),
         )
@@ -491,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scn = _load_scenario(args.scenario,
                              getattr(args, "seed", None))
-    except (json.JSONDecodeError, ValidationError, KeyError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, ValidationError, KeyError) as exc:
         print(_error_json("validation", exc), file=sys.stderr)
         return 2
     except OSError as exc:

@@ -734,24 +734,18 @@ def verification_check(prefs: Preferences, market: Market, epsilon: float,
             "and test strategies load on shocks with the same sign"
         )
     verdicts = []
-    m_hat = (r0 + policy.pi_hat * (market0.mu - r0) - eta
-             - policy.pi_hat**2 * sig**2 / 2.0)
-    s_hat = policy.pi_hat * sig
-    sqdt = math.sqrt(dt)
+    # Y is the candidate's own wealth on the same recombining nodes (both
+    # strategies load on one shock with the same sign).
+    y = build_lattice(market0, policy.strategy, dt, n_steps, x0=1.0).wealth.data
     for _ in range(n_strategies):
         pi_s = float(rng.uniform(0.05, 1.5))
         xi_s = float(rng.uniform(0.005, 0.1))
         strat = ProportionalStrategy(pi=pi_s, xi=xi_s)
         lat = build_lattice(market0, strat, dt, n_steps, x0=1.0)
-        y_vals = [np.exp(m_hat * k * dt + s_hat * sqdt
-                         * (2.0 * np.arange(k + 1) - k))
-                  for k in range(n_steps + 1)]
-        v_vals = [vhat(xw + epsilon * yw)
-                  for xw, yw in zip(lat.node_wealth, y_vals)]
-        c_vals = [xi_s * xw + eta * epsilon * yw
-                  for xw, yw in zip(lat.node_wealth, y_vals)]
+        x = lat.wealth.data
         report = solver.check_solution(
-            AdaptedGrid(v_vals), AdaptedGrid(c_vals), lat, prefs0,
+            AdaptedGrid.from_packed(vhat(x + epsilon * y)),
+            AdaptedGrid.from_packed(xi_s * x + eta * epsilon * y), lat, prefs0,
             tol=check_tol, space="V",
         )
         verdicts.append({

@@ -14,9 +14,18 @@ recombines: the node (k, j) with j up-moves has wealth
 x0 * exp(m k dt + s sqrt(dt) (2j - k)).
 
 `AdaptedGrid` stores one value per node and is the discrete stand-in for an
-adapted process (consumption, utility, reference processes).  Conditional
-expectations are exact one-step averages; `mc_drift_check` provides an
-independent Monte Carlo oracle for the decay rate of e^{-nu t} X_t^{1-R}.
+adapted process (consumption, utility, reference processes).  Its storage is
+one flat array in packed triangular layout: the k+1 nodes of step k sit at
+offsets k(k+1)/2 .. k(k+1)/2 + k, so a contiguous range of steps is one
+contiguous slice (`AdaptedGrid.span`).  `grid.values` is the list of per-step
+views into that array, and a grid can still be built from such a list.
+Nodewise work (kernels, clamps, sign checks, ratios) is one numpy call over
+the packed array instead of one call per step.
+
+Conditional expectations are exact one-step averages; the unconditional
+distribution of step k is binomial(k, 1/2), propagated forward from step 0.
+`mc_drift_check` provides an independent Monte Carlo oracle for the decay
+rate of e^{-nu t} X_t^{1-R}.
 """
 
 from __future__ import annotations
@@ -26,12 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from . import closed_form
 from .closed_form import ProportionalStrategy
 from .errors import DimensionMismatch, InvalidParameters, InvalidStep, NotEvaluable
-from .preferences import Market, Preferences, ValueSign
+from .preferences import Market, Preferences, ValueSign, transformed_consumption
 
 __all__ = [
     "Lattice",
@@ -42,11 +50,115 @@ __all__ = [
     "step_expectation",
     "unconditional_expectation",
     "consumption_grid",
+    "transformed_consumption_grid",
     "wealth_grid",
-    "grid_from_function",
     "mc_drift_check",
     "DriftCheckReport",
 ]
+
+
+class AdaptedGrid:
+    """One value per lattice node, packed step by step into one flat array.
+
+    `data[k(k+1)/2 + j]` is the value at node (k, j), j = number of up-moves.
+    `values[k]` is a view of step k into `data`, so writes through `values`
+    change the grid.  sign_domain, when set, is enforced by `validate_sign`.
+
+    Raises
+    ------
+    DimensionMismatch
+        If layer k of `values` does not hold exactly k+1 numbers.
+    """
+
+    def __init__(self, values, sign_domain: ValueSign | None = None):
+        layers = [np.asarray(v, dtype=float) for v in values]
+        for k, v in enumerate(layers):
+            if v.shape != (k + 1,):
+                raise DimensionMismatch(
+                    f"layer {k} must hold {k + 1} values, got shape {v.shape}"
+                )
+        self._set(np.concatenate(layers) if layers else np.empty(0), sign_domain)
+
+    @classmethod
+    def from_packed(cls, data: np.ndarray,
+                    sign_domain: ValueSign | None = None) -> "AdaptedGrid":
+        """Wrap a packed array (not copied) as a grid.
+
+        Raises
+        ------
+        DimensionMismatch
+            If data is not one-dimensional with a triangular number of entries.
+        """
+        grid = cls.__new__(cls)
+        grid._set(np.asarray(data, dtype=float), sign_domain)
+        return grid
+
+    def _set(self, data: np.ndarray, sign_domain: ValueSign | None) -> None:
+        n = (math.isqrt(8 * data.size + 1) - 3) // 2
+        if data.ndim != 1 or (n + 1) * (n + 2) // 2 != data.size:
+            raise DimensionMismatch(
+                f"packed grid needs a triangular number of values, got shape {data.shape}"
+            )
+        self.data = data
+        self.n_steps = n
+        self.sign_domain = sign_domain
+        self._views: list[np.ndarray] | None = None
+
+    @staticmethod
+    def span(lo: int, hi: int | None = None) -> slice:
+        """Slice of the packed steps lo..hi (inclusive; hi defaults to lo)."""
+        hi = lo if hi is None else hi
+        return slice(lo * (lo + 1) // 2, (hi + 1) * (hi + 2) // 2)
+
+    @staticmethod
+    def node(index: int) -> tuple[int, int]:
+        """(step, node) coordinates of a packed index."""
+        k = (math.isqrt(8 * index + 1) - 1) // 2
+        return k, index - k * (k + 1) // 2
+
+    @staticmethod
+    def per_node(per_step) -> np.ndarray:
+        """Packed array repeating per_step[k] over the k+1 nodes of step k."""
+        per_step = np.asarray(per_step)
+        return np.repeat(per_step, np.arange(1, len(per_step) + 1))
+
+    @property
+    def values(self) -> list[np.ndarray]:
+        if self._views is None:
+            self._views = [self.data[self.span(k)] for k in range(self.n_steps + 1)]
+        return self._views
+
+    def check_shape(self, lat: Lattice) -> None:
+        if self.n_steps != lat.n_steps:
+            raise DimensionMismatch("grid shape does not match lattice")
+
+    def validate_sign(self) -> bool:
+        if self.sign_domain is ValueSign.NON_NEGATIVE:
+            return not np.any(self.data < 0.0)
+        if self.sign_domain is ValueSign.NON_POSITIVE:
+            return not np.any(self.data > 0.0)
+        return True
+
+    def copy(self) -> "AdaptedGrid":
+        return AdaptedGrid.from_packed(self.data.copy(), self.sign_domain)
+
+    def scaled(self, factor) -> "AdaptedGrid":
+        """Nodewise scaling; factor may be a scalar or a per-step sequence."""
+        factors = np.broadcast_to(np.asarray(factor, dtype=float), (self.n_steps + 1,))
+        return AdaptedGrid.from_packed(self.per_node(factors) * self.data,
+                                       self.sign_domain)
+
+    def sup_abs(self) -> float:
+        return float(np.max(np.abs(self.data)))
+
+    def to_csv(self, path) -> None:
+        """Write rows (step, node, value)."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "node", "value"])
+            for k, vals in enumerate(self.values):
+                for j, v in enumerate(vals):
+                    writer.writerow([k, j, format(float(v), ".17g")])
 
 
 @dataclass(frozen=True)
@@ -59,11 +171,16 @@ class Lattice:
     up: float
     down: float
     p_up: float
-    node_wealth: list[np.ndarray]
+    wealth: AdaptedGrid
     log_drift: float   # m, per unit time
     log_vol: float     # s, per sqrt(unit time)
     market: Market
     strategy: ProportionalStrategy
+
+    @property
+    def node_wealth(self) -> list[np.ndarray]:
+        """Wealth at each step, as views into the packed `wealth` grid."""
+        return self.wealth.values
 
     @property
     def times(self) -> np.ndarray:
@@ -72,59 +189,6 @@ class Lattice:
     @property
     def horizon(self) -> float:
         return self.n_steps * self.dt
-
-
-@dataclass
-class AdaptedGrid:
-    """One value per lattice node: values[k][j], j = number of up-moves.
-
-    sign_domain, when set, is enforced by `validate_sign`.
-    """
-
-    values: list[np.ndarray]
-    sign_domain: ValueSign | None = None
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.values) - 1
-
-    def check_shape(self, lat: Lattice) -> None:
-        if len(self.values) != lat.n_steps + 1 or any(
-            len(v) != k + 1 for k, v in enumerate(self.values)
-        ):
-            raise DimensionMismatch("grid shape does not match lattice")
-
-    def validate_sign(self) -> bool:
-        if self.sign_domain is None:
-            return True
-        for v in self.values:
-            if self.sign_domain is ValueSign.NON_NEGATIVE and np.any(v < 0.0):
-                return False
-            if self.sign_domain is ValueSign.NON_POSITIVE and np.any(v > 0.0):
-                return False
-        return True
-
-    def copy(self) -> "AdaptedGrid":
-        return AdaptedGrid([v.copy() for v in self.values], self.sign_domain)
-
-    def scaled(self, factor) -> "AdaptedGrid":
-        """Nodewise scaling; factor may be a scalar or a per-step sequence."""
-        factors = np.broadcast_to(np.asarray(factor, dtype=float), (len(self.values),))
-        return AdaptedGrid(
-            [f * v for f, v in zip(factors, self.values)], self.sign_domain
-        )
-
-    def sup_abs(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.values)
-
-    def to_csv(self, path) -> None:
-        """Write rows (step, node, value)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "node", "value"])
-            for k, vals in enumerate(self.values):
-                for j, v in enumerate(vals):
-                    writer.writerow([k, j, format(float(v), ".17g")])
 
 
 def build_lattice(market: Market, strat: ProportionalStrategy, dt: float,
@@ -150,13 +214,12 @@ def build_lattice(market: Market, strat: ProportionalStrategy, dt: float,
     sqdt = math.sqrt(dt)
     up = math.exp(m * dt + s * sqdt)
     down = math.exp(m * dt - s * sqdt)
-    node_wealth = []
-    for k in range(n_steps + 1):
-        j = np.arange(k + 1)
-        node_wealth.append(x0 * np.exp(m * k * dt + s * sqdt * (2.0 * j - k)))
+    k = AdaptedGrid.per_node(np.arange(n_steps + 1))  # step of each packed node
+    j = np.arange(k.size) - k * (k + 1) // 2          # its number of up-moves
+    wealth = x0 * np.exp(m * k * dt + s * sqdt * (2.0 * j - k))
     return Lattice(
         dt=dt, n_steps=n_steps, x0=x0, up=up, down=down, p_up=0.5,
-        node_wealth=node_wealth, log_drift=m, log_vol=s,
+        wealth=AdaptedGrid.from_packed(wealth), log_drift=m, log_vol=s,
         market=market, strategy=strat,
     )
 
@@ -183,31 +246,50 @@ def step_expectation(lat: Lattice, values_next: np.ndarray) -> np.ndarray:
 
 
 def unconditional_expectation(lat: Lattice, grid: AdaptedGrid) -> np.ndarray:
-    """E[grid at step k] for every k, via exact binomial weights."""
+    """E[grid at step k] for every k.
+
+    The binomial(k, p_up) node weights are propagated forward one step at a
+    time, weights_{k+1}[j] = p_up weights_k[j-1] + (1-p_up) weights_k[j], and
+    then summed against the grid step by step in one call.
+    """
     grid.check_shape(lat)
-    out = np.empty(lat.n_steps + 1)
-    for k, vals in enumerate(grid.values):
-        weights = binom.pmf(np.arange(k + 1), k, lat.p_up)
-        out[k] = float(weights @ vals)
-    return out
+    weights = np.empty_like(grid.data)
+    weights[0] = 1.0
+    for k in range(lat.n_steps):
+        prev, nxt = weights[AdaptedGrid.span(k)], weights[AdaptedGrid.span(k + 1)]
+        np.multiply(prev, 1.0 - lat.p_up, out=nxt[:-1])
+        nxt[-1] = 0.0
+        nxt[1:] += lat.p_up * prev
+    weights *= grid.data
+    steps = np.arange(lat.n_steps + 1)
+    return np.add.reduceat(weights, steps * (steps + 1) // 2)
 
 
 def wealth_grid(lat: Lattice) -> AdaptedGrid:
-    return AdaptedGrid([w.copy() for w in lat.node_wealth])
+    return lat.wealth.copy()
 
 
 def consumption_grid(lat: Lattice) -> AdaptedGrid:
     """On-lattice consumption C = xi * X under the bound strategy."""
-    xi = lat.strategy.xi
-    return AdaptedGrid([xi * w for w in lat.node_wealth],
-                       sign_domain=ValueSign.NON_NEGATIVE)
+    return AdaptedGrid.from_packed(lat.strategy.xi * lat.wealth.data,
+                                   sign_domain=ValueSign.NON_NEGATIVE)
 
 
-def grid_from_function(lat: Lattice, fn) -> AdaptedGrid:
-    """Build a grid by evaluating fn(t, wealth_array) at every step."""
-    return AdaptedGrid(
-        [np.asarray(fn(k * lat.dt, w), dtype=float)
-         for k, w in enumerate(lat.node_wealth)]
+def transformed_consumption_grid(prefs: Preferences, lat: Lattice,
+                                 C: AdaptedGrid) -> AdaptedGrid:
+    """U = b*theta*e^{-delta t} C^{1-S} at every node of the lattice.
+
+    One vectorised `transformed_consumption` call over the packed nodes, each
+    at its own step's time.
+
+    Raises
+    ------
+    DimensionMismatch
+        If C does not live on the lattice.
+    """
+    C.check_shape(lat)
+    return AdaptedGrid.from_packed(
+        transformed_consumption(prefs, AdaptedGrid.per_node(lat.times), C.data)
     )
 
 

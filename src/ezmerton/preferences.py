@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,16 +213,28 @@ def transformed_aggregator(u: float, w: float, rho: float) -> float:
 def transformed_aggregator_grid(
     u: np.ndarray, w: np.ndarray, rho: float
 ) -> np.ndarray:
-    """Vectorised `transformed_aggregator` over numpy arrays."""
+    """Vectorised `transformed_aggregator` over numpy arrays.
+
+    When every u and w lies in (0, inf) the kernel is u * w^rho throughout,
+    computed in one pass; otherwise the boundary branches are selected by
+    masks.
+    """
     if rho > 0.0:
         raise DomainError(f"kernel defined for rho <= 0, got {rho}")
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
+    shape = np.broadcast_shapes(u.shape, w.shape)
+    if (rho != 0.0 and u.size and w.size
+            and 0.0 < u.min() and u.max() < math.inf
+            and 0.0 < w.min() and w.max() < math.inf):
+        out = np.broadcast_to(w, shape) ** rho
+        out *= u
+        return out
     if np.any(u < 0.0) or np.any(w < 0.0):
         raise DomainError("arguments must lie in [0, inf]")
     if rho == 0.0:
-        return np.broadcast_to(u, np.broadcast_shapes(u.shape, w.shape)).copy()
-    out = np.empty(np.broadcast_shapes(u.shape, w.shape), dtype=float)
+        return np.broadcast_to(u, shape).copy()
+    out = np.empty(shape, dtype=float)
     u_b = np.broadcast_to(u, out.shape)
     w_b = np.broadcast_to(w, out.shape)
     u_edge = (u_b == 0.0) | np.isinf(u_b)
@@ -373,8 +385,3 @@ def numeraire_shift(
     )
     new_market = Market(r=market.r - chi, mu=market.mu - chi, sigma=market.sigma)
     return new_prefs, new_market
-
-
-def replace_delta(prefs: Preferences, delta: float) -> Preferences:
-    """Copy of prefs with a different discount rate (theta, rho recomputed)."""
-    return replace(prefs, delta=delta, theta=None, rho=None)

@@ -5,9 +5,17 @@ U = b*theta*e^{-delta t} C^{1-S} >= 0, where the recursion reads
 
     W_t = E_t[ integral_t^inf u(s) W_s^rho ds ]          (rho = (theta-1)/theta).
 
-One application of the right-hand side on the lattice is `apply_recursion`
-(per-step trapezoid accumulation of the kernel plus a tail closure beyond the
-horizon).  `picard_solve` iterates it.  Measured in the log of the ratio to a
+One application of the right-hand side on the lattice is `apply_recursion`:
+the kernel over the whole packed grid in one call, a tail closure beyond the
+horizon, and a backward sweep of the trapezoid step
+
+    G_k = E_k[ G_{k+1} + dt/2 f_{k+1} ] + dt/2 f_k.
+
+That step is written once (`_trapezoid_step`), over any contiguous range of
+packed steps: the operator, `reference_integral` and the hitting-time
+defects sweep it one step at a time, since each step needs the next, while
+a gap-g pair-defect family advances every start step at once in g calls.
+`picard_solve` iterates the operator.  Measured in the log of the ratio to a
 reference process Lambda^theta, the iteration is a sup-norm contraction with
 constant |rho| when rho is in (-1, 0); for rho <= -1 the update is split as
 w^rho = w^{-chi} * w^{rho+chi} and solved as a nested iteration whose outer
@@ -47,7 +55,7 @@ from .lattice import (
     AdaptedGrid,
     Lattice,
     TailClosure,
-    step_expectation,
+    transformed_consumption_grid,
     unconditional_expectation,
 )
 from .preferences import (
@@ -56,7 +64,6 @@ from .preferences import (
     ValueSign,
     classify_regime,
     transformed_aggregator_grid,
-    transformed_consumption,
 )
 
 __all__ = [
@@ -83,30 +90,62 @@ _RATIO_GUARD = 1e12
 
 
 # ---------------------------------------------------------------------------
-# Backward accumulation
+# The backward trapezoid step
 # ---------------------------------------------------------------------------
 
-def _backward_accumulate(lat: Lattice, f: list[np.ndarray],
-                         tail_values: np.ndarray,
-                         last_step_rectangle: bool) -> list[np.ndarray]:
+def _expectation(lat: Lattice, nxt: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """E_k[nxt_{k+1}] for the packed steps k = lo..hi.
+
+    nxt holds the packed steps lo+1..hi+1.  Averaging neighbours over the
+    whole range also pairs the last node of each step with the first node of
+    the next; those hi-lo straddling pairs are dropped.
+    """
+    e = lat.p_up * nxt[1:]
+    e += (1.0 - lat.p_up) * nxt[:-1]
+    if hi > lo:
+        e = np.delete(e, np.cumsum(np.arange(lo + 2, hi + 2)) - 1)
+    return e
+
+
+def _trapezoid_step(lat: Lattice, acc: np.ndarray, half: np.ndarray,
+                    lo: int, hi: int) -> np.ndarray:
+    """E_k[acc_{k+1} + half_{k+1}] + half_k for the packed steps k = lo..hi.
+
+    acc holds the packed steps lo+1..hi+1 and half = dt/2 * f the whole
+    packed grid of the integrand.
+    """
+    # packed offsets of steps lo, lo+1, hi+1 and hi+2 (AdaptedGrid.span inline:
+    # this runs once per step of every sweep)
+    a, b = lo * (lo + 1) // 2, (lo + 1) * (lo + 2) // 2
+    c, d = (hi + 1) * (hi + 2) // 2, (hi + 2) * (hi + 3) // 2
+    e = _expectation(lat, acc + half[b:d], lo, hi)
+    e += half[a:c]
+    return e
+
+
+def _backward_accumulate(lat: Lattice, f: np.ndarray, tail_values: np.ndarray,
+                         last_step_rectangle: bool) -> np.ndarray:
     """G_k = E_k[ sum of trapezoid slices of f + tail ], one backward sweep.
 
-    With a zero tail the terminal layer of f would inject the w = 0 boundary
+    f is the packed integrand and is overwritten (scaled to dt/2 * f).  With a
+    zero tail the terminal layer of f would inject the w = 0 boundary
     convention (an infinite kernel value) into the last half-slice, so that
     step uses a left rectangle instead.
     """
     n = lat.n_steps
-    dt = lat.dt
-    out: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    out[n] = np.asarray(tail_values, dtype=float)
-    for k in range(n - 1, -1, -1):
-        if k == n - 1 and last_step_rectangle:
-            out[k] = step_expectation(lat, out[k + 1]) + dt * f[k]
-        else:
-            out[k] = (
-                step_expectation(lat, out[k + 1] + 0.5 * dt * f[k + 1])
-                + 0.5 * dt * f[k]
-            )
+    span = AdaptedGrid.span
+    out = np.empty_like(f)
+    out[span(n)] = tail_values
+    first = n - 1
+    if last_step_rectangle and n > 0:
+        out[span(n - 1)] = (_expectation(lat, out[span(n)], n - 1, n - 1)
+                            + lat.dt * f[span(n - 1)])
+        first = n - 2
+    half = f
+    half *= 0.5 * lat.dt
+    for k in range(first, -1, -1):
+        start, stop = k * (k + 1) // 2, (k + 1) * (k + 2) // 2
+        out[start:stop] = _trapezoid_step(lat, out[stop:stop + k + 2], half, k, k)
     return out
 
 
@@ -139,11 +178,11 @@ def reference_integral(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
                        tail: TailClosure) -> AdaptedGrid:
     """I^Lambda: backward cumulative expectation of Lambda^theta plus tail."""
     target.check_shape(lat)
-    lam_theta = [np.power(v, prefs.theta) for v in target.values]
-    tail_vals = _tail_reference(lat, tail, lam_theta[-1])
+    lam_theta = np.power(target.data, prefs.theta)
+    tail_vals = _tail_reference(lat, tail, lam_theta[AdaptedGrid.span(lat.n_steps)])
     vals = _backward_accumulate(lat, lam_theta, tail_vals,
                                 last_step_rectangle=tail.mode == "zero")
-    return AdaptedGrid(vals, sign_domain=ValueSign.NON_NEGATIVE)
+    return AdaptedGrid.from_packed(vals, sign_domain=ValueSign.NON_NEGATIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +216,9 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
         the grid is extended), or if the nodewise ratio leaves (0, guard).
     """
     target.check_shape(lat)
-    if any(np.any(~(v > 0.0)) or np.any(np.isinf(v)) for v in target.values):
+    if np.any(~(target.data > 0.0)) or np.any(np.isinf(target.data)):
         raise NotInClass("reference process must be strictly positive and finite")
-    lam_theta = AdaptedGrid([np.power(v, prefs.theta) for v in target.values])
+    lam_theta = AdaptedGrid.from_packed(np.power(target.data, prefs.theta))
     trace = unconditional_expectation(lat, lam_theta)
     slope = float(np.polyfit(lat.times, np.log(trace), 1)[0])
     if slope >= -1e-12:
@@ -188,9 +227,10 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
             "the defining integral diverges beyond any horizon"
         )
     ref = reference_integral(prefs, target, lat, tail)
-    ratios = [lt / iv for lt, iv in zip(lam_theta.values[:-1], ref.values[:-1])]
-    k_lower = min(float(np.min(r)) for r in ratios)
-    K_upper = max(float(np.max(r)) for r in ratios)
+    before_terminal = slice(0, AdaptedGrid.span(lat.n_steps).start)
+    ratios = lam_theta.data[before_terminal] / ref.data[before_terminal]
+    k_lower = float(np.min(ratios))
+    K_upper = float(np.max(ratios))
     if not (0.0 < k_lower <= K_upper < _RATIO_GUARD):
         raise NotInClass(
             f"order ratio outside (0, {_RATIO_GUARD:g}): [{k_lower}, {K_upper}]"
@@ -200,13 +240,9 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
 
 
 def _order_ratio_bounds(U: AdaptedGrid, Lambda: AdaptedGrid) -> tuple[float, float]:
-    lo, hi = math.inf, 0.0
-    for u, lam in zip(U.values, Lambda.values):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = u / lam
-        lo = min(lo, float(np.min(r)))
-        hi = max(hi, float(np.max(r)))
-    return lo, hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = U.data / Lambda.data
+    return float(np.min(r)), float(np.max(r))
 
 
 # ---------------------------------------------------------------------------
@@ -233,48 +269,52 @@ def apply_recursion(prefs: Preferences, U: AdaptedGrid, W: AdaptedGrid,
         raise MissingLambda("epsilon > 0 requires a reference grid Lambda")
     if Lambda is not None:
         Lambda.check_shape(lat)
-        lam_theta = [np.power(v, prefs.theta) for v in Lambda.values]
+        lam_theta = np.power(Lambda.data, prefs.theta)
     else:
         lam_theta = None
-    f = []
-    for k in range(lat.n_steps + 1):
-        fk = transformed_aggregator_grid(U.values[k], W.values[k], prefs.rho)
-        if epsilon > 0.0:
-            fk = fk + epsilon * lam_theta[k]
-        f.append(fk)
+    terminal = AdaptedGrid.span(lat.n_steps)
     tail_vals = _tail_solution(
-        prefs, lat, tail, U.values[-1],
-        lam_theta[-1] if lam_theta is not None else U.values[-1],
+        prefs, lat, tail, U.data[terminal],
+        (lam_theta if lam_theta is not None else U.data)[terminal],
         epsilon,
     )
-    vals = _backward_accumulate(lat, f, tail_vals,
-                                last_step_rectangle=tail.mode == "zero")
-    return AdaptedGrid(vals, sign_domain=ValueSign.NON_NEGATIVE)
+    eps_term = epsilon * lam_theta if epsilon > 0.0 else None
+    return _operator(lat, U.data, W, prefs.rho, eps_term, tail_vals,
+                     last_rect=tail.mode == "zero")
+
+
+def _operator(lat: Lattice, u: np.ndarray, W: AdaptedGrid, rho: float,
+              eps_term: np.ndarray | None, tail_vals: np.ndarray,
+              last_rect: bool) -> AdaptedGrid:
+    """Backward(u * W^rho + eps_term) with the given tail: the packed kernel,
+    then one backward sweep."""
+    f = transformed_aggregator_grid(u, W.data, rho)
+    if eps_term is not None:
+        f += eps_term
+    return AdaptedGrid.from_packed(_backward_accumulate(lat, f, tail_vals, last_rect),
+                                   sign_domain=ValueSign.NON_NEGATIVE)
 
 
 def _log_sup_diff(A: AdaptedGrid, B: AdaptedGrid) -> float:
-    """sup over nodes of |log A - log B|, with 0/0 layers counting as equal."""
-    worst = 0.0
-    for a, b in zip(A.values, B.values):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.log(a) - np.log(b)
-        both_zero = (a == b)
-        d = np.where(both_zero, 0.0, d)
-        if np.any(np.isnan(d)):
-            return math.inf
-        worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+    """sup over nodes of |log A - log B|, with equal nodes (0/0, inf/inf)
+    counting as equal."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.log(A.data)
+        d -= np.log(B.data)
+    d[A.data == B.data] = 0.0
+    if np.isnan(d).any():
+        return math.inf
+    return float(np.max(np.abs(d, out=d), initial=0.0))
 
 
 def _clamped(W: AdaptedGrid) -> tuple[AdaptedGrid, int]:
+    """Clip W into [e^-700, e^700] in place; returns (W, clipped node count)."""
     lo, hi = math.exp(-_LOG_CLAMP), math.exp(_LOG_CLAMP)
-    events = 0
-    vals = []
-    for v in W.values:
-        mask = (v < lo) | (v > hi)
-        events += int(np.count_nonzero(mask))
-        vals.append(np.clip(v, lo, hi) if mask.any() else v)
-    return AdaptedGrid(vals, W.sign_domain), events
+    v = W.data
+    events = int(np.count_nonzero(v < lo)) + int(np.count_nonzero(v > hi))
+    if events:
+        np.clip(v, lo, hi, out=v)
+    return W, events
 
 
 @dataclass
@@ -297,7 +337,7 @@ class SolveReport:
 
     def utility_at_zero(self, prefs: Preferences) -> float:
         """Time-0 utility V_0 = W_0 / (1-R)."""
-        return float(self.solution.values[0][0]) / (1.0 - prefs.R)
+        return float(self.solution.data[0]) / (1.0 - prefs.R)
 
     def to_json_dict(self) -> dict:
         return {
@@ -308,7 +348,7 @@ class SolveReport:
             "chi": self.chi,
             "clamp_events": self.clamp_events,
             "contraction_ratios": self.contraction_ratios,
-            "w0": float(self.solution.values[0][0]),
+            "w0": float(self.solution.data[0]),
         }
 
     def trace_to_csv(self, path) -> None:
@@ -319,29 +359,20 @@ class SolveReport:
                 writer.writerow([it, format(step, ".17g"), format(ratio, ".17g")])
 
 
-def _solve_exponent(prefs: Preferences, u_values: list[np.ndarray],
+def _solve_exponent(prefs: Preferences, u: np.ndarray,
                     rho: float, W0: AdaptedGrid, lat: Lattice,
                     tail_vals: np.ndarray, last_rect: bool,
-                    eps_term: list[np.ndarray] | None,
+                    eps_term: np.ndarray | None,
                     tol: float, max_iter: int):
     """Solve W = Backward(u * W^rho_eff + eps_term) for any rho < 0.
 
     Direct contraction iteration for rho in (-1, 0); for rho <= -1 the kernel
     is split as w^rho = w^{-chi} w^{rho+chi} and the inner problem (in the
     last factor) is solved to higher accuracy inside an outer loop that
-    contracts with constant chi.  Returns (W, trace, converged, clamp_events).
+    contracts with constant chi, which is kept strictly inside (0, 1) so the
+    stopping rule tol*(1 - chi) stays positive.  u is the packed driver.
+    Returns (W, trace, converged, clamp_events, chi).
     """
-
-    def one_application(u_vals, rho_x, W: AdaptedGrid) -> AdaptedGrid:
-        f = []
-        for k in range(lat.n_steps + 1):
-            fk = transformed_aggregator_grid(u_vals[k], W.values[k], rho_x)
-            if eps_term is not None:
-                fk = fk + eps_term[k]
-            f.append(fk)
-        vals = _backward_accumulate(lat, f, tail_vals, last_rect)
-        return AdaptedGrid(vals, sign_domain=ValueSign.NON_NEGATIVE)
-
     clamp_total = 0
     trace: list[tuple[int, float, float]] = []
 
@@ -350,7 +381,8 @@ def _solve_exponent(prefs: Preferences, u_values: list[np.ndarray],
         prev_step = math.nan
         converged = False
         for it in range(1, max_iter + 1):
-            W_new, ev = _clamped(one_application(u_values, rho, W))
+            W_new, ev = _clamped(
+                _operator(lat, u, W, rho, eps_term, tail_vals, last_rect))
             clamp_total += ev
             step = _log_sup_diff(W_new, W)
             ratio = step / prev_step if prev_step and math.isfinite(prev_step) and prev_step > 0 else math.nan
@@ -363,11 +395,9 @@ def _solve_exponent(prefs: Preferences, u_values: list[np.ndarray],
         return W, trace, converged, clamp_total, None
 
     # chi-splitting: w^rho = w^{-chi} * w^{rho+chi} with rho+chi in (-1, 0)
-    # when reachable in one split, else recurse.
-    if -1.5 <= rho:
-        chi = -0.5 - rho  # lands the inner exponent at -0.5; 0.5 for rho = -1
-    else:
-        chi = 0.99
+    # when reachable in one split, else recurse.  -0.5 - rho lands the inner
+    # exponent at -0.5 (chi = 0.5 for rho = -1); the cap keeps chi < 1.
+    chi = min(-0.5 - rho, 0.99)
     rho_in = rho + chi
     W = W0
     prev_step = math.nan
@@ -375,8 +405,7 @@ def _solve_exponent(prefs: Preferences, u_values: list[np.ndarray],
     inner_tol = 0.1 * tol
     for it in range(1, max_iter + 1):
         with np.errstate(divide="ignore"):
-            u_eff = [u * np.power(w, -chi)
-                     for u, w in zip(u_values, W.values)]
+            u_eff = u * np.power(W.data, -chi)
         Z, _, inner_ok, ev, _ = _solve_exponent(
             prefs, u_eff, rho_in, W, lat, tail_vals, last_rect,
             eps_term, inner_tol, max_iter,
@@ -444,11 +473,11 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
                 f"U not bounded by a multiple of Lambda: ratio range [{lo}, {hi}]"
             )
 
-    lam_theta = [np.power(v, prefs.theta) for v in lam_grid.values]
-    eps_term = [epsilon * lt for lt in lam_theta] if epsilon > 0.0 else None
+    eps_term = epsilon * np.power(lam_grid.data, prefs.theta) if epsilon > 0.0 else None
     last_rect = tail.mode == "zero"
-    tail_vals = _tail_solution(prefs, lat, tail, U.values[-1],
-                               lam_theta[-1], epsilon)
+    terminal = AdaptedGrid.span(lat.n_steps)
+    tail_vals = _tail_solution(prefs, lat, tail, U.data[terminal],
+                               np.power(lam_grid.data[terminal], prefs.theta), epsilon)
 
     if initial_guess is not None:
         initial_guess.check_shape(lat)
@@ -468,7 +497,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
                            chi=None, clamp_events=0)
 
     W, trace, converged, clamp_events, chi = _solve_exponent(
-        prefs, U.values, prefs.rho, W0, lat, tail_vals, last_rect,
+        prefs, U.data, prefs.rho, W0, lat, tail_vals, last_rect,
         eps_term, tol, max_iter,
     )
     if not converged:
@@ -548,29 +577,25 @@ def generalized_utility(C_grid: AdaptedGrid, prefs: Preferences, market: Market,
             "lattice must be built under the candidate strategy "
             f"(pi={policy.pi_hat}, xi={policy.eta})"
         )
-    c_hat = [policy.eta * w for w in lat.node_wealth]
+    c_hat = AdaptedGrid.from_packed(policy.eta * lat.wealth.data)
+    u_hat = None  # the candidate's own driver, built on first need
     ns = [1]
     while ns[-1] < n_max:
         ns.append(min(2 * ns[-1], n_max))
 
-    times = lat.times
     values: list[float] = []
     for n in ns:
         if prefs.R < 1.0:
-            c_n = [np.minimum(c, n * ch) for c, ch in zip(C_grid.values, c_hat)]
+            c_n = np.minimum(C_grid.data, n * c_hat.data)
         else:
-            c_n = [np.maximum(c, ch / n) for c, ch in zip(C_grid.values, c_hat)]
-        u_n = AdaptedGrid([
-            np.asarray(transformed_consumption(prefs, times[k], c_n[k]), dtype=float)
-            for k in range(lat.n_steps + 1)
-        ])
-        if all(np.all(np.isfinite(v)) and np.all(v > 0.0) for v in u_n.values):
+            c_n = np.maximum(C_grid.data, c_hat.data / n)
+        u_n = transformed_consumption_grid(prefs, lat, AdaptedGrid.from_packed(c_n))
+        if np.all(np.isfinite(u_n.data)) and np.all(u_n.data > 0.0):
             lam = u_n
         else:
-            lam = AdaptedGrid([
-                np.asarray(transformed_consumption(prefs, times[k], ch), dtype=float)
-                for k, ch in enumerate(c_hat)
-            ])
+            if u_hat is None:
+                u_hat = transformed_consumption_grid(prefs, lat, c_hat)
+            lam = u_hat
         report = picard_solve(prefs, u_n, lat, tail, epsilon=0.0, Lambda=lam,
                               tol=tol, enforce_order=False)
         values.append(report.utility_at_zero(prefs))
@@ -624,52 +649,43 @@ class ResidualReport:
         }
 
 
-def _aggregator_layers(grid: AdaptedGrid, companion: AdaptedGrid,
-                       lat: Lattice, prefs: Preferences, space: str):
-    """Per-step aggregator values along the grid, in the requested space."""
+def _aggregator_values(grid: AdaptedGrid, companion: AdaptedGrid,
+                       lat: Lattice, prefs: Preferences, space: str) -> np.ndarray:
+    """Packed aggregator values along the grid, in the requested space."""
     if space == "W":
-        return [
-            transformed_aggregator_grid(u, w, prefs.rho)
-            for u, w in zip(companion.values, grid.values)
-        ]
-    layers = []
-    for k in range(lat.n_steps + 1):
-        u = np.asarray(
-            transformed_consumption(prefs, k * lat.dt, companion.values[k]),
-            dtype=float,
-        )
-        w = (1.0 - prefs.R) * grid.values[k]
-        layers.append(transformed_aggregator_grid(u, w, prefs.rho) / (1.0 - prefs.R))
-    return layers
+        return transformed_aggregator_grid(companion.data, grid.data, prefs.rho)
+    u = transformed_consumption_grid(prefs, lat, companion).data
+    w = (1.0 - prefs.R) * grid.data
+    return transformed_aggregator_grid(u, w, prefs.rho) / (1.0 - prefs.R)
 
 
-def _pair_defects(lat: Lattice, V: list[np.ndarray], f: list[np.ndarray],
-                  gap: int):
-    """Defects V_k - E_k[V_{k+gap} + trapezoid(f)] for every start k."""
-    dt = lat.dt
+def _pair_defects(lat: Lattice, V: np.ndarray, half: np.ndarray,
+                  gap: int) -> np.ndarray:
+    """Packed defects V_k - E_k[V_{k+gap} + trapezoid(f)] for every start k.
+
+    All start steps advance together: gap trapezoid steps over the packed
+    range of steps, with half = dt/2 * f.
+    """
     n = lat.n_steps
-    defects = []
-    for k in range(0, n - gap + 1):
-        acc = V[k + gap]
-        for m in range(k + gap - 1, k - 1, -1):
-            acc = step_expectation(lat, acc + 0.5 * dt * f[m + 1]) + 0.5 * dt * f[m]
-        defects.append(V[k] - acc)
-    return defects
+    acc = V[AdaptedGrid.span(gap, n)]
+    for m in range(gap - 1, -1, -1):
+        acc = _trapezoid_step(lat, acc, half, m, n - gap + m)
+    return V[AdaptedGrid.span(0, n - gap)] - acc
 
 
-def _hitting_defect(lat: Lattice, V: list[np.ndarray], f: list[np.ndarray],
-                    band: float):
+def _hitting_defect(lat: Lattice, V: np.ndarray, half: np.ndarray,
+                    band: float) -> np.ndarray:
     """Defect at step 0 for the first exit of log-wealth from +/- band."""
-    dt = lat.dt
     n = lat.n_steps
-    logw = [np.log(w / lat.x0) - lat.log_drift * k * lat.dt
-            for k, w in enumerate(lat.node_wealth)]
-    stopped = [np.abs(lw) >= band for lw in logw]
-    acc = V[n]
+    steps = AdaptedGrid.per_node(np.arange(n + 1))
+    logw = np.log(lat.wealth.data / lat.x0) - lat.log_drift * steps * lat.dt
+    stopped = np.abs(logw) >= band
+    acc = V[AdaptedGrid.span(n)]
     for k in range(n - 1, -1, -1):
-        interior = step_expectation(lat, acc + 0.5 * dt * f[k + 1]) + 0.5 * dt * f[k]
-        acc = np.where(stopped[k], V[k], interior)
-    return [V[0] - acc]
+        start, stop = k * (k + 1) // 2, (k + 1) * (k + 2) // 2
+        interior = _trapezoid_step(lat, acc, half, k, k)
+        acc = np.where(stopped[start:stop], V[start:stop], interior)
+    return V[:1] - acc
 
 
 def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
@@ -693,39 +709,36 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     if space not in ("W", "V"):
         raise InvalidParameters(f"space must be 'W' or 'V', got {space!r}")
     domain = ValueSign.NON_NEGATIVE if space == "W" else prefs.value_sign
-    probe = AdaptedGrid(grid.values, sign_domain=domain)
+    probe = AdaptedGrid.from_packed(grid.data, sign_domain=domain)
     if not probe.validate_sign():
         raise SignDomainViolation(f"grid leaves its {domain.value} domain")
 
-    f = _aggregator_layers(grid, companion, lat, prefs, space)
-    V = grid.values
-    family_bounds: dict[str, tuple[float, float]] = {}
-    defect_min, defect_max = math.inf, -math.inf
-    worst_neg = worst_pos = None
-    families: list[tuple[str, list[np.ndarray], int]] = []
+    half = _aggregator_values(grid, companion, lat, prefs, space)
+    half *= 0.5 * lat.dt
+    V = grid.data
+    families: list[tuple[str, np.ndarray]] = []
     for gap in (1, 5, 25):
         if gap <= lat.n_steps:
-            families.append((f"pairs_gap_{gap}", _pair_defects(lat, V, f, gap), gap))
+            families.append((f"pairs_gap_{gap}", _pair_defects(lat, V, half, gap)))
     sigma_T = lat.log_vol * math.sqrt(max(lat.horizon, lat.dt))
     if sigma_T > 0.0:
         for mult in (1.0, 2.0):
             families.append(
                 (f"hitting_band_{mult:g}sigma",
-                 _hitting_defect(lat, V, f, mult * sigma_T), 0)
+                 _hitting_defect(lat, V, half, mult * sigma_T))
             )
-    for label, defect_layers, _ in families:
-        lo = min(float(np.min(d)) for d in defect_layers)
-        hi = max(float(np.max(d)) for d in defect_layers)
-        family_bounds[label] = (lo, hi)
-        for k, d in enumerate(defect_layers):
-            jmin = int(np.argmin(d))
-            jmax = int(np.argmax(d))
-            if d[jmin] < defect_min:
-                defect_min = float(d[jmin])
-                worst_neg = (label, k, jmin)
-            if d[jmax] > defect_max:
-                defect_max = float(d[jmax])
-                worst_pos = (label, k, jmax)
+    family_bounds: dict[str, tuple[float, float]] = {}
+    defect_min, defect_max = math.inf, -math.inf
+    worst_neg = worst_pos = None
+    for label, d in families:
+        imin, imax = int(np.argmin(d)), int(np.argmax(d))
+        family_bounds[label] = (float(d[imin]), float(d[imax]))
+        if d[imin] < defect_min:
+            defect_min = float(d[imin])
+            worst_neg = (label, *AdaptedGrid.node(imin))
+        if d[imax] > defect_max:
+            defect_max = float(d[imax])
+            worst_pos = (label, *AdaptedGrid.node(imax))
 
     trace = unconditional_expectation(lat, grid)
     abs_trace = np.abs(trace) + 1e-300
@@ -784,15 +797,9 @@ def compare(v_sub: AdaptedGrid, v_super: AdaptedGrid,
     DimensionMismatch
         If the grids have different shapes.
     """
-    if len(v_sub.values) != len(v_super.values) or any(
-        len(a) != len(b) for a, b in zip(v_sub.values, v_super.values)
-    ):
+    if v_sub.n_steps != v_super.n_steps:
         raise DimensionMismatch("grids must share a lattice")
-    violations: list[tuple[int, int, float, float]] = []
-    for k, (a, b) in enumerate(zip(v_sub.values, v_super.values)):
-        bad = np.nonzero(a > b)[0]
-        for j in bad[: max(0, max_violations - len(violations))]:
-            violations.append((k, int(j), float(a[j]), float(b[j])))
-        if len(violations) >= max_violations:
-            break
+    a, b = v_sub.data, v_super.data
+    bad = np.flatnonzero(a > b)[: max(0, max_violations)]
+    violations = [(*AdaptedGrid.node(int(i)), float(a[i]), float(b[i])) for i in bad]
     return ComparisonVerdict(ordered=len(violations) == 0, violations=violations)

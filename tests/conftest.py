@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ezmerton
 from ezmerton import Market, Preferences
 from ezmerton.closed_form import candidate_policy
 
@@ -25,3 +29,11 @@ def policy(prefs, market):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """Environment for child interpreters that import this ezmerton."""
+    src = str(Path(ezmerton.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}

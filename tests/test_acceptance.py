@@ -23,6 +23,7 @@ from ezmerton import (
     decay_rate,
     mc_drift_check,
     numeraire_shift,
+    transformed_consumption_grid,
 )
 from ezmerton.closed_form import crra_bubble_quantities
 from ezmerton.experiments import (
@@ -32,7 +33,6 @@ from ezmerton.experiments import (
     verification_check,
     wellposed_divergence,
 )
-from ezmerton.preferences import transformed_consumption
 from ezmerton.solver import (
     check_solution,
     compare,
@@ -51,20 +51,13 @@ VHAT1_EXPECTED = -289.044388700143
 H_CANDIDATE = 0.022250
 
 
-def make_u_grid(prefs, lat):
-    cg = consumption_grid(lat)
-    return AdaptedGrid([
-        np.asarray(transformed_consumption(prefs, k * lat.dt, c), dtype=float)
-        for k, c in enumerate(cg.values)
-    ])
-
-
 @pytest.fixture(scope="module")
 def candidate_setup():
     policy = candidate_policy(PREFS, MARKET)
     lat = build_lattice(MARKET, policy.strategy, dt=0.01, n_steps=500)
     tail = TailClosure.proportional(policy.strategy, PREFS, MARKET)
-    return policy, lat, tail, make_u_grid(PREFS, lat)
+    U = transformed_consumption_grid(PREFS, lat, consumption_grid(lat))
+    return policy, lat, tail, U
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +115,8 @@ def test_c03_contraction_rates(candidate_solution):
     pol2 = candidate_policy(p2, MARKET)
     lat2 = build_lattice(MARKET, pol2.strategy, dt=0.01, n_steps=500)
     tail2 = TailClosure.proportional(pol2.strategy, p2, MARKET)
-    report = picard_solve(p2, make_u_grid(p2, lat2), lat2, tail2)
+    U2 = transformed_consumption_grid(p2, lat2, consumption_grid(lat2))
+    report = picard_solve(p2, U2, lat2, tail2)
     assert report.branch == "chi_split"
     assert report.chi == pytest.approx(0.5)
     v0 = report.utility_at_zero(p2)
@@ -181,7 +175,7 @@ def test_c07_comparison_property():
     policy = candidate_policy(PREFS, MARKET)
     lat = build_lattice(MARKET, policy.strategy, dt=0.02, n_steps=100)
     tail = TailClosure.proportional(policy.strategy, PREFS, MARKET)
-    U = make_u_grid(PREFS, lat)
+    U = transformed_consumption_grid(PREFS, lat, consumption_grid(lat))
     W = picard_solve(PREFS, U, lat, tail).solution
     rng = np.random.default_rng(77)
     n = lat.n_steps + 1

@@ -166,6 +166,34 @@ class TestMainEntry:
         assert code == 3
         assert json.loads(captured.err)["error"]["code"] == "numeric"
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"lattice": [1, 2]}, "lattice"),
+            ({"experiment": {"name": "mc_drift_check", "params": {"pi": "abc"}}},
+             "experiment.params.pi"),
+            ({"experiment": {"name": "crra_counterexample",
+                             "params": {"T_grid": "abc"}}},
+             "experiment.params.T_grid"),
+            ({"preferences": {"b": 1.0, "delta": float("nan"), "R": 2.0, "S": 2.5}},
+             "preferences.delta"),
+            ({"preferences": {"b": 1.0, "delta": 0.03, "R": float("inf"), "S": 2.5}},
+             "preferences.R"),
+        ],
+        ids=["lattice-list", "param-pi-string", "param-T_grid-string",
+             "delta-nan", "R-infinity"],
+    )
+    def test_malformed_input_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                      overrides, field):
+        # json.dumps writes NaN/Infinity tokens, which json.load accepts
+        path = write_scenario(tmp_path, base_scenario(**overrides))
+        code = main(["run", "--scenario", str(path), "--out-dir",
+                     str(tmp_path / "out"), "--quiet"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"]["code"] == "validation"
+        assert err["error"]["field"] == field
+
     def test_io_exit_code(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "missing.json")])
         assert code == 4

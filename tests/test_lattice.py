@@ -1,5 +1,7 @@
 import csv
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from ezmerton.lattice import (
     consumption_grid,
     mc_drift_check,
     step_expectation,
+    transformed_consumption_grid,
     unconditional_expectation,
     wealth_grid,
 )
+from ezmerton.preferences import transformed_consumption
 
 
 class TestBuildLattice:
@@ -35,6 +39,16 @@ class TestBuildLattice:
         lat = build_lattice(market, policy.strategy, dt=0.1, n_steps=0, x0=2.0)
         assert len(lat.node_wealth) == 1
         assert lat.node_wealth[0][0] == 2.0
+
+    def test_packed_wealth_matches_per_step_formula(self, market, policy):
+        # Reference: the per-step construction, compared bit for bit.
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=60, x0=1.5)
+        sqdt = math.sqrt(lat.dt)
+        for k, w in enumerate(lat.node_wealth):
+            j = np.arange(k + 1)
+            ref = lat.x0 * np.exp(lat.log_drift * k * lat.dt
+                                  + lat.log_vol * sqdt * (2.0 * j - k))
+            np.testing.assert_array_equal(w, ref)
 
     def test_invalid_step(self, market, policy):
         with pytest.raises(InvalidStep):
@@ -143,6 +157,32 @@ class TestAdaptedGrid:
         with pytest.raises(DimensionMismatch):
             bad.check_shape(lat)
 
+    @pytest.mark.parametrize("layers", [
+        [np.ones(1), np.ones(3)],             # ragged: step 1 holds 3 nodes
+        [np.ones(2)],                         # step 0 holds 2 nodes
+        [np.ones(1), np.ones((1, 2))],        # a two-dimensional layer
+    ])
+    def test_misshaped_layers_rejected(self, layers):
+        with pytest.raises(DimensionMismatch):
+            AdaptedGrid(layers)
+
+    def test_packed_array_must_be_triangular(self):
+        with pytest.raises(DimensionMismatch):
+            AdaptedGrid.from_packed(np.ones(5))
+        with pytest.raises(DimensionMismatch):
+            AdaptedGrid.from_packed(np.ones((2, 3)))
+
+    def test_packed_layout_and_views(self):
+        grid = AdaptedGrid([np.array([1.0]), np.array([2.0, 3.0]),
+                            np.array([4.0, 5.0, 6.0])])
+        np.testing.assert_array_equal(grid.data, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert grid.n_steps == 2
+        assert grid.data[AdaptedGrid.span(1, 2)].tolist() == [2.0, 3.0, 4.0, 5.0, 6.0]
+        assert [AdaptedGrid.node(i) for i in range(6)] == [
+            (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+        grid.values[2][1] = -5.0  # views write through to the packed array
+        assert grid.data[4] == -5.0
+
     def test_csv_round_trip(self, market, policy, tmp_path):
         lat = build_lattice(market, policy.strategy, dt=0.01, n_steps=3)
         grid = consumption_grid(lat)
@@ -168,6 +208,33 @@ class TestAdaptedGrid:
         assert H == pytest.approx(0.022250, abs=1e-12)
         ratios = trace[1:] / trace[:-1]
         np.testing.assert_allclose(ratios, math.exp(-H * dt), rtol=1e-3)
+
+
+class TestPackedReductions:
+    def test_unconditional_expectation_matches_binomial_pmf(self, market, policy, rng):
+        lat = build_lattice(market, policy.strategy, dt=0.005, n_steps=1000)
+        grid = AdaptedGrid([rng.uniform(0.5, 2.0, k + 1) for k in range(1001)])
+        ref = [binom.pmf(np.arange(k + 1), k, lat.p_up) @ v
+               for k, v in enumerate(grid.values)]
+        np.testing.assert_allclose(unconditional_expectation(lat, grid), ref,
+                                   rtol=1e-12)
+
+    def test_transformed_consumption_grid_matches_per_step(self, prefs, market, policy):
+        # Reference: one transformed_consumption call per step, bit for bit.
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=80)
+        C = consumption_grid(lat)
+        C.values[3][1] = 0.0  # the C = 0 boundary maps to U = inf for S > 1
+        U = transformed_consumption_grid(prefs, lat, C)
+        for k, c in enumerate(C.values):
+            ref = np.asarray(transformed_consumption(prefs, k * lat.dt, c), dtype=float)
+            np.testing.assert_array_equal(U.values[k], ref)
+        assert U.values[3][1] == math.inf
+
+    def test_import_leaves_scipy_stats_out(self, subprocess_env):
+        code = "import sys, ezmerton, ezmerton.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=subprocess_env).stdout
+        assert out.strip() == "False"
 
 
 class TestTailClosure:

@@ -18,9 +18,18 @@ from ezmerton.errors import (
     SignDomainViolation,
     UnsupportedRegime,
 )
-from ezmerton.lattice import AdaptedGrid, TailClosure, build_lattice, consumption_grid
-from ezmerton.preferences import transformed_consumption
+from ezmerton.lattice import (
+    AdaptedGrid,
+    TailClosure,
+    build_lattice,
+    consumption_grid,
+    transformed_consumption_grid,
+)
+from ezmerton.lattice import step_expectation
+from ezmerton.preferences import transformed_aggregator_grid
 from ezmerton.solver import (
+    _hitting_defect,
+    _pair_defects,
     apply_recursion,
     check_solution,
     compare,
@@ -28,15 +37,6 @@ from ezmerton.solver import (
     order_check,
     picard_solve,
 )
-
-
-def u_grid_for(prefs, lat):
-    """Transformed consumption grid of the lattice's own strategy."""
-    cg = consumption_grid(lat)
-    return AdaptedGrid([
-        np.asarray(transformed_consumption(prefs, k * lat.dt, c), dtype=float)
-        for k, c in enumerate(cg.values)
-    ])
 
 
 def closed_w_grid(prefs, market, lat, strat):
@@ -54,7 +54,7 @@ def closed_w_grid(prefs, market, lat, strat):
 def setup(prefs, market, policy):
     lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=150)
     tail = TailClosure.proportional(policy.strategy, prefs, market)
-    U = u_grid_for(prefs, lat)
+    U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
     return lat, tail, U
 
 
@@ -67,7 +67,8 @@ class TestOrderCheck:
         assert H == pytest.approx(0.05, abs=1e-15)
         lat = build_lattice(market, strat, dt=0.01, n_steps=100)
         tail = TailClosure.proportional(strat, prefs, market)
-        cert = order_check(prefs, u_grid_for(prefs, lat), lat, tail)
+        U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+        cert = order_check(prefs, U, lat, tail)
         assert cert.k_lower == pytest.approx(0.05, rel=1e-4)
         assert cert.K_upper == pytest.approx(0.05, rel=1e-4)
 
@@ -85,7 +86,8 @@ class TestOrderCheck:
         assert decay_rate(prefs.delta * prefs.theta, prefs, market, strat) < 0
         lat = build_lattice(market, strat, dt=0.02, n_steps=80)
         with pytest.raises(NotInClass):
-            order_check(prefs, u_grid_for(prefs, lat), lat, TailClosure.zero())
+            order_check(prefs, transformed_consumption_grid(prefs, lat, consumption_grid(lat)),
+                        lat, TailClosure.zero())
 
     def test_nonpositive_target_rejected(self, prefs, market, policy, setup):
         lat, tail, U = setup
@@ -105,7 +107,7 @@ class TestApplyRecursion:
     def test_closed_form_is_near_fixed_point(self, prefs, market, policy):
         lat = build_lattice(market, policy.strategy, dt=0.01, n_steps=300)
         tail = TailClosure.proportional(policy.strategy, prefs, market)
-        U = u_grid_for(prefs, lat)
+        U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
         W = closed_w_grid(prefs, market, lat, policy.strategy)
         FW = apply_recursion(prefs, U, W, lat, tail)
         for a, b in zip(FW.values, W.values):
@@ -174,18 +176,34 @@ class TestPicardSolve:
         pol = candidate_policy(p, market)
         lat = build_lattice(market, pol.strategy, dt=0.02, n_steps=150)
         tail = TailClosure.proportional(pol.strategy, p, market)
-        report = picard_solve(p, u_grid_for(p, lat), lat, tail)
+        U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        report = picard_solve(p, U, lat, tail)
         assert report.branch == "chi_split"
         assert report.chi == pytest.approx(0.5)
         assert report.converged
         assert report.utility_at_zero(p) == pytest.approx(pol.value(1.0), rel=1e-2)
+
+    def test_chi_split_at_rho_minus_three_halves(self, market):
+        # rho = -1.5 used to pick chi = -0.5 - rho = 1, which turned the stop
+        # test step <= tol*(1 - chi) into step <= 0 and never converged.
+        p = Preferences(b=1.0, delta=0.03, R=2.0, S=3.5)
+        assert p.rho == pytest.approx(-1.5)
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=100)
+        tail = TailClosure.proportional(pol.strategy, p, market)
+        U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        report = picard_solve(p, U, lat, tail)
+        assert report.converged and report.branch == "chi_split"
+        assert 0.0 < report.chi < 1.0
+        assert report.utility_at_zero(p) == pytest.approx(pol.value(1.0), rel=1e-4)
 
     def test_crra_branch(self, market):
         p = Preferences(b=1.0, delta=0.03, R=2.0, S=2.0)
         pol = candidate_policy(p, market)
         lat = build_lattice(market, pol.strategy, dt=0.02, n_steps=150)
         tail = TailClosure.proportional(pol.strategy, p, market)
-        report = picard_solve(p, u_grid_for(p, lat), lat, tail)
+        U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        report = picard_solve(p, U, lat, tail)
         assert report.branch == "additive"
         assert report.iterations == 1
         assert report.utility_at_zero(p) == pytest.approx(pol.value(1.0), rel=1e-3)
@@ -195,7 +213,8 @@ class TestPicardSolve:
         strat = ProportionalStrategy(pi=0.1, xi=0.05)
         lat = build_lattice(market, strat, dt=0.05, n_steps=20)
         with pytest.raises(UnsupportedRegime):
-            picard_solve(p, u_grid_for(p, lat), lat, TailClosure.zero())
+            picard_solve(p, transformed_consumption_grid(p, lat, consumption_grid(lat)), lat,
+                         TailClosure.zero())
 
     def test_order_precondition_enforced(self, prefs, setup):
         lat, tail, U = setup
@@ -213,6 +232,84 @@ class TestPicardSolve:
         with pytest.raises(NotConverged):
             picard_solve(prefs, U, lat, tail, tol=1e-14, max_iter=2,
                          initial_guess=lam_theta)
+
+
+def per_step_backward(lat, f, tail_values, last_step_rectangle):
+    """Reference sweep: one `step_expectation` call per step on a list of layers."""
+    dt, n = lat.dt, lat.n_steps
+    out = [None] * (n + 1)
+    out[n] = np.asarray(tail_values, dtype=float)
+    for k in range(n - 1, -1, -1):
+        if k == n - 1 and last_step_rectangle:
+            out[k] = step_expectation(lat, out[k + 1]) + dt * f[k]
+        else:
+            out[k] = (step_expectation(lat, out[k + 1] + 0.5 * dt * f[k + 1])
+                      + 0.5 * dt * f[k])
+    return out
+
+
+class TestPackedSweepMatchesPerStepReference:
+    """The packed trapezoid step against the per-step loop, bit for bit."""
+
+    @pytest.fixture()
+    def grids(self, prefs, market, policy, rng):
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=60)
+        U = AdaptedGrid([rng.uniform(0.5, 2.0, k + 1) for k in range(61)])
+        W = AdaptedGrid([rng.uniform(0.5, 2.0, k + 1) for k in range(61)])
+        f = [u * w**prefs.rho for u, w in zip(U.values, W.values)]
+        return lat, U, W, f
+
+    def test_apply_recursion_proportional_tail(self, prefs, market, policy, grids):
+        lat, U, W, f = grids
+        tail = TailClosure.proportional(policy.strategy, prefs, market)
+        tail_values = np.power(U.values[-1], prefs.theta) / tail.decay_rate**prefs.theta
+        ref = per_step_backward(lat, f, tail_values, last_step_rectangle=False)
+        out = apply_recursion(prefs, U, W, lat, tail)
+        for a, b in zip(out.values, ref):
+            np.testing.assert_array_equal(a, b)
+
+    def test_apply_recursion_zero_tail_rectangle_step(self, prefs, grids):
+        lat, U, W, f = grids
+        ref = per_step_backward(lat, f, np.zeros(61), last_step_rectangle=True)
+        out = apply_recursion(prefs, U, W, lat, TailClosure.zero())
+        for a, b in zip(out.values, ref):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("gap", [1, 5, 25, 60])
+    def test_pair_defects(self, grids, gap):
+        lat, _, W, f = grids
+        V, dt = W.values, lat.dt
+        ref = []
+        for k in range(lat.n_steps - gap + 1):
+            acc = V[k + gap]
+            for m in range(k + gap - 1, k - 1, -1):
+                acc = step_expectation(lat, acc + 0.5 * dt * f[m + 1]) + 0.5 * dt * f[m]
+            ref.append(V[k] - acc)
+        half = 0.5 * dt * np.concatenate(f)
+        np.testing.assert_array_equal(_pair_defects(lat, W.data, half, gap),
+                                      np.concatenate(ref))
+
+    def test_hitting_defect(self, grids):
+        lat, _, W, f = grids
+        V, dt, n = W.values, lat.dt, lat.n_steps
+        band = lat.log_vol * math.sqrt(lat.horizon)
+        acc = V[n]
+        for k in range(n - 1, -1, -1):
+            logw = np.log(lat.node_wealth[k] / lat.x0) - lat.log_drift * k * dt
+            interior = step_expectation(lat, acc + 0.5 * dt * f[k + 1]) + 0.5 * dt * f[k]
+            acc = np.where(np.abs(logw) >= band, V[k], interior)
+        half = 0.5 * dt * np.concatenate(f)
+        np.testing.assert_array_equal(_hitting_defect(lat, W.data, half, band),
+                                      V[0] - acc)
+
+    def test_kernel_fast_path_matches_boundary_path(self, prefs, grids):
+        # Interior inputs take the one-pass branch; a single boundary node
+        # sends the same values through the masked branch.
+        _, U, W, _ = grids
+        fast = transformed_aggregator_grid(U.data, W.data, prefs.rho)
+        u = np.append(U.data, 0.0)
+        masked = transformed_aggregator_grid(u, np.append(W.data, 1.0), prefs.rho)
+        np.testing.assert_array_equal(fast, masked[:-1])
 
 
 class TestCheckSolution:
