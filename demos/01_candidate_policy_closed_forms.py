@@ -44,10 +44,11 @@ print("phi/S + (S-1)/S * lam^2/(2R) =",
       report.phi / prefs.S + (prefs.S - 1) / prefs.S * lam**2 / (2 * prefs.R))
 
 # A deterministic exponentially decaying stream has a one-line value; the
-# quadrature route agrees with it.
+# general piecewise-exponential route, a sum of closed-form segment integrals,
+# agrees with it.
 print("\nconstant stream c = 1:")
 print("  closed form:", exponential_stream_utility(prefs, 1.0, 0.0, 0.0))
-print("  quadrature :", deterministic_utility(
+print("  segment sum:", deterministic_utility(
     prefs, PiecewiseExponentialStream.exponential(1.0, 0.0), 0.0))
 
 # Re-unit consumption so the discount rate vanishes: the policy is unchanged.

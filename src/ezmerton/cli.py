@@ -10,7 +10,9 @@ validate  check a scenario file against the schema and print its digest
 Exit codes: 0 success, 2 parse/validation error, 3 numeric failure, 4 I/O
 error.  Errors are emitted as one JSON object on stderr; a validation error
 names the offending field.  Every number, experiment params included, must be
-finite: JSON's NaN and Infinity are rejected at validation.
+finite: JSON's NaN and Infinity are rejected at validation.  Sizes (lattice
+nodes, grid points and cells, Monte Carlo draws, counterexample integrand
+values) are checked against ELEMENT_BUDGET before anything is allocated.
 
 Scenario schema (version 1)::
 
@@ -61,6 +63,14 @@ __all__ = ["Scenario", "RunManifest", "parse_scenario", "canonical_dict",
 _SCHEMA_VERSION = 1
 _LATTICE_DEFAULTS = {"dt": 0.01, "n_steps": 500, "tail": "proportional"}
 _SOLVER_DEFAULTS = {"epsilon": 0.0, "tol": 1e-8, "max_iter": 200}
+
+#: Most elements one scenario may ask for, checked before anything is
+#: allocated: lattice nodes, grid points, grid-search cells, Monte Carlo draws
+#: and counterexample integrand values.  Ten million float64 values are 80 MB.
+ELEMENT_BUDGET = 10_000_000
+#: Integrand values per unit block of a counterexample: three integrands, each
+#: at least one 21-point Gauss-Kronrod rule.
+_VALUES_PER_BLOCK = 3 * 21
 
 #: Driver entries runnable in addition to the experiment registry.
 _DRIVERS: dict[str, ExperimentInfo] = {
@@ -129,6 +139,11 @@ def _number(val, field: str, integer: bool = False):
     return as_float
 
 
+def _within_budget(elements, field: str) -> None:
+    _require(elements <= ELEMENT_BUDGET,
+             f"asks for more than the budget of {ELEMENT_BUDGET} elements", field)
+
+
 def _num(raw: dict, field_prefix: str, key: str, lo=None, hi=None,
          integer: bool = False):
     field = f"{field_prefix}.{key}"
@@ -177,6 +192,7 @@ def parse_scenario(raw: dict) -> Scenario:
     dt = _num(lat_raw, "lattice", "dt")
     _require(dt > 0.0, "must be > 0", "lattice.dt")
     n_steps = _num(lat_raw, "lattice", "n_steps", lo=0, integer=True)
+    _within_budget((n_steps + 1) * (n_steps + 2) // 2, "lattice.n_steps")
     tail = lat_raw.get("tail", "proportional")
     _require(tail in ("proportional", "zero"),
              "must be 'proportional' or 'zero'", "lattice.tail")
@@ -274,6 +290,8 @@ def _grid_from_spec(spec, field: str) -> np.ndarray:
             _require(key in spec, "grid object needs start/stop/step", field)
             _number(spec[key], f"{field}.{key}")
         _require(spec["step"] != 0, "step must be non-zero", f"{field}.step")
+        # the float count, not its ceiling: it may overflow to inf
+        _within_budget((spec["stop"] - spec["start"]) / spec["step"], field)
         arr = np.arange(spec["start"], spec["stop"], spec["step"])
     else:
         raise ValidationError(f"{field}: must be a list or start/stop/step object",
@@ -281,6 +299,13 @@ def _grid_from_spec(spec, field: str) -> np.ndarray:
     if arr.size == 0:
         raise ValidationError(f"{field}: empty grid", field=field)
     return arr
+
+
+def _T_grid(params: dict) -> list:
+    """Counterexample horizons; the largest sets the number of unit blocks."""
+    T_grid = _param_list(params, "T_grid", list(range(10, 101, 10)))
+    _within_budget(max(T_grid, default=0) * _VALUES_PER_BLOCK, "experiment.params.T_grid")
+    return T_grid
 
 
 def _candidate_strategy(scn: Scenario):
@@ -334,9 +359,12 @@ def _dispatch(scn: Scenario):
     if name == "mc_drift_check":
         strat = _candidate_strategy(scn)
         nu = _param(params, "nu", prefs.delta * prefs.theta)
+        n_paths = _param(params, "n_paths", 100_000, integer=True)
+        # one normal draw per path and time step, at the 21 times of the fit
+        _within_budget(n_paths * 21, "experiment.params.n_paths")
         report = mc_drift_check(
             market, strat, nu, prefs.R,
-            n_paths=_param(params, "n_paths", 100_000, integer=True),
+            n_paths=n_paths,
             horizon=_param(params, "horizon", 5.0),
             seed=scn.seed,
         )
@@ -347,12 +375,10 @@ def _dispatch(scn: Scenario):
                    "target": -closed_form.decay_rate(nu, prefs, market, strat)}
         return rows, summary
     if name == "crra_counterexample":
-        T_grid = _param_list(params, "T_grid", list(range(10, 101, 10)))
-        rep = experiments.crra_counterexample(prefs.delta, prefs.R, T_grid)
+        rep = experiments.crra_counterexample(prefs.delta, prefs.R, _T_grid(params))
         return rep.rows(), rep.summary()
     if name == "ezsdu_counterexample":
-        T_grid = _param_list(params, "T_grid", list(range(10, 101, 10)))
-        rep = experiments.ezsdu_counterexample(prefs, T_grid)
+        rep = experiments.ezsdu_counterexample(prefs, _T_grid(params))
         return rep.rows(), rep.summary()
     if name == "transversality_sweep":
         nu = _param(params, "nu", prefs.delta)
@@ -379,6 +405,7 @@ def _dispatch(scn: Scenario):
             params.get("xi_grid", {"start": 0.005, "stop": 0.2, "step": 0.005}),
             "experiment.params.xi_grid",
         )
+        _within_budget(pi_grid.size * xi_grid.size, "experiment.params.xi_grid")
         rep = experiments.policy_grid_search(prefs, market, pi_grid, xi_grid)
         return list(rep.rows()), rep.summary()
     if name == "aversion_demos":
@@ -399,12 +426,14 @@ def _dispatch(scn: Scenario):
         )
         return rep.rows(), rep.summary()
     if name == "verification_check":
+        n_samples = _param(params, "n_samples", 10_000, integer=True)
+        _within_budget(n_samples, "experiment.params.n_samples")
         rep = experiments.verification_check(
             prefs, market,
             epsilon=_param(params, "epsilon", 0.1),
             n_strategies=_param(params, "n_strategies", 5, integer=True),
             seed=scn.seed,
-            n_samples=_param(params, "n_samples", 10_000, integer=True),
+            n_samples=n_samples,
             dt=scn.lattice_cfg["dt"],
             n_steps=min(scn.lattice_cfg["n_steps"], 200),
         )

@@ -23,8 +23,9 @@ with value b^theta eta^{-theta S} x^{1-R} / (1-R).  eta > 0 is the
 well-posedness condition.
 
 The module also provides deterministic-stream utilities (piecewise-exponential
-consumption), the difference-form coefficient roots, and the additive-utility
-(CRRA) bubble quantities used by the transversality diagnostics.
+consumption, integrated exactly as a sum of closed-form segment integrals), the
+difference-form coefficient roots, and the additive-utility (CRRA) bubble
+quantities used by the transversality diagnostics.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DegenerateDenominator,
@@ -267,7 +267,9 @@ def _segment_power_integral(a: float, g: float, kappa_rate: float,
         if kappa_rate <= 0.0:
             return math.inf
         return amp * math.exp(-kappa_rate * lo) / kappa_rate
-    return amp * (math.exp(-kappa_rate * lo) - math.exp(-kappa_rate * hi)) / kappa_rate
+    # expm1 keeps the difference of exponentials accurate when kappa_rate * (hi - lo)
+    # is small
+    return -amp * math.exp(-kappa_rate * lo) * math.expm1(-kappa_rate * (hi - lo)) / kappa_rate
 
 
 def _stream_tail_rate(prefs: Preferences, stream: PiecewiseExponentialStream) -> float:
@@ -279,9 +281,9 @@ def deterministic_utility(prefs: Preferences, stream: PiecewiseExponentialStream
     """Utility of a deterministic stream: (b * I(t))^theta / (1-R), where
     I(t) = integral_t^inf e^{-delta s} c(s)^{1-S} ds.
 
-    I(t) is computed by adaptive quadrature on [t, T_cut] plus the analytic
-    exponential tail of the final segment; T_cut is pushed out until the tail
-    is below 1e-10 of the running integral.
+    No quadrature: the integrand is one exponential on each segment, so I(t)
+    is the sum of the closed-form segment integrals, each segment clipped to
+    [t, inf).
 
     Raises
     ------
@@ -299,30 +301,15 @@ def deterministic_utility(prefs: Preferences, stream: PiecewiseExponentialStream
     ):
         raise DivergentIntegral("zero-consumption segment with S > 1 is not evaluable")
 
-    def integrand(s):
-        c = stream.value_at(s)
-        if c == 0.0:
-            return 0.0
-        return math.exp(-prefs.delta * s) * c ** (1.0 - prefs.S)
-
-    last_start = max(stream.breakpoints[-1], t)
-    # Push the cut until the analytic tail is negligible against the running sum.
-    cut = last_start + 1.0
-    knots = [b for b in stream.breakpoints if b > t]
-    while True:
-        pieces = sorted({t, cut, *knots})
-        total = 0.0
-        for lo, hi in zip(pieces, pieces[1:]):
-            val, _ = integrate.quad(integrand, lo, hi, limit=200)
-            total += val
-        tail = _segment_power_integral(
-            stream.amplitudes[-1], stream.rates[-1], tail_rate,
-            cut, math.inf, 1.0 - prefs.S,
-        )
-        if tail <= 1e-10 * max(total, 1e-300) or stream.amplitudes[-1] == 0.0:
-            total += tail
-            break
-        cut = last_start + 2.0 * (cut - last_start)
+    one_minus_S = 1.0 - prefs.S
+    # the first segment reaches back before 0, as in `value_at`
+    starts = (-math.inf, *stream.breakpoints[1:])
+    ends = (*stream.breakpoints[1:], math.inf)
+    total = 0.0
+    for start, end, a, g in zip(starts, ends, stream.amplitudes, stream.rates):
+        if end > t:
+            total += _segment_power_integral(
+                a, g, prefs.delta + g * one_minus_S, max(start, t), end, one_minus_S)
     if total == 0.0:
         return 0.0
     return (prefs.b * total) ** prefs.theta / (1.0 - prefs.R)
@@ -335,7 +322,9 @@ def exponential_stream_utility(prefs: Preferences, a: float, gamma: float,
     V(t) = e^{-(delta + gamma(1-S)) theta t} (b/(delta + gamma(1-S)))^theta
            * a^{1-R}/(1-R).
 
-    Serves as the independent oracle for `deterministic_utility`.
+    Serves as the oracle for `deterministic_utility` on single-segment
+    streams: it applies the exponent theta to each factor separately instead
+    of integrating a segment.
     """
     if a == 0.0:
         if prefs.S > 1.0:

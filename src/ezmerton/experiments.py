@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import closed_form, solver
 from .closed_form import (
@@ -195,6 +194,8 @@ def _slope_tstat(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def _unit_block_integrals(fn, T_max: int) -> np.ndarray:
     """Integral of fn over each unit block [j, j+1], j = 0..T_max-1."""
+    from scipy import integrate  # here, not at the top: only the counterexamples need scipy
+
     vals = np.empty(T_max)
     for j in range(T_max):
         vals[j], _ = integrate.quad(fn, j, j + 1.0, limit=100)

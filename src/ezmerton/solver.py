@@ -96,14 +96,15 @@ _RATIO_GUARD = 1e12
 def _expectation(lat: Lattice, nxt: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """E_k[nxt_{k+1}] for the packed steps k = lo..hi.
 
-    nxt holds the packed steps lo+1..hi+1.  Averaging neighbours over the
-    whole range also pairs the last node of each step with the first node of
-    the next; those hi-lo straddling pairs are dropped.
+    nxt holds the packed steps lo+1..hi+1 on its last axis; leading axes are
+    batch axes.  Averaging neighbours over the whole range also pairs the last
+    node of each step with the first node of the next; those hi-lo straddling
+    pairs are dropped.
     """
-    e = lat.p_up * nxt[1:]
-    e += (1.0 - lat.p_up) * nxt[:-1]
+    e = lat.p_up * nxt[..., 1:]
+    e += (1.0 - lat.p_up) * nxt[..., :-1]
     if hi > lo:
-        e = np.delete(e, np.cumsum(np.arange(lo + 2, hi + 2)) - 1)
+        e = np.delete(e, np.cumsum(np.arange(lo + 2, hi + 2)) - 1, axis=-1)
     return e
 
 
@@ -111,8 +112,8 @@ def _trapezoid_step(lat: Lattice, acc: np.ndarray, half: np.ndarray,
                     lo: int, hi: int) -> np.ndarray:
     """E_k[acc_{k+1} + half_{k+1}] + half_k for the packed steps k = lo..hi.
 
-    acc holds the packed steps lo+1..hi+1 and half = dt/2 * f the whole
-    packed grid of the integrand.
+    acc holds the packed steps lo+1..hi+1 (on its last axis) and half =
+    dt/2 * f the whole packed grid of the integrand.
     """
     # packed offsets of steps lo, lo+1, hi+1 and hi+2 (AdaptedGrid.span inline:
     # this runs once per step of every sweep)
@@ -295,12 +296,23 @@ def _operator(lat: Lattice, u: np.ndarray, W: AdaptedGrid, rho: float,
                                    sign_domain=ValueSign.NON_NEGATIVE)
 
 
+def _log(W: AdaptedGrid) -> np.ndarray:
+    """Packed nodewise log of W (log 0 = -inf)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(W.data)
+
+
 def _log_sup_diff(A: AdaptedGrid, B: AdaptedGrid) -> float:
     """sup over nodes of |log A - log B|, with equal nodes (0/0, inf/inf)
     counting as equal."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.log(A.data)
-        d -= np.log(B.data)
+    return _log_gap(A, B, _log(A), _log(B))
+
+
+def _log_gap(A: AdaptedGrid, B: AdaptedGrid, log_A: np.ndarray,
+             log_B: np.ndarray) -> float:
+    """`_log_sup_diff` from the logs of both grids; log_B is overwritten."""
+    with np.errstate(invalid="ignore"):
+        d = np.subtract(log_A, log_B, out=log_B)
     d[A.data == B.data] = 0.0
     if np.isnan(d).any():
         return math.inf
@@ -376,18 +388,20 @@ def _solve_exponent(prefs: Preferences, u: np.ndarray,
     clamp_total = 0
     trace: list[tuple[int, float, float]] = []
 
+    # Each iterate's log is taken once: it serves its step and the next.
     if rho > -1.0:
-        W = W0
+        W, log_W = W0, _log(W0)
         prev_step = math.nan
         converged = False
         for it in range(1, max_iter + 1):
             W_new, ev = _clamped(
                 _operator(lat, u, W, rho, eps_term, tail_vals, last_rect))
             clamp_total += ev
-            step = _log_sup_diff(W_new, W)
+            log_new = _log(W_new)
+            step = _log_gap(W_new, W, log_new, log_W)
             ratio = step / prev_step if prev_step and math.isfinite(prev_step) and prev_step > 0 else math.nan
             trace.append((it, step, ratio))
-            W = W_new
+            W, log_W = W_new, log_new
             if step <= tol * (1.0 - abs(rho)):
                 converged = True
                 break
@@ -399,7 +413,7 @@ def _solve_exponent(prefs: Preferences, u: np.ndarray,
     # exponent at -0.5 (chi = 0.5 for rho = -1); the cap keeps chi < 1.
     chi = min(-0.5 - rho, 0.99)
     rho_in = rho + chi
-    W = W0
+    W, log_W = W0, _log(W0)
     prev_step = math.nan
     converged = False
     inner_tol = 0.1 * tol
@@ -413,10 +427,11 @@ def _solve_exponent(prefs: Preferences, u: np.ndarray,
         clamp_total += ev
         if not inner_ok:
             raise NotConverged("inner solve of the split iteration failed")
-        step = _log_sup_diff(Z, W)
+        log_Z = _log(Z)
+        step = _log_gap(Z, W, log_Z, log_W)
         ratio = step / prev_step if prev_step and math.isfinite(prev_step) and prev_step > 0 else math.nan
         trace.append((it, step, ratio))
-        W = Z
+        W, log_W = Z, log_Z
         if step <= tol * (1.0 - chi):
             converged = True
             break
@@ -674,17 +689,21 @@ def _pair_defects(lat: Lattice, V: np.ndarray, half: np.ndarray,
 
 
 def _hitting_defect(lat: Lattice, V: np.ndarray, half: np.ndarray,
-                    band: float) -> np.ndarray:
-    """Defect at step 0 for the first exit of log-wealth from +/- band."""
+                    band) -> np.ndarray:
+    """Defect at step 0 for the first exit of log-wealth from +/- band.
+
+    band may be an array of bands: they share one backward sweep, and the
+    result has one row per band.
+    """
     n = lat.n_steps
     steps = AdaptedGrid.per_node(np.arange(n + 1))
     logw = np.log(lat.wealth.data / lat.x0) - lat.log_drift * steps * lat.dt
-    stopped = np.abs(logw) >= band
+    stopped = np.abs(logw) >= np.asarray(band)[..., None]
     acc = V[AdaptedGrid.span(n)]
     for k in range(n - 1, -1, -1):
         start, stop = k * (k + 1) // 2, (k + 1) * (k + 2) // 2
         interior = _trapezoid_step(lat, acc, half, k, k)
-        acc = np.where(stopped[start:stop], V[start:stop], interior)
+        acc = np.where(stopped[..., start:stop], V[start:stop], interior)
     return V[:1] - acc
 
 
@@ -722,11 +741,10 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
             families.append((f"pairs_gap_{gap}", _pair_defects(lat, V, half, gap)))
     sigma_T = lat.log_vol * math.sqrt(max(lat.horizon, lat.dt))
     if sigma_T > 0.0:
-        for mult in (1.0, 2.0):
-            families.append(
-                (f"hitting_band_{mult:g}sigma",
-                 _hitting_defect(lat, V, half, mult * sigma_T))
-            )
+        mults = (1.0, 2.0)
+        defects = _hitting_defect(lat, V, half, np.array(mults) * sigma_T)
+        families += [(f"hitting_band_{mult:g}sigma", d)
+                     for mult, d in zip(mults, defects)]
     family_bounds: dict[str, tuple[float, float]] = {}
     defect_min, defect_max = math.inf, -math.inf
     worst_neg = worst_pos = None

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -179,9 +181,32 @@ class TestMainEntry:
              "preferences.delta"),
             ({"preferences": {"b": 1.0, "delta": 0.03, "R": float("inf"), "S": 2.5}},
              "preferences.R"),
+            # Sizes over ELEMENT_BUDGET.  Each would otherwise fail on its own
+            # (an allocation numpy refuses, or an error before any large array),
+            # so no case allocates even if its check is missing.
+            ({"lattice": {"n_steps": 10**7}}, "lattice.n_steps"),
+            ({"experiment": {"name": "transversality_sweep",
+                             "params": {"xi_grid": {"start": 0, "stop": 1,
+                                                    "step": 1e-13}}}},
+             "experiment.params.xi_grid"),
+            ({"experiment": {"name": "mc_drift_check", "params": {"n_paths": 10**10}}},
+             "experiment.params.n_paths"),
+            ({"experiment": {"name": "crra_counterexample",
+                             "params": {"T_grid": [10**9]}}},
+             "experiment.params.T_grid"),
+            ({"experiment": {"name": "policy_grid_search",
+                             "params": {"pi_grid": {"start": 0, "stop": 1, "step": 1e-4},
+                                        "xi_grid": {"start": -1, "stop": 1,
+                                                    "step": 2e-4}}}},
+             "experiment.params.xi_grid"),
+            ({"experiment": {"name": "verification_check",
+                             "params": {"n_samples": 10**8, "epsilon": -1.0}}},
+             "experiment.params.n_samples"),
         ],
         ids=["lattice-list", "param-pi-string", "param-T_grid-string",
-             "delta-nan", "R-infinity"],
+             "delta-nan", "R-infinity", "budget-n_steps", "budget-xi_grid-step",
+             "budget-n_paths", "budget-T_grid", "budget-grid-cells",
+             "budget-n_samples"],
     )
     def test_malformed_input_exits_2_naming_the_field(self, tmp_path, capsys,
                                                       overrides, field):
@@ -219,6 +244,29 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         names = [e["name"] for e in payload]
         assert names == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "name, scipy_loaded",
+    [("picard_solve", False), ("aversion_demos", False), ("crra_counterexample", True)],
+)
+def test_only_the_counterexamples_load_scipy(tmp_path, subprocess_env, name,
+                                            scipy_loaded):
+    # picard_solve runs the reference scenario (dt 0.01, 500 steps)
+    path = write_scenario(tmp_path, base_scenario(
+        experiment={"name": name, "params": {}}))
+    code = ("import sys; from ezmerton.cli import main; "
+            f"code = main(['run', '--scenario', {str(path)!r}, '--out-dir', "
+            f"{str(tmp_path / 'out')!r}, '--quiet']); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=subprocess_env).stdout
+    exit_code, modules = out.strip().split(" ", 1)
+    assert exit_code == "0"
+    if scipy_loaded:
+        assert "'scipy.integrate'" in modules
+    else:
+        assert modules == "[]"
 
 
 class TestCatalog:

@@ -193,6 +193,62 @@ class TestDeterministicUtility:
             exponential_stream_utility(p, 1.0, 0.02, 0.0)
 
 
+class TestDeterministicUtilityExact:
+    """The per-segment sum against independent references, at tolerances
+    near rounding."""
+
+    @pytest.mark.parametrize("p", [
+        Preferences(b=1.0, delta=0.03, R=2.0, S=2.5),
+        Preferences(b=1.5, delta=0.05, R=0.5, S=0.4),
+    ], ids=["S>1", "S<1"])
+    def test_exponential_streams_match_closed_form(self, p, rng):
+        checked = 0
+        while checked < 50:
+            a = float(rng.uniform(0.1, 5.0))
+            gamma = float(rng.uniform(-0.05, 0.2))
+            if p.delta + gamma * (1.0 - p.S) <= 1e-3:
+                continue
+            t = float(rng.uniform(0.0, 3.0))
+            v = deterministic_utility(p, PiecewiseExponentialStream.exponential(a, gamma), t)
+            assert v == pytest.approx(exponential_stream_utility(p, a, gamma, t), rel=1e-13)
+            checked += 1
+
+    @staticmethod
+    def quad_oracle(p, stream, t):
+        """(b I(t))^theta / (1-R) with I(t) by quadrature between breakpoints."""
+        def integrand(s):
+            c = stream.value_at(s)
+            # in logs: far out c^(1-S) alone overflows for S > 1
+            return math.exp(-p.delta * s + (1.0 - p.S) * math.log(c)) if c > 0.0 else 0.0
+
+        knots = [t, *(b for b in stream.breakpoints if b > t), math.inf]
+        total = sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13,
+                                   limit=200)[0]
+                    for lo, hi in zip(knots, knots[1:]))
+        return (p.b * total) ** p.theta / (1.0 - p.R)
+
+    @pytest.mark.parametrize("prefs_args, stream_args, t", [
+        # three segments, from t = 0
+        ((1.0, 0.03, 2.0, 2.5), ((0.0, 1.5, 4.0), (0.8, 1.2, 0.6), (0.05, -0.02, 0.01)), 0.0),
+        # t inside the middle segment
+        ((1.0, 0.03, 2.0, 2.5), ((0.0, 1.5, 4.0), (0.8, 1.2, 0.6), (0.05, -0.02, 0.01)), 2.3),
+        # t past the last breakpoint
+        ((1.0, 0.03, 2.0, 2.5), ((0.0, 1.5, 4.0), (0.8, 1.2, 0.6), (0.05, -0.02, 0.01)), 6.5),
+        # a zero-amplitude segment, S < 1
+        ((1.0, 0.05, 0.5, 0.4), ((0.0, 2.0, 3.0), (1.0, 0.0, 2.0), (0.02, 0.0, 0.03)), 0.5),
+        # a finite segment with delta + g(1-S) = 0 (g = 0.02)
+        ((1.0, 0.03, 2.0, 2.5), ((0.0, 2.0), (1.3, 0.9), (0.02, 0.0)), 0.0),
+        # a finite segment with delta + g(1-S) = 1e-9: no cancellation
+        ((1.0, 0.03, 2.0, 2.5), ((0.0, 2.0), (1.3, 0.9), (0.02 - 1e-9 / 1.5, 0.0)), 0.0),
+    ], ids=["three-segments", "t-in-middle", "t-past-last", "zero-segment-S<1",
+            "zero-rate-segment", "near-zero-rate-segment"])
+    def test_multi_segment_streams_match_quadrature(self, prefs_args, stream_args, t):
+        p = Preferences(*prefs_args)
+        stream = PiecewiseExponentialStream(*stream_args)
+        v = deterministic_utility(p, stream, t)
+        assert v == pytest.approx(self.quad_oracle(p, stream, t), rel=1e-10)
+
+
 class TestDifferenceFormRoots:
     def test_contractive_reference(self, prefs, market, policy):
         report = difference_form_roots(prefs, market, policy.strategy)

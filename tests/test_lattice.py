@@ -231,10 +231,13 @@ class TestPackedReductions:
         assert U.values[3][1] == math.inf
 
     def test_import_leaves_scipy_stats_out(self, subprocess_env):
-        code = "import sys, ezmerton, ezmerton.cli; print('scipy.stats' in sys.modules)"
+        code = ("import sys, ezmerton, ezmerton.cli; print('scipy.stats' in sys.modules); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=subprocess_env).stdout
-        assert out.strip() == "False"
+        stats_loaded, scipy_modules = out.splitlines()
+        assert stats_loaded == "False"
+        assert scipy_modules == "[]"
 
 
 class TestTailClosure:
