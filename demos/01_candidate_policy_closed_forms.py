@@ -60,6 +60,6 @@ print("\nafter the numeraire shift (delta -> 0): eta =", policy0.eta,
 
 # Two Jensen gaps separate the roles of R (risk across states) and S
 # (variation across time).
-gaps = aversion_demos(prefs, market)
+gaps = aversion_demos(prefs)
 print("\nrisk gap     :", gaps.risk_gap, " (E[Y^{1-R}] =", gaps.expected_y_power, ")")
 print("temporal gap :", gaps.temporal_gap)

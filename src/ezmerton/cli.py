@@ -1,4 +1,4 @@
-"""Scenario-driven command line: parse a JSON scenario, dispatch, emit CSV/JSON.
+"""Scenario-driven command line: parse a JSON scenario, run it, emit CSV/JSON.
 
 Subcommands
 -----------
@@ -10,9 +10,10 @@ validate  check a scenario file against the schema and print its digest
 Exit codes: 0 success, 2 parse/validation error, 3 numeric failure, 4 I/O
 error.  Errors are emitted as one JSON object on stderr; a validation error
 names the offending field.  Every number, experiment params included, must be
-finite: JSON's NaN and Infinity are rejected at validation.  Sizes (lattice
-nodes, grid points and cells, Monte Carlo draws, counterexample integrand
-values) are checked against ELEMENT_BUDGET before anything is allocated.
+finite: JSON's NaN and Infinity are rejected at validation, as is a params key
+the experiment does not declare (`list --json`).  Sizes (lattice nodes, grid
+points and cells, Monte Carlo draws, counterexample integrand values) are
+checked against ELEMENT_BUDGET before anything is allocated.
 
 Scenario schema (version 1)::
 
@@ -42,6 +43,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -55,10 +57,9 @@ from .lattice import (
     transformed_consumption_grid,
 )
 from .preferences import Market, Preferences
-from .experiments import EXPERIMENTS, ExperimentInfo
 
-__all__ = ["Scenario", "RunManifest", "parse_scenario", "canonical_dict",
-           "scenario_digest", "run_scenario", "catalog", "main"]
+__all__ = ["Scenario", "RunManifest", "CatalogEntry", "parse_scenario",
+           "canonical_dict", "scenario_digest", "run_scenario", "catalog", "main"]
 
 _SCHEMA_VERSION = 1
 _LATTICE_DEFAULTS = {"dt": 0.01, "n_steps": 500, "tail": "proportional"}
@@ -71,23 +72,8 @@ ELEMENT_BUDGET = 10_000_000
 #: Integrand values per unit block of a counterexample: three integrands, each
 #: at least one 21-point Gauss-Kronrod rule.
 _VALUES_PER_BLOCK = 3 * 21
-
-#: Driver entries runnable in addition to the experiment registry.
-_DRIVERS: dict[str, ExperimentInfo] = {
-    info.name: info
-    for info in [
-        ExperimentInfo("candidate_policy",
-                       "closed-form candidate policy (pi_hat, eta) and value",
-                       ()),
-        ExperimentInfo("picard_solve",
-                       "lattice fixed-point solve of the utility recursion for a proportional strategy",
-                       ("pi", "xi")),
-        ExperimentInfo("mc_drift_check",
-                       "Monte Carlo check of the decay rate of e^{-nu t} X_t^{1-R}",
-                       ("nu", "n_paths", "horizon")),
-    ]
-}
-
+#: Default consumption-fraction grid of the sweep and the grid search.
+_XI_GRID = {"start": 0.005, "stop": 0.2, "step": 0.005}
 
 @dataclass(frozen=True)
 class Scenario:
@@ -207,11 +193,14 @@ def parse_scenario(raw: dict) -> Scenario:
     exp_raw = raw.get("experiment")
     _require(isinstance(exp_raw, dict), "missing experiment object", "experiment")
     name = exp_raw.get("name")
-    known = set(EXPERIMENTS) | set(_DRIVERS)
-    _require(isinstance(name, str) and name in known,
-             f"unknown experiment; known: {sorted(known)}", "experiment.name")
+    _require(isinstance(name, str) and name in _REGISTRY,
+             f"unknown experiment; known: {sorted(_REGISTRY)}", "experiment.name")
     params = exp_raw.get("params", {})
     _require(isinstance(params, dict), "params must be an object", "experiment.params")
+    declared = _REGISTRY[name].parameters
+    for key in params:
+        _require(key in declared, f"not a parameter of {name}; declared: {list(declared)}",
+                 f"experiment.params.{key}")
 
     seed = raw.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
@@ -257,14 +246,37 @@ def scenario_digest(scn: Scenario) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Experiment registry
 # ---------------------------------------------------------------------------
 
-def _param(params: dict, key: str, default, integer: bool = False):
-    """Numeric experiment parameter `key`, or default when it is absent."""
+@dataclass(frozen=True)
+class CatalogEntry:
+    """A runnable experiment; `run` validates its params, returns (rows, summary)."""
+
+    name: str
+    description: str
+    parameters: tuple[str, ...]
+    run: Callable[[Scenario], tuple[list, dict]]
+
+
+_REGISTRY: dict[str, CatalogEntry] = {}
+
+
+def _entry(name: str, description: str, parameters: tuple[str, ...] = ()):
+    """Register the decorated adapter as `name`.  Adapters reach the library
+    through module attributes (`solver.`, `experiments.`) at call time, so
+    wrappers installed on those attributes see the calls."""
+    def register(run):
+        _REGISTRY[name] = CatalogEntry(name, description, parameters, run)
+        return run
+    return register
+
+
+def _param(params: dict, key: str, default, integer: bool = False, lo=None, hi=None):
+    """Numeric experiment parameter `key` in [lo, hi], or default when absent."""
     if key not in params:
         return default
-    return _number(params[key], f"experiment.params.{key}", integer)
+    return _num(params, "experiment.params", key, lo, hi, integer)
 
 
 def _param_list(params: dict, key: str, default, length: int | None = None) -> list:
@@ -280,24 +292,22 @@ def _param_list(params: dict, key: str, default, length: int | None = None) -> l
     return vals
 
 
-def _grid_from_spec(spec, field: str) -> np.ndarray:
-    if isinstance(spec, list):
-        for i, v in enumerate(spec):
-            _number(v, f"{field}[{i}]")
-        arr = np.asarray(spec, dtype=float)
-    elif isinstance(spec, dict):
-        for key in ("start", "stop", "step"):
-            _require(key in spec, "grid object needs start/stop/step", field)
-            _number(spec[key], f"{field}.{key}")
+def _param_grid(params: dict, key: str, default: dict) -> np.ndarray:
+    """Grid experiment parameter `key`, a list of numbers or a start/stop/step
+    object, or default when it is absent."""
+    field = f"experiment.params.{key}"
+    spec = params.get(key, default)
+    if isinstance(spec, dict):
+        for k in ("start", "stop", "step"):
+            _require(k in spec, "grid object needs start/stop/step", field)
+            _number(spec[k], f"{field}.{k}")
         _require(spec["step"] != 0, "step must be non-zero", f"{field}.step")
         # the float count, not its ceiling: it may overflow to inf
         _within_budget((spec["stop"] - spec["start"]) / spec["step"], field)
         arr = np.arange(spec["start"], spec["stop"], spec["step"])
     else:
-        raise ValidationError(f"{field}: must be a list or start/stop/step object",
-                              field=field)
-    if arr.size == 0:
-        raise ValidationError(f"{field}: empty grid", field=field)
+        arr = np.asarray(_param_list(params, key, default), dtype=float)
+    _require(arr.size > 0, "empty grid", field)
     return arr
 
 
@@ -315,131 +325,175 @@ def _candidate_strategy(scn: Scenario):
     return closed_form.ProportionalStrategy(pi=float(pi), xi=float(xi))
 
 
-def _dispatch(scn: Scenario):
-    """Run the named experiment; returns (rows, summary)."""
+@_entry("candidate_policy", "closed-form candidate policy (pi_hat, eta) and value")
+def _run_candidate_policy(scn: Scenario):
+    policy = closed_form.candidate_policy(scn.preferences, scn.market)
+    row = {
+        "pi_hat": policy.pi_hat,
+        "eta": policy.eta,
+        "phi": policy.phi,
+        "value_coefficient": policy.value_coefficient,
+        "value_at_unit_wealth": policy.value(1.0),
+    }
+    return [row], row
+
+
+@_entry("picard_solve",
+        "lattice fixed-point solve of the utility recursion for a proportional strategy",
+        ("pi", "xi"))
+def _run_picard_solve(scn: Scenario):
     prefs, market = scn.preferences, scn.market
-    name, params = scn.experiment, scn.params
-    if name == "candidate_policy":
-        policy = closed_form.candidate_policy(prefs, market)
-        row = {
-            "pi_hat": policy.pi_hat,
-            "eta": policy.eta,
-            "phi": policy.phi,
-            "value_coefficient": policy.value_coefficient,
-            "value_at_unit_wealth": policy.value(1.0),
-        }
-        return [row], row
-    if name == "picard_solve":
-        strat = _candidate_strategy(scn)
-        lat = build_lattice(market, strat, scn.lattice_cfg["dt"],
-                            scn.lattice_cfg["n_steps"])
-        if scn.lattice_cfg["tail"] == "proportional":
-            tail = TailClosure.proportional(strat, prefs, market)
-        else:
-            tail = TailClosure.zero()
-        u_grid = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
-        report = solver.picard_solve(
-            prefs, u_grid, lat, tail,
-            epsilon=scn.solver_cfg["epsilon"],
-            Lambda=u_grid if scn.solver_cfg["epsilon"] > 0 else None,
-            tol=scn.solver_cfg["tol"], max_iter=scn.solver_cfg["max_iter"],
-        )
-        rows = [
-            {"iteration": it, "sup_norm_step": step, "ratio": ratio}
-            for it, step, ratio in report.trace
-        ]
-        summary = report.to_json_dict()
-        summary["utility_at_zero"] = report.utility_at_zero(prefs)
-        try:
-            summary["closed_form_value"] = closed_form.proportional_utility(
-                prefs, market, strat, lat.x0, 0.0)
-        except EzmertonError:
-            summary["closed_form_value"] = None
-        return rows, summary
-    if name == "mc_drift_check":
-        strat = _candidate_strategy(scn)
-        nu = _param(params, "nu", prefs.delta * prefs.theta)
-        n_paths = _param(params, "n_paths", 100_000, integer=True)
-        # one normal draw per path and time step, at the 21 times of the fit
-        _within_budget(n_paths * 21, "experiment.params.n_paths")
-        report = mc_drift_check(
-            market, strat, nu, prefs.R,
-            n_paths=n_paths,
-            horizon=_param(params, "horizon", 5.0),
-            seed=scn.seed,
-        )
-        rows = [{"t": t, "log_mean": lm}
-                for t, lm in zip(report.times, report.log_means)]
-        summary = {"slope": report.slope, "stderr": report.stderr,
-                   "n_paths": report.n_paths,
-                   "target": -closed_form.decay_rate(nu, prefs, market, strat)}
-        return rows, summary
-    if name == "crra_counterexample":
-        rep = experiments.crra_counterexample(prefs.delta, prefs.R, _T_grid(params))
-        return rep.rows(), rep.summary()
-    if name == "ezsdu_counterexample":
-        rep = experiments.ezsdu_counterexample(prefs, _T_grid(params))
-        return rep.rows(), rep.summary()
-    if name == "transversality_sweep":
-        nu = _param(params, "nu", prefs.delta)
-        xi_grid = _grid_from_spec(
-            params.get("xi_grid", {"start": 0.005, "stop": 0.2, "step": 0.005}),
-            "experiment.params.xi_grid",
-        )
-        cells = experiments.transversality_sweep(prefs.delta, prefs.R, market,
-                                                 nu, xi_grid)
-        rows = [c.as_row() for c in cells]
-        summary = {
-            "n_cells": len(cells),
-            "n_bubbles": sum(1 for c in cells if c.bubble.is_bubble),
-            "n_transversal": sum(1 for c in cells if c.transversality_ok),
-            "n_evaluable": sum(1 for c in cells if c.evaluable),
-        }
-        return rows, summary
-    if name == "policy_grid_search":
-        pi_grid = _grid_from_spec(
-            params.get("pi_grid", {"start": 0.0, "stop": 1.5, "step": 0.005}),
-            "experiment.params.pi_grid",
-        )
-        xi_grid = _grid_from_spec(
-            params.get("xi_grid", {"start": 0.005, "stop": 0.2, "step": 0.005}),
-            "experiment.params.xi_grid",
-        )
-        _within_budget(pi_grid.size * xi_grid.size, "experiment.params.xi_grid")
-        rep = experiments.policy_grid_search(prefs, market, pi_grid, xi_grid)
-        return list(rep.rows()), rep.summary()
-    if name == "aversion_demos":
-        rep = experiments.aversion_demos(
-            prefs, market,
-            y_values=tuple(_param_list(params, "y_values", [0.5, 1.5], length=2)),
-            temporal_levels=tuple(
-                _param_list(params, "temporal_levels", [0.5, 1.5], length=2)),
-            temporal_switch_time=_param(params, "temporal_switch_time", 1.0),
-        )
-        return rep.rows(), rep.summary()
-    if name == "wellposed_divergence":
-        rep = experiments.wellposed_divergence(
-            prefs, market,
-            probe_offsets=(None if params.get("probe_offsets") is None
-                           else _param_list(params, "probe_offsets", None)),
-            n_levels=_param(params, "n_levels", 13, integer=True),
-        )
-        return rep.rows(), rep.summary()
-    if name == "verification_check":
-        n_samples = _param(params, "n_samples", 10_000, integer=True)
-        _within_budget(n_samples, "experiment.params.n_samples")
-        rep = experiments.verification_check(
-            prefs, market,
-            epsilon=_param(params, "epsilon", 0.1),
-            n_strategies=_param(params, "n_strategies", 5, integer=True),
-            seed=scn.seed,
-            n_samples=n_samples,
-            dt=scn.lattice_cfg["dt"],
-            n_steps=min(scn.lattice_cfg["n_steps"], 200),
-        )
-        return rep.rows(), rep.summary()
-    raise ValidationError(f"experiment.name: unknown experiment {name!r}",
-                          field="experiment.name")
+    strat = _candidate_strategy(scn)
+    lat = build_lattice(market, strat, scn.lattice_cfg["dt"],
+                        scn.lattice_cfg["n_steps"])
+    if scn.lattice_cfg["tail"] == "proportional":
+        tail = TailClosure.proportional(strat, prefs, market)
+    else:
+        tail = TailClosure.zero()
+    u_grid = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+    report = solver.picard_solve(
+        prefs, u_grid, lat, tail,
+        epsilon=scn.solver_cfg["epsilon"],
+        Lambda=u_grid if scn.solver_cfg["epsilon"] > 0 else None,
+        tol=scn.solver_cfg["tol"], max_iter=scn.solver_cfg["max_iter"],
+    )
+    rows = [
+        {"iteration": it, "sup_norm_step": step, "ratio": ratio}
+        for it, step, ratio in report.trace
+    ]
+    summary = report.to_json_dict()
+    summary["utility_at_zero"] = report.utility_at_zero(prefs)
+    try:
+        summary["closed_form_value"] = closed_form.proportional_utility(
+            prefs, market, strat, lat.x0, 0.0)
+    except EzmertonError:
+        summary["closed_form_value"] = None
+    return rows, summary
+
+
+@_entry("mc_drift_check",
+        "Monte Carlo check of the decay rate of e^{-nu t} X_t^{1-R}",
+        ("pi", "xi", "nu", "n_paths", "horizon"))
+def _run_mc_drift_check(scn: Scenario):
+    prefs, params = scn.preferences, scn.params
+    strat = _candidate_strategy(scn)
+    nu = _param(params, "nu", prefs.delta * prefs.theta)
+    n_paths = _param(params, "n_paths", 100_000, integer=True)
+    # one normal draw per path and time step, at the 21 times of the fit
+    _within_budget(n_paths * 21, "experiment.params.n_paths")
+    horizon = _param(params, "horizon", 5.0)
+    _require(horizon > 0.0, "must be > 0", "experiment.params.horizon")
+    report = mc_drift_check(scn.market, strat, nu, prefs.R, n_paths=n_paths,
+                            horizon=horizon, seed=scn.seed)
+    rows = [{"t": t, "log_mean": lm}
+            for t, lm in zip(report.times, report.log_means)]
+    summary = {"slope": report.slope, "stderr": report.stderr,
+               "n_paths": report.n_paths,
+               "target": -closed_form.decay_rate(nu, prefs, scn.market, strat)}
+    return rows, summary
+
+
+@_entry("crra_counterexample",
+        "additive-utility stream where the difference form has divergent positive and negative parts",
+        ("T_grid",))
+def _run_crra_counterexample(scn: Scenario):
+    rep = experiments.crra_counterexample(scn.preferences.delta, scn.preferences.R,
+                                          _T_grid(scn.params))
+    return rep.rows(), rep.summary()
+
+
+@_entry("ezsdu_counterexample",
+        "recursive-utility stream where the difference form has divergent positive and negative parts",
+        ("T_grid",))
+def _run_ezsdu_counterexample(scn: Scenario):
+    rep = experiments.ezsdu_counterexample(scn.preferences, _T_grid(scn.params))
+    return rep.rows(), rep.summary()
+
+
+@_entry("transversality_sweep",
+        "consumption-fraction sweep of decay rates, evaluability, transversality and admitted bubbles",
+        ("nu", "xi_grid"))
+def _run_transversality_sweep(scn: Scenario):
+    prefs, params = scn.preferences, scn.params
+    nu = _param(params, "nu", prefs.delta)
+    cells = experiments.transversality_sweep(prefs.delta, prefs.R, scn.market, nu,
+                                             _param_grid(params, "xi_grid", _XI_GRID))
+    rows = [c.as_row() for c in cells]
+    summary = {
+        "n_cells": len(cells),
+        "n_bubbles": sum(1 for c in cells if c.bubble.is_bubble),
+        "n_transversal": sum(1 for c in cells if c.transversality_ok),
+        "n_evaluable": sum(1 for c in cells if c.evaluable),
+    }
+    return rows, summary
+
+
+@_entry("policy_grid_search",
+        "brute-force argmax of the proportional-strategy value over a (pi, xi) grid",
+        ("pi_grid", "xi_grid"))
+def _run_policy_grid_search(scn: Scenario):
+    pi_grid = _param_grid(scn.params, "pi_grid", {"start": 0.0, "stop": 1.5, "step": 0.005})
+    xi_grid = _param_grid(scn.params, "xi_grid", _XI_GRID)
+    _within_budget(pi_grid.size * xi_grid.size, "experiment.params.xi_grid")
+    rep = experiments.policy_grid_search(scn.preferences, scn.market, pi_grid, xi_grid)
+    return list(rep.rows()), rep.summary()
+
+
+@_entry("aversion_demos",
+        "Jensen gaps separating risk aversion (R) from temporal variance aversion (S)",
+        ("y_values", "temporal_levels", "temporal_switch_time"))
+def _run_aversion_demos(scn: Scenario):
+    params = scn.params
+    rep = experiments.aversion_demos(
+        scn.preferences,
+        y_values=tuple(_param_list(params, "y_values", [0.5, 1.5], length=2)),
+        temporal_levels=tuple(
+            _param_list(params, "temporal_levels", [0.5, 1.5], length=2)),
+        temporal_switch_time=_param(params, "temporal_switch_time", 1.0),
+    )
+    return rep.rows(), rep.summary()
+
+
+@_entry("wellposed_divergence",
+        "eta <= 0 probes: value supremum explodes (R<1) or upper bounds collapse (R>1)",
+        ("probe_offsets", "n_levels"))
+def _run_wellposed_divergence(scn: Scenario):
+    params = scn.params
+    offsets = None
+    if params.get("probe_offsets") is not None:
+        offsets = _param_list(params, "probe_offsets", None)
+        _require(len(offsets) > 0, "must not be empty", "experiment.params.probe_offsets")
+    rep = experiments.wellposed_divergence(
+        scn.preferences, scn.market,
+        probe_offsets=offsets,
+        # n doubles per level; 1/n leaves the float range after 1024 levels
+        n_levels=_param(params, "n_levels", 13, integer=True, lo=1, hi=1000),
+    )
+    return rep.rows(), rep.summary()
+
+
+@_entry("verification_check",
+        "perturbed optimality identities for the candidate policy plus lattice supersolution checks",
+        ("epsilon", "n_strategies", "n_samples"))
+def _run_verification_check(scn: Scenario):
+    params = scn.params
+    n_samples = _param(params, "n_samples", 10_000, integer=True, lo=1)
+    _within_budget(n_samples, "experiment.params.n_samples")
+    n_steps = min(scn.lattice_cfg["n_steps"], 200)
+    n_strategies = _param(params, "n_strategies", 5, integer=True, lo=0)
+    # one lattice and one residual check per strategy
+    _within_budget(n_strategies * (n_steps + 1) * (n_steps + 2) // 2,
+                   "experiment.params.n_strategies")
+    rep = experiments.verification_check(
+        scn.preferences, scn.market,
+        epsilon=_param(params, "epsilon", 0.1),
+        n_strategies=n_strategies,
+        seed=scn.seed,
+        n_samples=n_samples,
+        dt=scn.lattice_cfg["dt"],
+        n_steps=n_steps,
+    )
+    return rep.rows(), rep.summary()
 
 
 def _format_cell(value) -> str:
@@ -478,7 +532,7 @@ def run_scenario(scn: Scenario, out_dir: Path, quiet: bool = False) -> RunManife
     """Execute a validated scenario and write its artifacts."""
     started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows, summary = _dispatch(scn)
+    rows, summary = _REGISTRY[scn.experiment].run(scn)
     base = f"{scn.experiment}_{scn.id}"
     csv_path = out_dir / f"{base}.csv"
     json_path = out_dir / f"{base}.json"
@@ -503,10 +557,9 @@ def run_scenario(scn: Scenario, out_dir: Path, quiet: bool = False) -> RunManife
     return manifest
 
 
-def catalog() -> list[ExperimentInfo]:
-    """Experiment catalog plus driver entries, sorted by name."""
-    entries = list(EXPERIMENTS.values()) + list(_DRIVERS.values())
-    return sorted(entries, key=lambda e: e.name)
+def catalog() -> list[CatalogEntry]:
+    """Every runnable experiment, sorted by name."""
+    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
 def _error_json(code: str, exc: Exception) -> str:

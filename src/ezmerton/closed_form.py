@@ -439,6 +439,8 @@ class CrraBubbleReport:
     V0: float
     flag: BubbleFlag
     transversality_ok: bool
+    H_delta: float  # decay rates at (pi_hat, xi)
+    H_nu: float
 
 
 def crra_bubble_quantities(delta: float, R: float, market: Market,
@@ -452,11 +454,15 @@ def crra_bubble_quantities(delta: float, R: float, market: Market,
 
     Raises
     ------
+    InvalidParameters
+        If R = 1 or xi <= 0.
     DegenerateDenominator
         If H_delta(pi_hat, xi) = 0.
     """
     if R == 1.0:
         raise InvalidParameters("R = 1 is outside the supported parameter range")
+    if not (xi > 0.0):
+        raise InvalidParameters(f"consumption fraction xi must be > 0, got {xi}")
     pi_hat = market.sharpe / (market.sigma * R)
     H_delta = _H(delta, market.r, market.sharpe, market.sigma, R, pi_hat, xi)
     scale = abs(delta) + abs(R - 1.0) * (abs(market.r)
@@ -475,4 +481,6 @@ def crra_bubble_quantities(delta: float, R: float, market: Market,
         flag=BubbleFlag(is_bubble=is_bubble, value_sign=value_sign,
                         aggregator_sign=integrand_sign),
         transversality_ok=H_nu > 0.0,
+        H_delta=H_delta,
+        H_nu=H_nu,
     )

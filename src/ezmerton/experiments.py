@@ -1,8 +1,8 @@
 """Scripted experiments: counterexamples, sweeps, policy search, verification.
 
 Each experiment returns a report dataclass with `rows()` (CSV-ready dicts) and
-`summary()` (JSON-ready dict); the CLI serialises them uniformly.  The
-experiment registry at the bottom maps stable names to adapters.
+`summary()` (JSON-ready dict); the CLI serialises them uniformly.  The names
+under which they run, and their parameters, live in the CLI's registry.
 
 The oscillating-consumption counterexamples use the on/off stream supported on
 the odd unit intervals A^c, A = union of [2n, 2n+1): the discounted-form value
@@ -57,8 +57,6 @@ __all__ = [
     "aversion_demos",
     "wellposed_divergence",
     "verification_check",
-    "EXPERIMENTS",
-    "list_experiments",
 ]
 
 #: Desk-scale proxy for +/- infinity (shared with the solver module).
@@ -331,20 +329,15 @@ def transversality_sweep(delta: float, R: float, market: Market, nu: float,
             q = crra_bubble_quantities(delta, R, market, xi, nu)
         except DegenerateDenominator:
             continue  # xi sits exactly on the root of H_delta
-        pi_hat = market.sharpe / (market.sigma * R)
-        H_nu = closed_form._H(nu, market.r, market.sharpe, market.sigma, R,
-                              pi_hat, xi)
-        H_delta = closed_form._H(delta, market.r, market.sharpe, market.sigma,
-                                 R, pi_hat, xi)
         admitted = q.flag.is_bubble and q.transversality_ok
         cells.append(SweepCell(
-            pi=pi_hat, xi=xi, nu=nu, H_nu_value=H_nu,
+            pi=market.sharpe / (market.sigma * R), xi=xi, nu=nu, H_nu_value=q.H_nu,
             transversality_ok=q.transversality_ok,
             K_or_B=q.K,
             bubble=BubbleFlag(is_bubble=admitted,
                               value_sign=q.flag.value_sign,
                               aggregator_sign=q.flag.aggregator_sign),
-            evaluable=H_delta > 0.0,
+            evaluable=q.H_delta > 0.0,
         ))
     return cells
 
@@ -464,7 +457,7 @@ class AversionReport:
         }
 
 
-def aversion_demos(prefs: Preferences, market: Market | None = None,
+def aversion_demos(prefs: Preferences,
                    y_values: tuple[float, float] = (0.5, 1.5),
                    temporal_levels: tuple[float, float] = (0.5, 1.5),
                    temporal_switch_time: float = 1.0) -> AversionReport:
@@ -474,10 +467,8 @@ def aversion_demos(prefs: Preferences, market: Market | None = None,
     time variation is worth no more than its mean level; the gap is governed
     by R.  Temporal demo: a two-level deterministic stream is worth no more
     than its discount-weighted average level; the gap is governed by S.
-    Both gaps are reported as (certain - risky) >= 0.
-
-    The market argument is accepted for registry uniformity but unused: both
-    demos are pure preference statements.
+    Both gaps are reported as (certain - risky) >= 0.  Both demos are pure
+    preference statements, so no market enters.
 
     Raises
     ------
@@ -764,61 +755,3 @@ def verification_check(prefs: Preferences, market: Market, epsilon: float,
         worst_samples=worst,
         strategy_verdicts=verdicts,
     )
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExperimentInfo:
-    name: str
-    description: str
-    parameters: tuple[str, ...]
-
-
-EXPERIMENTS: dict[str, ExperimentInfo] = {
-    info.name: info
-    for info in [
-        ExperimentInfo(
-            "aversion_demos",
-            "Jensen gaps separating risk aversion (R) from temporal variance aversion (S)",
-            ("y_values", "temporal_levels", "temporal_switch_time"),
-        ),
-        ExperimentInfo(
-            "crra_counterexample",
-            "additive-utility stream where the difference form has divergent positive and negative parts",
-            ("T_grid",),
-        ),
-        ExperimentInfo(
-            "ezsdu_counterexample",
-            "recursive-utility stream where the difference form has divergent positive and negative parts",
-            ("T_grid",),
-        ),
-        ExperimentInfo(
-            "policy_grid_search",
-            "brute-force argmax of the proportional-strategy value over a (pi, xi) grid",
-            ("pi_grid", "xi_grid"),
-        ),
-        ExperimentInfo(
-            "transversality_sweep",
-            "consumption-fraction sweep of decay rates, evaluability, transversality and admitted bubbles",
-            ("nu", "xi_grid"),
-        ),
-        ExperimentInfo(
-            "verification_check",
-            "perturbed optimality identities for the candidate policy plus lattice supersolution checks",
-            ("epsilon", "n_strategies", "n_samples"),
-        ),
-        ExperimentInfo(
-            "wellposed_divergence",
-            "eta <= 0 probes: value supremum explodes (R<1) or upper bounds collapse (R>1)",
-            ("probe_offsets", "n_levels"),
-        ),
-    ]
-}
-
-
-def list_experiments() -> list[ExperimentInfo]:
-    """Stable catalog, sorted by name."""
-    return [EXPERIMENTS[k] for k in sorted(EXPERIMENTS)]

@@ -38,7 +38,8 @@ import numpy as np
 
 from . import closed_form
 from .closed_form import ProportionalStrategy
-from .errors import DimensionMismatch, InvalidParameters, InvalidStep, NotEvaluable
+from .errors import (DimensionMismatch, ExperimentError, InvalidParameters,
+                     InvalidStep, NotEvaluable)
 from .preferences import Market, Preferences, ValueSign, transformed_consumption
 
 __all__ = [
@@ -348,6 +349,12 @@ def mc_drift_check(market: Market, strat: ProportionalStrategy, nu: float,
     slopes over independent path batches.
 
     The slope estimates -H_nu(pi, xi).
+
+    Raises
+    ------
+    ExperimentError
+        If the squared times underflow to 0 (a tiny horizon) or a log mean
+        is not finite (X_t^{1-R} overflows over a long horizon).
     """
     if n_paths < 1000:
         raise InvalidParameters("n_paths must be at least 1000")
@@ -355,6 +362,8 @@ def mc_drift_check(market: Market, strat: ProportionalStrategy, nu: float,
          - strat.pi**2 * market.sigma**2 / 2.0)
     s = abs(strat.pi) * market.sigma
     times = np.linspace(0.0, horizon, n_times)
+    if not np.dot(times, times) > 0.0:  # polyfit scales by this norm
+        raise ExperimentError(f"horizon {horizon} is too short to fit a slope")
     dts = np.diff(times)
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.standard_normal((n_paths, n_times - 1))
@@ -368,6 +377,8 @@ def mc_drift_check(market: Market, strat: ProportionalStrategy, nu: float,
     def fit_slope(values: np.ndarray) -> float:
         # values: (paths, times); slope of log mean(e^{-nu t} y) on t
         logmean = np.log(values.mean(axis=0)) - nu * times
+        if not np.isfinite(logmean).all():
+            raise ExperimentError(f"log means over horizon {horizon} are not finite")
         coeffs = np.polyfit(times, logmean, 1)
         return float(coeffs[0])
 

@@ -385,58 +385,50 @@ def _solve_exponent(prefs: Preferences, u: np.ndarray,
     stopping rule tol*(1 - chi) stays positive.  u is the packed driver.
     Returns (W, trace, converged, clamp_events, chi).
     """
-    clamp_total = 0
-    trace: list[tuple[int, float, float]] = []
-
-    # Each iterate's log is taken once: it serves its step and the next.
+    # One loop for both branches: advance(W) returns (next iterate, clamp
+    # events, ok), and the stopping rule uses the contraction constant.
     if rho > -1.0:
-        W, log_W = W0, _log(W0)
-        prev_step = math.nan
-        converged = False
-        for it in range(1, max_iter + 1):
+        chi, contraction = None, abs(rho)
+
+        def advance(W):
             W_new, ev = _clamped(
                 _operator(lat, u, W, rho, eps_term, tail_vals, last_rect))
-            clamp_total += ev
-            log_new = _log(W_new)
-            step = _log_gap(W_new, W, log_new, log_W)
-            ratio = step / prev_step if prev_step and math.isfinite(prev_step) and prev_step > 0 else math.nan
-            trace.append((it, step, ratio))
-            W, log_W = W_new, log_new
-            if step <= tol * (1.0 - abs(rho)):
-                converged = True
-                break
-            prev_step = step
-        return W, trace, converged, clamp_total, None
+            return W_new, ev, True
+    else:
+        # chi-splitting: w^rho = w^{-chi} * w^{rho+chi} with rho+chi in (-1, 0)
+        # when reachable in one split, else recurse.  -0.5 - rho lands the
+        # inner exponent at -0.5 (chi = 0.5 for rho = -1); the cap keeps chi < 1.
+        chi = min(-0.5 - rho, 0.99)
+        contraction = chi
 
-    # chi-splitting: w^rho = w^{-chi} * w^{rho+chi} with rho+chi in (-1, 0)
-    # when reachable in one split, else recurse.  -0.5 - rho lands the inner
-    # exponent at -0.5 (chi = 0.5 for rho = -1); the cap keeps chi < 1.
-    chi = min(-0.5 - rho, 0.99)
-    rho_in = rho + chi
+        def advance(W):
+            with np.errstate(divide="ignore"):
+                u_eff = u * np.power(W.data, -chi)
+            Z, _, inner_ok, ev, _ = _solve_exponent(
+                prefs, u_eff, rho + chi, W, lat, tail_vals, last_rect,
+                eps_term, 0.1 * tol, max_iter,
+            )
+            return Z, ev, inner_ok
+
+    clamp_total = 0
+    trace: list[tuple[int, float, float]] = []
+    # Each iterate's log is taken once: it serves its step and the next.
     W, log_W = W0, _log(W0)
     prev_step = math.nan
-    converged = False
-    inner_tol = 0.1 * tol
     for it in range(1, max_iter + 1):
-        with np.errstate(divide="ignore"):
-            u_eff = u * np.power(W.data, -chi)
-        Z, _, inner_ok, ev, _ = _solve_exponent(
-            prefs, u_eff, rho_in, W, lat, tail_vals, last_rect,
-            eps_term, inner_tol, max_iter,
-        )
+        W_new, ev, ok = advance(W)
         clamp_total += ev
-        if not inner_ok:
+        if not ok:  # raised after the count, so the frame's clamp_total holds it
             raise NotConverged("inner solve of the split iteration failed")
-        log_Z = _log(Z)
-        step = _log_gap(Z, W, log_Z, log_W)
+        log_new = _log(W_new)
+        step = _log_gap(W_new, W, log_new, log_W)
         ratio = step / prev_step if prev_step and math.isfinite(prev_step) and prev_step > 0 else math.nan
         trace.append((it, step, ratio))
-        W, log_W = Z, log_Z
-        if step <= tol * (1.0 - chi):
-            converged = True
-            break
+        W, log_W = W_new, log_new
+        if step <= tol * (1.0 - contraction):
+            return W, trace, True, clamp_total, chi
         prev_step = step
-    return W, trace, converged, clamp_total, chi
+    return W, trace, False, clamp_total, chi
 
 
 def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import subprocess
 import sys
@@ -14,7 +13,6 @@ from ezmerton.cli import (
     scenario_digest,
 )
 from ezmerton.errors import ValidationError
-from ezmerton.experiments import EXPERIMENTS
 
 
 def base_scenario(**overrides):
@@ -28,6 +26,27 @@ def base_scenario(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+#: eta <= 0 preferences for wellposed_divergence: R > 1, and R < 1 with theta in (0, 1)
+ILL_POSED = {"b": 1.0, "delta": -0.1, "R": 2.0, "S": 2.5}
+ILL_POSED_R_BELOW_1 = {"b": 1.0, "delta": 0.05, "R": 0.5, "S": 0.25}
+
+#: Small inputs for the rerun test, as scenario overrides plus params; an
+#: entry not listed runs at its defaults.
+RERUN_INPUTS = {
+    "crra_counterexample": {"params": {"T_grid": list(range(1, 9))}},
+    "ezsdu_counterexample": {"params": {"T_grid": list(range(1, 9))}},
+    "mc_drift_check": {"params": {"n_paths": 1000}},
+    "picard_solve": {"lattice": {"dt": 0.02, "n_steps": 60}},
+    "transversality_sweep": {"params": {"nu": 0.05,
+                                        "xi_grid": {"start": 0.01, "stop": 0.15,
+                                                    "step": 0.01}}},
+    "verification_check": {"lattice": {"dt": 0.02, "n_steps": 60},
+                           "params": {"epsilon": 0.1, "n_strategies": 2,
+                                      "n_samples": 500}},
+    "wellposed_divergence": {"preferences": ILL_POSED},
+}
 
 
 def write_scenario(tmp_path, raw, name="scenario.json"):
@@ -91,25 +110,18 @@ class TestRun:
         csv_text = (tmp_path / "candidate_policy_p1m1.csv").read_text()
         assert csv_text.splitlines()[0].startswith("pi_hat,eta,")
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        raw = base_scenario(
-            id="sweep",
-            experiment={"name": "transversality_sweep",
-                        "params": {"nu": 0.05,
-                                   "xi_grid": {"start": 0.01, "stop": 0.15,
-                                               "step": 0.01}}},
-        )
-        scn = parse_scenario(raw)
-        d1 = tmp_path / "a"
-        d2 = tmp_path / "b"
+    @pytest.mark.parametrize("name", [e.name for e in catalog()])
+    def test_rerun_is_byte_identical(self, tmp_path, name):
+        overrides = dict(RERUN_INPUTS.get(name, {}))
+        params = overrides.pop("params", {})
+        scn = parse_scenario(base_scenario(
+            id="rerun", experiment={"name": name, "params": params}, **overrides))
+        d1, d2 = tmp_path / "a", tmp_path / "b"
         run_scenario(scn, d1, quiet=True)
         run_scenario(scn, d2, quiet=True)
-        h1 = hashlib.sha256((d1 / "transversality_sweep_sweep.csv").read_bytes()).hexdigest()
-        h2 = hashlib.sha256((d2 / "transversality_sweep_sweep.csv").read_bytes()).hexdigest()
-        assert h1 == h2
-        j1 = (d1 / "transversality_sweep_sweep.json").read_bytes()
-        j2 = (d2 / "transversality_sweep_sweep.json").read_bytes()
-        assert j1 == j2
+        for suffix in (".csv", ".json"):
+            artifact = f"{name}_rerun{suffix}"
+            assert (d1 / artifact).read_bytes() == (d2 / artifact).read_bytes()
 
     def test_verification_rerun_same_seed_identical(self, tmp_path):
         raw = base_scenario(
@@ -202,11 +214,45 @@ class TestMainEntry:
             ({"experiment": {"name": "verification_check",
                              "params": {"n_samples": 10**8, "epsilon": -1.0}}},
              "experiment.params.n_samples"),
+            ({"experiment": {"name": "verification_check",
+                             "params": {"n_strategies": 10**7, "epsilon": -1.0}}},
+             "experiment.params.n_strategies"),
+            # params the entry does not declare, or out of range
+            ({"experiment": {"name": "picard_solve", "params": {"bogus": 1}}},
+             "experiment.params.bogus"),
+            ({"preferences": ILL_POSED,
+              "experiment": {"name": "wellposed_divergence", "params": {"n_levels": 0}}},
+             "experiment.params.n_levels"),
+            ({"preferences": ILL_POSED,
+              "experiment": {"name": "wellposed_divergence", "params": {"n_levels": -3}}},
+             "experiment.params.n_levels"),
+            ({"preferences": ILL_POSED,
+              "experiment": {"name": "wellposed_divergence",
+                             "params": {"n_levels": 1100}}},
+             "experiment.params.n_levels"),
+            ({"preferences": ILL_POSED_R_BELOW_1,
+              "experiment": {"name": "wellposed_divergence",
+                             "params": {"probe_offsets": []}}},
+             "experiment.params.probe_offsets"),
+            ({"experiment": {"name": "verification_check", "params": {"n_samples": 0}}},
+             "experiment.params.n_samples"),
+            ({"experiment": {"name": "verification_check", "params": {"n_samples": -5}}},
+             "experiment.params.n_samples"),
+            ({"experiment": {"name": "verification_check",
+                             "params": {"n_strategies": -1}}},
+             "experiment.params.n_strategies"),
+            ({"experiment": {"name": "mc_drift_check", "params": {"horizon": 0}}},
+             "experiment.params.horizon"),
+            ({"experiment": {"name": "mc_drift_check", "params": {"horizon": -1}}},
+             "experiment.params.horizon"),
         ],
         ids=["lattice-list", "param-pi-string", "param-T_grid-string",
              "delta-nan", "R-infinity", "budget-n_steps", "budget-xi_grid-step",
              "budget-n_paths", "budget-T_grid", "budget-grid-cells",
-             "budget-n_samples"],
+             "budget-n_samples", "budget-n_strategies", "undeclared-param",
+             "n_levels-0", "n_levels-negative", "n_levels-1100",
+             "probe_offsets-empty", "n_samples-0", "n_samples-negative",
+             "n_strategies-negative", "horizon-0", "horizon-negative"],
     )
     def test_malformed_input_exits_2_naming_the_field(self, tmp_path, capsys,
                                                       overrides, field):
@@ -218,6 +264,31 @@ class TestMainEntry:
         assert code == 2
         assert err["error"]["code"] == "validation"
         assert err["error"]["field"] == field
+
+    @pytest.mark.parametrize(
+        "experiment, preferences",
+        [
+            # a horizon whose squared times underflow, and one where X^{1-R} overflows
+            ({"name": "mc_drift_check", "params": {"horizon": 1e-200, "n_paths": 1000}},
+             None),
+            ({"name": "mc_drift_check", "params": {"horizon": 1e6, "n_paths": 1000}},
+             None),
+            # xi <= 0 is no consumption fraction; at R = 2.5 xi^{1-R} is complex
+            ({"name": "transversality_sweep", "params": {"xi_grid": [0.0]}}, None),
+            ({"name": "transversality_sweep", "params": {"xi_grid": [-0.1]}},
+             {"b": 1.0, "delta": 0.03, "R": 2.5, "S": 2.5}),
+        ],
+        ids=["horizon-tiny", "horizon-huge", "xi-zero", "xi-negative"],
+    )
+    def test_failing_params_exit_3(self, tmp_path, capsys, experiment, preferences):
+        raw = base_scenario(experiment=experiment)
+        if preferences is not None:
+            raw["preferences"] = preferences
+        path = write_scenario(tmp_path, raw)
+        code = main(["run", "--scenario", str(path), "--out-dir",
+                     str(tmp_path / "out"), "--quiet"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "numeric"
 
     def test_io_exit_code(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "missing.json")])
@@ -238,8 +309,8 @@ class TestMainEntry:
     def test_list_subcommand(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        for entry in catalog():
+            assert f"{entry.name}: {entry.description}" in out
         assert main(["list", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         names = [e["name"] for e in payload]
@@ -273,8 +344,15 @@ class TestCatalog:
     def test_contains_every_experiment_once(self):
         names = [e.name for e in catalog()]
         assert names == sorted(names)
-        for name in EXPERIMENTS:
-            assert names.count(name) == 1
+        assert len(names) == len(set(names))
+
+    def test_registry_lists_all_experiment_operations(self):
+        assert {e.name for e in catalog()} == {
+            "aversion_demos", "candidate_policy", "crra_counterexample",
+            "ezsdu_counterexample", "mc_drift_check", "picard_solve",
+            "policy_grid_search", "transversality_sweep", "verification_check",
+            "wellposed_divergence",
+        }
 
     def test_catalog_entries_documented(self):
         for entry in catalog():

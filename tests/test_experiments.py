@@ -8,13 +8,11 @@ from ezmerton import Preferences
 from ezmerton.closed_form import optimal_consumption_rate
 from ezmerton.errors import UnsupportedRegime, WellPosed
 from ezmerton.experiments import (
-    EXPERIMENTS,
     aversion_demos,
     crra_counterexample,
     crra_oscillating_paths,
     ezsdu_counterexample,
     ezsdu_oscillating_paths,
-    list_experiments,
     policy_grid_search,
     transversality_sweep,
     verification_check,
@@ -160,8 +158,8 @@ class TestPolicyGridSearch:
 
 
 class TestAversionDemos:
-    def test_risk_gap(self, prefs, market):
-        report = aversion_demos(prefs, market)
+    def test_risk_gap(self, prefs):
+        report = aversion_demos(prefs)
         assert report.expected_y_power == pytest.approx(4.0 / 3.0, rel=1e-12)
         # E[Y^{1-R}]/(1-R) <= (E[Y])^{1-R}/(1-R) scaled by the same factor
         assert report.risk_risky_value <= report.risk_certain_value
@@ -171,12 +169,12 @@ class TestAversionDemos:
             base * (4.0 / 3.0) / (1.0 - prefs.R), rel=1e-10
         )
 
-    def test_degenerate_y_has_zero_gap(self, prefs, market):
-        report = aversion_demos(prefs, market, y_values=(1.0, 1.0))
+    def test_degenerate_y_has_zero_gap(self, prefs):
+        report = aversion_demos(prefs, y_values=(1.0, 1.0))
         assert report.risk_gap == pytest.approx(0.0, abs=1e-12)
 
-    def test_temporal_gap(self, prefs, market):
-        report = aversion_demos(prefs, market)
+    def test_temporal_gap(self, prefs):
+        report = aversion_demos(prefs)
         assert report.temporal_gap > 0.0
         assert report.temporal_stream_value <= report.temporal_average_value
 
@@ -223,14 +221,3 @@ class TestVerificationCheck:
         for verdict in report.strategy_verdicts:
             assert verdict["classification"] in ("supersolution", "solution")
 
-
-def test_registry_lists_all_experiment_operations():
-    module_ops = {
-        "crra_counterexample", "ezsdu_counterexample", "transversality_sweep",
-        "policy_grid_search", "aversion_demos", "wellposed_divergence",
-        "verification_check",
-    }
-    names = [info.name for info in list_experiments()]
-    assert sorted(names) == names  # sorted catalog
-    assert set(names) == module_ops == set(EXPERIMENTS)
-    assert len(names) == len(set(names))  # each exactly once
