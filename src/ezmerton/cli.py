@@ -466,8 +466,8 @@ def _run_wellposed_divergence(scn: Scenario):
     rep = experiments.wellposed_divergence(
         scn.preferences, scn.market,
         probe_offsets=offsets,
-        # n doubles per level; 1/n leaves the float range after 1024 levels
-        n_levels=_param(params, "n_levels", 13, integer=True, lo=1, hi=1000),
+        n_levels=_param(params, "n_levels", 13, integer=True, lo=1,
+                        hi=experiments.MAX_DIVERGENCE_LEVELS),
     )
     return rep.rows(), rep.summary()
 

@@ -14,6 +14,7 @@ difference form assigns no value at all.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,10 @@ __all__ = [
 
 #: Desk-scale proxy for +/- infinity (shared with the solver module).
 DIVERGENCE_THRESHOLD = solver.DIVERGENCE_THRESHOLD
+
+#: Most truncation levels of `wellposed_divergence`: n doubles per level, and
+#: 1/n leaves the float range after 1024 levels.
+MAX_DIVERGENCE_LEVELS = 1000
 
 
 def _frac(t: np.ndarray) -> np.ndarray:
@@ -539,9 +544,19 @@ def wellposed_divergence(prefs: Preferences, market: Market,
 
     Raises
     ------
+    InvalidParameters
+        If probe_offsets is empty or n_levels is not an integer in
+        [1, MAX_DIVERGENCE_LEVELS].
     WellPosed
         If eta > 0 (nothing to demonstrate).
     """
+    if probe_offsets is not None and len(probe_offsets) == 0:
+        raise InvalidParameters("probe_offsets must not be empty")
+    if not (isinstance(n_levels, numbers.Integral)
+            and 1 <= n_levels <= MAX_DIVERGENCE_LEVELS):
+        raise InvalidParameters(
+            f"n_levels must be an integer in [1, {MAX_DIVERGENCE_LEVELS}], got {n_levels!r}"
+        )
     report = optimal_consumption_rate(prefs, market)
     if report.well_posed:
         raise WellPosed(f"eta = {report.eta} > 0; the problem is well-posed")

@@ -13,6 +13,11 @@ so there is no O(dt) drift bias to pollute fixed-point accuracy.  Wealth
 recombines: the node (k, j) with j up-moves has wealth
 x0 * exp(m k dt + s sqrt(dt) (2j - k)).
 
+Every sweep over the lattice relies on p_up = 1/2: a one-step expectation is
+the neighbour mean ½(next[j+1] + next[j]), which rounds exactly like
+p next[j+1] + (1-p) next[j] because halving is exact away from subnormals.
+`Lattice` rejects any other p_up.
+
 `AdaptedGrid` stores one value per node and is the discrete stand-in for an
 adapted process (consumption, utility, reference processes).  Its storage is
 one flat array in packed triangular layout: the k+1 nodes of step k sit at
@@ -164,7 +169,13 @@ class AdaptedGrid:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Recombining binomial wealth lattice (immutable after build)."""
+    """Recombining binomial wealth lattice (immutable after build).
+
+    Raises
+    ------
+    InvalidParameters
+        If p_up is not 1/2, which every sweep over the lattice assumes.
+    """
 
     dt: float
     n_steps: int
@@ -177,6 +188,12 @@ class Lattice:
     log_vol: float     # s, per sqrt(unit time)
     market: Market
     strategy: ProportionalStrategy
+
+    def __post_init__(self):
+        if self.p_up != 0.5:
+            raise InvalidParameters(
+                f"the lattice sweeps assume p_up = 1/2, got {self.p_up}"
+            )
 
     @property
     def node_wealth(self) -> list[np.ndarray]:
@@ -249,18 +266,21 @@ def step_expectation(lat: Lattice, values_next: np.ndarray) -> np.ndarray:
 def unconditional_expectation(lat: Lattice, grid: AdaptedGrid) -> np.ndarray:
     """E[grid at step k] for every k.
 
-    The binomial(k, p_up) node weights are propagated forward one step at a
-    time, weights_{k+1}[j] = p_up weights_k[j-1] + (1-p_up) weights_k[j], and
-    then summed against the grid step by step in one call.
+    The binomial(k, 1/2) node weights are propagated forward one step at a
+    time, weights_{k+1}[j] = ½(weights_k[j-1] + weights_k[j]) with the missing
+    neighbour of either end taken as 0, and then summed against the grid step
+    by step in one call.
     """
     grid.check_shape(lat)
     weights = np.empty_like(grid.data)
     weights[0] = 1.0
     for k in range(lat.n_steps):
-        prev, nxt = weights[AdaptedGrid.span(k)], weights[AdaptedGrid.span(k + 1)]
-        np.multiply(prev, 1.0 - lat.p_up, out=nxt[:-1])
-        nxt[-1] = 0.0
-        nxt[1:] += lat.p_up * prev
+        start = k * (k + 1) // 2
+        prev = weights[start:start + k + 1]
+        nxt = weights[start + k + 1:start + 2 * k + 3]
+        np.add(prev[1:], prev[:-1], out=nxt[1:-1])
+        nxt[0], nxt[-1] = prev[0], prev[-1]
+        nxt *= 0.5
     weights *= grid.data
     steps = np.arange(lat.n_steps + 1)
     return np.add.reduceat(weights, steps * (steps + 1) // 2)
@@ -372,11 +392,15 @@ def mc_drift_check(market: Market, strat: ProportionalStrategy, nu: float,
          np.cumsum(m * dts + s * np.sqrt(dts) * z, axis=1)],
         axis=1,
     )
-    y = np.exp((1.0 - R) * log_x)  # X_t^{1-R} with x0 = 1
+    # Over a long horizon X_t^{1-R} overflows; fit_slope reports the
+    # non-finite log means as an ExperimentError, not as numpy warnings.
+    with np.errstate(over="ignore"):
+        y = np.exp((1.0 - R) * log_x)  # X_t^{1-R} with x0 = 1
 
     def fit_slope(values: np.ndarray) -> float:
         # values: (paths, times); slope of log mean(e^{-nu t} y) on t
-        logmean = np.log(values.mean(axis=0)) - nu * times
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            logmean = np.log(values.mean(axis=0)) - nu * times
         if not np.isfinite(logmean).all():
             raise ExperimentError(f"log means over horizon {horizon} are not finite")
         coeffs = np.polyfit(times, logmean, 1)

@@ -15,7 +15,13 @@ That step is written once (`_trapezoid_step`), over any contiguous range of
 packed steps: the operator, `reference_integral` and the hitting-time
 defects sweep it one step at a time, since each step needs the next, while
 a gap-g pair-defect family advances every start step at once in g calls.
-`picard_solve` iterates the operator.  Measured in the log of the ratio to a
+A sequential sweep works in place: the carry a = G_{k+1} + dt/2 f_{k+1} sits
+in one scratch buffer of n+1 values, and the step writes ½(a[1:] + a[:-1])
++ dt/2 f_k into the output layer, so a step is four numpy calls and
+allocates nothing.  The neighbour mean is the exact one-step expectation
+because the lattice has p_up = ½.
+`picard_solve` iterates the operator; its initial guess I^Lambda is the one
+the order certificate already computed.  Measured in the log of the ratio to a
 reference process Lambda^theta, the iteration is a sup-norm contraction with
 constant |rho| when rho is in (-1, 0); for rho <= -1 the update is split as
 w^rho = w^{-chi} * w^{rho+chi} and solved as a nested iteration whose outer
@@ -93,35 +99,25 @@ _RATIO_GUARD = 1e12
 # The backward trapezoid step
 # ---------------------------------------------------------------------------
 
-def _expectation(lat: Lattice, nxt: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """E_k[nxt_{k+1}] for the packed steps k = lo..hi.
+def _trapezoid_step(a: np.ndarray, half_k: np.ndarray, out: np.ndarray | None = None,
+                    straddles: np.ndarray | None = None) -> np.ndarray:
+    """E_k[a] + half_k with a = G_{k+1} + half_{k+1}, written into out if given.
 
-    nxt holds the packed steps lo+1..hi+1 on its last axis; leading axes are
-    batch axes.  Averaging neighbours over the whole range also pairs the last
-    node of each step with the first node of the next; those hi-lo straddling
-    pairs are dropped.
+    The lattice has p_up = 1/2, so E_k[a] is the neighbour mean
+    ½(a[j+1] + a[j]); it rounds exactly like ½a[j+1] + ½a[j], since halving is
+    exact away from subnormals.  Leading axes of a are batch axes.  a may hold
+    a contiguous range of packed steps: averaging across it also pairs the
+    last node of each step with the first of the next, and the indices of
+    those pairs are passed as `straddles` and dropped (into a new array).  A
+    single step into out is three numpy calls and allocates nothing.
     """
-    e = lat.p_up * nxt[..., 1:]
-    e += (1.0 - lat.p_up) * nxt[..., :-1]
-    if hi > lo:
-        e = np.delete(e, np.cumsum(np.arange(lo + 2, hi + 2)) - 1, axis=-1)
-    return e
-
-
-def _trapezoid_step(lat: Lattice, acc: np.ndarray, half: np.ndarray,
-                    lo: int, hi: int) -> np.ndarray:
-    """E_k[acc_{k+1} + half_{k+1}] + half_k for the packed steps k = lo..hi.
-
-    acc holds the packed steps lo+1..hi+1 (on its last axis) and half =
-    dt/2 * f the whole packed grid of the integrand.
-    """
-    # packed offsets of steps lo, lo+1, hi+1 and hi+2 (AdaptedGrid.span inline:
-    # this runs once per step of every sweep)
-    a, b = lo * (lo + 1) // 2, (lo + 1) * (lo + 2) // 2
-    c, d = (hi + 1) * (hi + 2) // 2, (hi + 2) * (hi + 3) // 2
-    e = _expectation(lat, acc + half[b:d], lo, hi)
-    e += half[a:c]
-    return e
+    if straddles is None:
+        out = np.add(a[..., 1:], a[..., :-1], out=out)
+    else:
+        out = np.delete(a[..., 1:] + a[..., :-1], straddles, axis=-1)
+    out *= 0.5
+    out += half_k
+    return out
 
 
 def _backward_accumulate(lat: Lattice, f: np.ndarray, tail_values: np.ndarray,
@@ -131,22 +127,26 @@ def _backward_accumulate(lat: Lattice, f: np.ndarray, tail_values: np.ndarray,
     f is the packed integrand and is overwritten (scaled to dt/2 * f).  With a
     zero tail the terminal layer of f would inject the w = 0 boundary
     convention (an infinite kernel value) into the last half-slice, so that
-    step uses a left rectangle instead.
+    step uses a left rectangle instead.  The carry a = G_{k+1} + half_{k+1}
+    lives in one scratch buffer of n+1 values.
     """
     n = lat.n_steps
-    span = AdaptedGrid.span
     out = np.empty_like(f)
-    out[span(n)] = tail_values
-    first = n - 1
-    if last_step_rectangle and n > 0:
-        out[span(n - 1)] = (_expectation(lat, out[span(n)], n - 1, n - 1)
-                            + lat.dt * f[span(n - 1)])
-        first = n - 2
+    terminal = AdaptedGrid.span(n)
+    out[terminal] = tail_values
     half = f
+    if last_step_rectangle and n > 0:
+        _trapezoid_step(out[terminal], lat.dt * f[AdaptedGrid.span(n - 1)],
+                        out[AdaptedGrid.span(n - 1)])
+        n -= 1
     half *= 0.5 * lat.dt
-    for k in range(first, -1, -1):
-        start, stop = k * (k + 1) // 2, (k + 1) * (k + 2) // 2
-        out[start:stop] = _trapezoid_step(lat, out[stop:stop + k + 2], half, k, k)
+    top = AdaptedGrid.span(n)
+    carry = np.add(out[top], half[top])
+    for k in range(n - 1, -1, -1):
+        start = k * (k + 1) // 2
+        half_k = half[start:start + k + 1]
+        g = _trapezoid_step(carry[:k + 2], half_k, out[start:start + k + 1])
+        np.add(g, half_k, out=carry[:k + 1])
     return out
 
 
@@ -296,24 +296,31 @@ def _operator(lat: Lattice, u: np.ndarray, W: AdaptedGrid, rho: float,
                                    sign_domain=ValueSign.NON_NEGATIVE)
 
 
-def _log(W: AdaptedGrid) -> np.ndarray:
-    """Packed nodewise log of W (log 0 = -inf)."""
+def _log(a: np.ndarray) -> np.ndarray:
+    """Nodewise log of a packed array (log 0 = -inf)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(W.data)
+        return np.log(a)
 
 
-def _log_sup_diff(A: AdaptedGrid, B: AdaptedGrid) -> float:
-    """sup over nodes of |log A - log B|, with equal nodes (0/0, inf/inf)
-    counting as equal."""
-    return _log_gap(A, B, _log(A), _log(B))
+def _residual(lat: Lattice, FW: AdaptedGrid, W: AdaptedGrid) -> float:
+    """sup |log F(W) - log W| over steps 0..n-1.
+
+    The tail closure sets the terminal layer and the iteration does not solve
+    it: with a zero tail the clamp lifts W's terminal zeros to e^-700 while
+    F(W) keeps them at 0, which would read as an infinite defect.
+    """
+    before_terminal = slice(0, AdaptedGrid.span(lat.n_steps).start)
+    a, b = FW.data[before_terminal], W.data[before_terminal]
+    return _log_gap(a, b, _log(a), _log(b))
 
 
-def _log_gap(A: AdaptedGrid, B: AdaptedGrid, log_A: np.ndarray,
-             log_B: np.ndarray) -> float:
-    """`_log_sup_diff` from the logs of both grids; log_B is overwritten."""
+def _log_gap(a: np.ndarray, b: np.ndarray, log_a: np.ndarray,
+             log_b: np.ndarray) -> float:
+    """sup over nodes of |log a - log b| from the logs of both arrays, with
+    equal nodes (0/0, inf/inf) counting as equal; log_b is overwritten."""
     with np.errstate(invalid="ignore"):
-        d = np.subtract(log_A, log_B, out=log_B)
-    d[A.data == B.data] = 0.0
+        d = np.subtract(log_a, log_b, out=log_b)
+    d[a == b] = 0.0
     if np.isnan(d).any():
         return math.inf
     return float(np.max(np.abs(d, out=d), initial=0.0))
@@ -413,15 +420,15 @@ def _solve_exponent(prefs: Preferences, u: np.ndarray,
     clamp_total = 0
     trace: list[tuple[int, float, float]] = []
     # Each iterate's log is taken once: it serves its step and the next.
-    W, log_W = W0, _log(W0)
+    W, log_W = W0, _log(W0.data)
     prev_step = math.nan
     for it in range(1, max_iter + 1):
         W_new, ev, ok = advance(W)
         clamp_total += ev
         if not ok:  # raised after the count, so the frame's clamp_total holds it
             raise NotConverged("inner solve of the split iteration failed")
-        log_new = _log(W_new)
-        step = _log_gap(W_new, W, log_new, log_W)
+        log_new = _log(W_new.data)
+        step = _log_gap(W_new.data, W.data, log_new, log_W)
         ratio = step / prev_step if prev_step and math.isfinite(prev_step) and prev_step > 0 else math.nan
         trace.append((it, step, ratio))
         W, log_W = W_new, log_new
@@ -465,9 +472,10 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
     lam_grid = Lambda if Lambda is not None else U
     lam_grid.check_shape(lat)
 
+    reference = None
     if enforce_order:
         try:
-            order_check(prefs, lam_grid, lat, tail)
+            reference = order_check(prefs, lam_grid, lat, tail).reference
         except NotInClass as exc:
             raise PreconditionFailed(f"reference grid fails order check: {exc}") from exc
         lo, hi = _order_ratio_bounds(U, lam_grid)
@@ -489,15 +497,16 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
     if initial_guess is not None:
         initial_guess.check_shape(lat)
         W0 = initial_guess.copy()
+    elif reference is not None:  # the order certificate already holds I^Lambda
+        W0 = reference
     else:
         W0 = reference_integral(prefs, lam_grid, lat, tail)
 
     if prefs.rho == 0.0:
         # Additive utility: the operator does not depend on W.
         W = apply_recursion(prefs, U, W0, lat, tail, epsilon, lam_grid)
-        residual = _log_sup_diff(
-            apply_recursion(prefs, U, W, lat, tail, epsilon, lam_grid), W
-        )
+        residual = _residual(
+            lat, apply_recursion(prefs, U, W, lat, tail, epsilon, lam_grid), W)
         return SolveReport(solution=W, iterations=1, contraction_ratios=[],
                            converged=True, residual=residual,
                            trace=[(1, residual, math.nan)], branch="additive",
@@ -512,9 +521,8 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
             f"no convergence after {max_iter} iterations "
             f"(last step {trace[-1][1]:.3e})"
         )
-    residual = _log_sup_diff(
-        apply_recursion(prefs, U, W, lat, tail, epsilon, lam_grid), W
-    )
+    residual = _residual(
+        lat, apply_recursion(prefs, U, W, lat, tail, epsilon, lam_grid), W)
     ratios = [r for (_, _, r) in trace if math.isfinite(r)]
     return SolveReport(
         solution=W, iterations=len(trace), contraction_ratios=ratios,
@@ -675,8 +683,11 @@ def _pair_defects(lat: Lattice, V: np.ndarray, half: np.ndarray,
     """
     n = lat.n_steps
     acc = V[AdaptedGrid.span(gap, n)]
-    for m in range(gap - 1, -1, -1):
-        acc = _trapezoid_step(lat, acc, half, m, n - gap + m)
+    for lo in range(gap - 1, -1, -1):
+        hi = n - gap + lo
+        straddles = np.cumsum(np.arange(lo + 2, hi + 2)) - 1 if hi > lo else None
+        acc = _trapezoid_step(acc + half[AdaptedGrid.span(lo + 1, hi + 1)],
+                              half[AdaptedGrid.span(lo, hi)], straddles=straddles)
     return V[AdaptedGrid.span(0, n - gap)] - acc
 
 
@@ -685,17 +696,24 @@ def _hitting_defect(lat: Lattice, V: np.ndarray, half: np.ndarray,
     """Defect at step 0 for the first exit of log-wealth from +/- band.
 
     band may be an array of bands: they share one backward sweep, and the
-    result has one row per band.
+    result has one row per band.  The sweep keeps the stopped value G_k and
+    the carry G_k + half_k in two scratch buffers with one row per band.
     """
     n = lat.n_steps
     steps = AdaptedGrid.per_node(np.arange(n + 1))
     logw = np.log(lat.wealth.data / lat.x0) - lat.log_drift * steps * lat.dt
     stopped = np.abs(logw) >= np.asarray(band)[..., None]
-    acc = V[AdaptedGrid.span(n)]
+    shape = stopped.shape[:-1] + (n + 1,)
+    top = AdaptedGrid.span(n)
+    acc = np.broadcast_to(V[top], shape)
+    carry = np.add(acc, half[top])
+    scratch = np.empty(shape)
     for k in range(n - 1, -1, -1):
         start, stop = k * (k + 1) // 2, (k + 1) * (k + 2) // 2
-        interior = _trapezoid_step(lat, acc, half, k, k)
-        acc = np.where(stopped[..., start:stop], V[start:stop], interior)
+        half_k = half[start:stop]
+        acc = _trapezoid_step(carry[..., :k + 2], half_k, scratch[..., :k + 1])
+        np.copyto(acc, V[start:stop], where=stopped[..., start:stop])
+        np.add(acc, half_k, out=carry[..., :k + 1])
     return V[:1] - acc
 
 

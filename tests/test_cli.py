@@ -151,6 +151,23 @@ class TestRun:
         closed = payload["summary"]["closed_form_value"]
         assert v0 == pytest.approx(closed, rel=1e-2)
 
+    def test_zero_tail_summary_is_standard_json(self, tmp_path):
+        # The residual once read Infinity for every zero-tail solve, which
+        # json.dumps writes as a non-standard token.
+        raw = base_scenario(
+            id="zero",
+            lattice={"dt": 0.02, "n_steps": 100, "tail": "zero"},
+            experiment={"name": "picard_solve", "params": {}},
+        )
+        run_scenario(parse_scenario(raw), tmp_path, quiet=True)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        text = (tmp_path / "picard_solve_zero.json").read_text()
+        summary = json.loads(text, parse_constant=reject)["summary"]
+        assert summary["residual"] <= 1e-8
+
 
 class TestMainEntry:
     def test_run_exit_codes(self, tmp_path, capsys):

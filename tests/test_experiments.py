@@ -6,7 +6,7 @@ from scipy import integrate
 
 from ezmerton import Preferences
 from ezmerton.closed_form import optimal_consumption_rate
-from ezmerton.errors import UnsupportedRegime, WellPosed
+from ezmerton.errors import InvalidParameters, UnsupportedRegime, WellPosed
 from ezmerton.experiments import (
     aversion_demos,
     crra_counterexample,
@@ -206,6 +206,22 @@ class TestWellposedDivergence:
     def test_well_posed_guard(self, prefs, market):
         with pytest.raises(WellPosed):
             wellposed_divergence(prefs, market)
+
+    def test_empty_probe_offsets_rejected(self, market):
+        p = Preferences(b=1.0, delta=0.05, R=0.5, S=0.25)
+        with pytest.raises(InvalidParameters, match="probe_offsets"):
+            wellposed_divergence(p, market, probe_offsets=[])
+
+    def test_no_levels_rejected(self, market):
+        p = Preferences(b=1.0, delta=-0.1, R=2.0, S=2.5)
+        with pytest.raises(InvalidParameters, match="n_levels"):
+            wellposed_divergence(p, market, n_levels=0)
+
+    def test_levels_beyond_float_range_rejected(self, market):
+        # n doubles per level: 1100 levels would take 1/n out of the floats.
+        p = Preferences(b=1.0, delta=-0.1, R=2.0, S=2.5)
+        with pytest.raises(InvalidParameters, match="n_levels"):
+            wellposed_divergence(p, market, n_levels=1100)
 
 
 class TestVerificationCheck:

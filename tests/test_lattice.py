@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import subprocess
 import sys
@@ -49,6 +50,13 @@ class TestBuildLattice:
             ref = lat.x0 * np.exp(lat.log_drift * k * lat.dt
                                   + lat.log_vol * sqdt * (2.0 * j - k))
             np.testing.assert_array_equal(w, ref)
+
+    @pytest.mark.parametrize("p_up", [0.0, 0.4, 0.5 + 1e-16, 0.6, math.nan])
+    def test_p_up_other_than_half_rejected(self, market, policy, p_up):
+        # Every sweep computes E_k as the neighbour mean, which needs p = 1/2.
+        lat = build_lattice(market, policy.strategy, dt=0.1, n_steps=3)
+        with pytest.raises(InvalidParameters, match="p_up"):
+            dataclasses.replace(lat, p_up=p_up)
 
     def test_invalid_step(self, market, policy):
         with pytest.raises(InvalidStep):
@@ -218,6 +226,22 @@ class TestPackedReductions:
                for k, v in enumerate(grid.values)]
         np.testing.assert_allclose(unconditional_expectation(lat, grid), ref,
                                    rtol=1e-12)
+
+    def test_unconditional_expectation_matches_exact_forward_propagation(
+            self, market, policy, rng):
+        # Reference: Pascal's rule c_{k+1}[j] = c_k[j-1] + c_k[j] in exact
+        # integers, one step at a time, and E_k = sum_j c_k[j] v[j] / 2^k.
+        # With integer node values and n = 40 every product and partial sum
+        # is exact in floating point too, so the match is bit for bit.
+        n = 40
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=n)
+        layers = [rng.integers(-50, 51, k + 1) for k in range(n + 1)]
+        grid = AdaptedGrid(layers)
+        coeffs, ref = [1], []
+        for k, v in enumerate(layers):
+            ref.append(sum(c * int(x) for c, x in zip(coeffs, v)) / 2**k)
+            coeffs = [a + b for a, b in zip([0] + coeffs, coeffs + [0])]
+        np.testing.assert_array_equal(unconditional_expectation(lat, grid), ref)
 
     def test_transformed_consumption_grid_matches_per_step(self, prefs, market, policy):
         # Reference: one transformed_consumption call per step, bit for bit.

@@ -36,6 +36,7 @@ from ezmerton.solver import (
     generalized_utility,
     order_check,
     picard_solve,
+    reference_integral,
 )
 
 
@@ -208,6 +209,17 @@ class TestPicardSolve:
         assert report.iterations == 1
         assert report.utility_at_zero(p) == pytest.approx(pol.value(1.0), rel=1e-3)
 
+    def test_default_guess_is_the_reference_integral(self, prefs, setup):
+        # The default solve takes I^Lambda from the order certificate instead
+        # of computing it a second time; the result must not move.
+        lat, tail, U = setup
+        default = picard_solve(prefs, U, lat, tail)
+        guessed = picard_solve(prefs, U, lat, tail,
+                               initial_guess=reference_integral(prefs, U, lat, tail))
+        np.testing.assert_array_equal(default.solution.data, guessed.solution.data)
+        assert default.trace == guessed.trace
+        assert default.residual == guessed.residual
+
     def test_unsupported_regime(self, market):
         p = Preferences(b=1.0, delta=0.03, R=2.0, S=0.5)
         strat = ProportionalStrategy(pi=0.1, xi=0.05)
@@ -289,18 +301,33 @@ class TestPackedSweepMatchesPerStepReference:
         np.testing.assert_array_equal(_pair_defects(lat, W.data, half, gap),
                                       np.concatenate(ref))
 
-    def test_hitting_defect(self, grids):
-        lat, _, W, f = grids
-        V, dt, n = W.values, lat.dt, lat.n_steps
-        band = lat.log_vol * math.sqrt(lat.horizon)
-        acc = V[n]
-        for k in range(n - 1, -1, -1):
+    @staticmethod
+    def per_band_hitting(lat, V, f, band):
+        dt = lat.dt
+        acc = V[lat.n_steps]
+        for k in range(lat.n_steps - 1, -1, -1):
             logw = np.log(lat.node_wealth[k] / lat.x0) - lat.log_drift * k * dt
             interior = step_expectation(lat, acc + 0.5 * dt * f[k + 1]) + 0.5 * dt * f[k]
             acc = np.where(np.abs(logw) >= band, V[k], interior)
-        half = 0.5 * dt * np.concatenate(f)
+        return V[0] - acc
+
+    def test_hitting_defect(self, grids):
+        lat, _, W, f = grids
+        band = lat.log_vol * math.sqrt(lat.horizon)
+        half = 0.5 * lat.dt * np.concatenate(f)
         np.testing.assert_array_equal(_hitting_defect(lat, W.data, half, band),
-                                      V[0] - acc)
+                                      self.per_band_hitting(lat, W.values, f, band))
+
+    def test_hitting_defect_two_bands_share_one_sweep(self, grids):
+        # The bands check_solution uses: one row per band, each equal to the
+        # per-band loop.
+        lat, _, W, f = grids
+        bands = np.array([1.0, 2.0]) * lat.log_vol * math.sqrt(lat.horizon)
+        half = 0.5 * lat.dt * np.concatenate(f)
+        rows = _hitting_defect(lat, W.data, half, bands)
+        assert rows.shape == (2, 1)
+        for row, band in zip(rows, bands):
+            np.testing.assert_array_equal(row, self.per_band_hitting(lat, W.values, f, band))
 
     def test_kernel_fast_path_matches_boundary_path(self, prefs, grids):
         # Interior inputs take the one-pass branch; a single boundary node
@@ -460,3 +487,14 @@ class TestZeroTail:
         # contraction ratios stay below |rho| + 0.05 here too
         assert all(r <= abs(prefs.rho) + 0.05
                    for r in zero_report.contraction_ratios[1:])
+
+    def test_zero_tail_residual_is_finite(self, prefs, market, policy):
+        # The clamp lifts the terminal zeros of W to e^-700 while F(W) keeps
+        # them at 0; the residual covers steps 0..n-1, which the iteration
+        # solves, so it stays finite and within the tolerance.
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=100)
+        U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+        report = picard_solve(prefs, U, lat, TailClosure.zero(), tol=1e-8)
+        assert report.clamp_events > 0
+        assert math.isfinite(report.residual)
+        assert report.residual <= 1e-8
