@@ -57,12 +57,14 @@ gap = max(float(np.max(np.abs(np.log(a) - np.log(b))))
           for a, b in zip(lo.solution.values, hi.solution.values))
 print("two-guess agreement (log sup-norm): %.2e" % gap)
 
-# rho <= -1 (here R=2, S=3 gives rho = -1) switches to the split iteration.
+# rho <= -1 (here R=2, S=3 gives rho = -1) switches to the antitone bracket,
+# which stops on a certified width sup log(H/L) <= tol.
 p2 = Preferences(b=1.0, delta=0.03, R=2.0, S=3.0)
 pol2 = candidate_policy(p2, market)
 lat2 = build_lattice(market, pol2.strategy, dt=0.01, n_steps=500)
 tail2 = TailClosure.proportional(pol2.strategy, p2, market)
 U2 = transformed_consumption_grid(p2, lat2, consumption_grid(lat2))
 rep2 = picard_solve(p2, U2, lat2, tail2)
-print("\nsplit branch (rho = -1, chi = %.2f): V0 = %.4f vs closed %.4f"
-      % (rep2.chi, rep2.utility_at_zero(p2), pol2.value(1.0)))
+print("\n%s branch (rho = -1, %d pair steps, width %.1e): V0 = %.4f vs closed %.4f"
+      % (rep2.branch, rep2.iterations, rep2.trace[-1][1],
+         rep2.utility_at_zero(p2), pol2.value(1.0)))

@@ -35,7 +35,6 @@ rate of e^{-nu t} X_t^{1-R}.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -57,7 +56,6 @@ __all__ = [
     "unconditional_expectation",
     "consumption_grid",
     "transformed_consumption_grid",
-    "wealth_grid",
     "mc_drift_check",
     "DriftCheckReport",
 ]
@@ -156,15 +154,6 @@ class AdaptedGrid:
 
     def sup_abs(self) -> float:
         return float(np.max(np.abs(self.data)))
-
-    def to_csv(self, path) -> None:
-        """Write rows (step, node, value)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "node", "value"])
-            for k, vals in enumerate(self.values):
-                for j, v in enumerate(vals):
-                    writer.writerow([k, j, format(float(v), ".17g")])
 
 
 @dataclass(frozen=True)
@@ -284,10 +273,6 @@ def unconditional_expectation(lat: Lattice, grid: AdaptedGrid) -> np.ndarray:
     weights *= grid.data
     steps = np.arange(lat.n_steps + 1)
     return np.add.reduceat(weights, steps * (steps + 1) // 2)
-
-
-def wealth_grid(lat: Lattice) -> AdaptedGrid:
-    return lat.wealth.copy()
 
 
 def consumption_grid(lat: Lattice) -> AdaptedGrid:

@@ -134,11 +134,6 @@ class Preferences:
     def value_sign(self) -> ValueSign:
         return ValueSign.NON_NEGATIVE if self.R < 1.0 else ValueSign.NON_POSITIVE
 
-    @property
-    def needs_chi_splitting(self) -> bool:
-        """True when rho <= -1, which selects the nested solver branch."""
-        return self.rho <= -1.0
-
 
 @dataclass(frozen=True)
 class Market:

@@ -20,12 +20,16 @@ in one scratch buffer of n+1 values, and the step writes ½(a[1:] + a[:-1])
 + dt/2 f_k into the output layer, so a step is four numpy calls and
 allocates nothing.  The neighbour mean is the exact one-step expectation
 because the lattice has p_up = ½.
-`picard_solve` iterates the operator; its initial guess I^Lambda is the one
+`picard_solve` iterates the operator F; its initial guess I^Lambda is the one
 the order certificate already computed.  Measured in the log of the ratio to a
-reference process Lambda^theta, the iteration is a sup-norm contraction with
-constant |rho| when rho is in (-1, 0); for rho <= -1 the update is split as
-w^rho = w^{-chi} * w^{rho+chi} and solved as a nested iteration whose outer
-loop contracts with constant chi.
+reference process Lambda^theta, F contracts in the sup-norm with constant
+|rho| when rho is in (-1, 0).  For rho <= -1 no constant below 1 is known,
+but F is antitone (w^rho falls as w rises), so the solve iterates a bracket
+(L, H) <- (F(H), F(L)); once the new pair is nested in the old one, a lattice
+fixed point lies inside it, and its width sup log(H/L) certifies the answer.
+A zero tail solves its last step exactly, W_{n-1} = (u_{n-1} dt/theta)^theta
+(W' = -u W^rho with the driver frozen and W(T) = 0), and the kernel is not
+evaluated on the layers a tail closure sets.
 
 Preconditions are expressed through order certificates: the reference Lambda
 must satisfy Lambda^theta comparable to I^Lambda_t = E_t[integral Lambda^theta]
@@ -40,7 +44,6 @@ truncation against the candidate optimal stream.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -120,29 +123,27 @@ def _trapezoid_step(a: np.ndarray, half_k: np.ndarray, out: np.ndarray | None = 
     return out
 
 
-def _backward_accumulate(lat: Lattice, f: np.ndarray, tail_values: np.ndarray,
-                         last_step_rectangle: bool) -> np.ndarray:
-    """G_k = E_k[ sum of trapezoid slices of f + tail ], one backward sweep.
+def _closure_start(lat: Lattice, top: np.ndarray) -> int:
+    """Lowest step of the closure layers top: n, or n-1 for a zero tail."""
+    return lat.n_steps - 1 if top.size > lat.n_steps + 1 else lat.n_steps
 
-    f is the packed integrand and is overwritten (scaled to dt/2 * f).  With a
-    zero tail the terminal layer of f would inject the w = 0 boundary
-    convention (an infinite kernel value) into the last half-slice, so that
-    step uses a left rectangle instead.  The carry a = G_{k+1} + half_{k+1}
+
+def _backward_accumulate(lat: Lattice, f: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """G_k = E_k[ sum of trapezoid slices of f + G_m ], one backward sweep.
+
+    top holds the packed layers m..n that the tail closure sets (see
+    `_closure_start`); f is the packed integrand on at least steps 0..m and is
+    overwritten (scaled to dt/2 * f).  The carry a = G_{k+1} + half_{k+1}
     lives in one scratch buffer of n+1 values.
     """
-    n = lat.n_steps
-    out = np.empty_like(f)
-    terminal = AdaptedGrid.span(n)
-    out[terminal] = tail_values
+    out = np.empty(AdaptedGrid.span(lat.n_steps).stop)
+    out[out.size - top.size:] = top
+    m = _closure_start(lat, top)
     half = f
-    if last_step_rectangle and n > 0:
-        _trapezoid_step(out[terminal], lat.dt * f[AdaptedGrid.span(n - 1)],
-                        out[AdaptedGrid.span(n - 1)])
-        n -= 1
     half *= 0.5 * lat.dt
-    top = AdaptedGrid.span(n)
-    carry = np.add(out[top], half[top])
-    for k in range(n - 1, -1, -1):
+    layer = AdaptedGrid.span(m)
+    carry = np.add(out[layer], half[layer])
+    for k in range(m - 1, -1, -1):
         start = k * (k + 1) // 2
         half_k = half[start:start + k + 1]
         g = _trapezoid_step(carry[:k + 2], half_k, out[start:start + k + 1])
@@ -150,40 +151,47 @@ def _backward_accumulate(lat: Lattice, f: np.ndarray, tail_values: np.ndarray,
     return out
 
 
-def _tail_reference(lat: Lattice, tail: TailClosure,
-                    lam_theta_terminal: np.ndarray) -> np.ndarray:
-    """Tail of I^Lambda: Lambda_T^theta / H under proportional continuation."""
-    if tail.mode == "zero":
-        return np.zeros_like(lam_theta_terminal)
-    return lam_theta_terminal / tail.decay_rate
-
-
 def _tail_solution(prefs: Preferences, lat: Lattice, tail: TailClosure,
-                   u_terminal: np.ndarray, lam_theta_terminal: np.ndarray,
-                   epsilon: float) -> np.ndarray:
-    """Tail of the W-recursion under the closure.
+                   u: np.ndarray, eps_term: np.ndarray | None) -> np.ndarray:
+    """Layers of the W-recursion that the tail closure sets.
 
     Under proportional continuation the fixed point beyond the horizon is the
     strategy's own: W_T = U_T^theta / H^theta, plus the epsilon term's tail
-    epsilon * Lambda_T^theta / H.
+    epsilon * Lambda_T^theta / H.  A zero tail gives W_T = 0 and the exact
+    frozen-driver layer W_{n-1} = (u_{n-1} dt/theta)^theta; the epsilon term
+    adds its left rectangle dt * epsilon * Lambda_{n-1}^theta there.
     """
+    n = lat.n_steps
     if tail.mode == "zero":
-        return np.zeros_like(u_terminal)
-    w_tail = np.power(u_terminal, prefs.theta) / tail.decay_rate**prefs.theta
-    if epsilon > 0.0:
-        w_tail = w_tail + epsilon * lam_theta_terminal / tail.decay_rate
+        last = AdaptedGrid.span(n - 1)  # empty when n = 0
+        w_last = np.power(u[last] * lat.dt / prefs.theta, prefs.theta)
+        if eps_term is not None:
+            w_last += lat.dt * eps_term[last]
+        return np.concatenate([w_last, np.zeros(n + 1)])
+    terminal = AdaptedGrid.span(n)
+    w_tail = np.power(u[terminal], prefs.theta) / tail.decay_rate**prefs.theta
+    if eps_term is not None:
+        w_tail = w_tail + eps_term[terminal] / tail.decay_rate
     return w_tail
 
 
 def reference_integral(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
                        tail: TailClosure) -> AdaptedGrid:
-    """I^Lambda: backward cumulative expectation of Lambda^theta plus tail."""
+    """I^Lambda: backward cumulative expectation of Lambda^theta plus tail.
+
+    Proportional continuation sets Lambda_T^theta / H at T.  A zero tail sets
+    0 at T and the last step's left rectangle dt * Lambda_{n-1}^theta, exact
+    for an integrand frozen over the step.
+    """
     target.check_shape(lat)
     lam_theta = np.power(target.data, prefs.theta)
-    tail_vals = _tail_reference(lat, tail, lam_theta[AdaptedGrid.span(lat.n_steps)])
-    vals = _backward_accumulate(lat, lam_theta, tail_vals,
-                                last_step_rectangle=tail.mode == "zero")
-    return AdaptedGrid.from_packed(vals, sign_domain=ValueSign.NON_NEGATIVE)
+    n = lat.n_steps
+    if tail.mode == "zero":
+        top = np.concatenate([lat.dt * lam_theta[AdaptedGrid.span(n - 1)], np.zeros(n + 1)])
+    else:
+        top = lam_theta[AdaptedGrid.span(n)] / tail.decay_rate
+    return AdaptedGrid.from_packed(_backward_accumulate(lat, lam_theta, top),
+                                   sign_domain=ValueSign.NON_NEGATIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +219,17 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
 
     Raises
     ------
+    InvalidParameters
+        If the lattice has a single node (n_steps = 0): no decay rate can be
+        fitted to one time.
     NotInClass
         If target is not strictly positive, if the fitted decay rate of
         E[target^theta] is non-negative (the defining integral diverges when
         the grid is extended), or if the nodewise ratio leaves (0, guard).
     """
     target.check_shape(lat)
+    if lat.n_steps < 1:
+        raise InvalidParameters("order check needs a lattice of at least one step")
     if np.any(~(target.data > 0.0)) or np.any(np.isinf(target.data)):
         raise NotInClass("reference process must be strictly positive and finite")
     lam_theta = AdaptedGrid.from_packed(np.power(target.data, prefs.theta))
@@ -270,29 +283,20 @@ def apply_recursion(prefs: Preferences, U: AdaptedGrid, W: AdaptedGrid,
         raise MissingLambda("epsilon > 0 requires a reference grid Lambda")
     if Lambda is not None:
         Lambda.check_shape(lat)
-        lam_theta = np.power(Lambda.data, prefs.theta)
-    else:
-        lam_theta = None
-    terminal = AdaptedGrid.span(lat.n_steps)
-    tail_vals = _tail_solution(
-        prefs, lat, tail, U.data[terminal],
-        (lam_theta if lam_theta is not None else U.data)[terminal],
-        epsilon,
-    )
-    eps_term = epsilon * lam_theta if epsilon > 0.0 else None
-    return _operator(lat, U.data, W, prefs.rho, eps_term, tail_vals,
-                     last_rect=tail.mode == "zero")
+    eps_term = epsilon * np.power(Lambda.data, prefs.theta) if epsilon > 0.0 else None
+    return _operator(lat, U.data, W, prefs.rho, eps_term,
+                     _tail_solution(prefs, lat, tail, U.data, eps_term))
 
 
 def _operator(lat: Lattice, u: np.ndarray, W: AdaptedGrid, rho: float,
-              eps_term: np.ndarray | None, tail_vals: np.ndarray,
-              last_rect: bool) -> AdaptedGrid:
-    """Backward(u * W^rho + eps_term) with the given tail: the packed kernel,
-    then one backward sweep."""
-    f = transformed_aggregator_grid(u, W.data, rho)
+              eps_term: np.ndarray | None, top: np.ndarray) -> AdaptedGrid:
+    """Backward(u * W^rho + eps_term) below the closure layers top: the packed
+    kernel on the steps the sweep reads, then one backward sweep."""
+    below = slice(0, AdaptedGrid.span(_closure_start(lat, top)).stop)
+    f = transformed_aggregator_grid(u[below], W.data[below], rho)
     if eps_term is not None:
-        f += eps_term
-    return AdaptedGrid.from_packed(_backward_accumulate(lat, f, tail_vals, last_rect),
+        f += eps_term[below]
+    return AdaptedGrid.from_packed(_backward_accumulate(lat, f, top),
                                    sign_domain=ValueSign.NON_NEGATIVE)
 
 
@@ -341,7 +345,10 @@ class SolveReport:
     """Result of a Picard solve, with per-iteration diagnostics.
 
     residual is the sup-norm log-space defect |log F(W*) - log W*| of the
-    returned solution under one more operator application.
+    returned solution under one more operator application.  A trace entry is
+    (iteration, step, ratio); on the "bracket" branch (rho <= -1) it is (pair
+    step, bracket width, width ratio), and chi is the largest width ratio
+    (0.0 if there is none).  chi is None on the other branches.
     """
 
     solution: AdaptedGrid
@@ -370,72 +377,75 @@ class SolveReport:
             "w0": float(self.solution.data[0]),
         }
 
-    def trace_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "sup_norm_step", "ratio"])
-            for it, step, ratio in self.trace:
-                writer.writerow([it, format(step, ".17g"), format(ratio, ".17g")])
+
+def _ratio(step: float, trace: list) -> float:
+    """step over the last traced step; nan unless that one is positive and finite."""
+    prev = trace[-1][1] if trace else math.nan
+    return step / prev if 0.0 < prev < math.inf else math.nan
 
 
-def _solve_exponent(prefs: Preferences, u: np.ndarray,
-                    rho: float, W0: AdaptedGrid, lat: Lattice,
-                    tail_vals: np.ndarray, last_rect: bool,
-                    eps_term: np.ndarray | None,
+def _solve_exponent(u: np.ndarray, rho: float, W0: AdaptedGrid, lat: Lattice,
+                    top: np.ndarray, eps_term: np.ndarray | None,
                     tol: float, max_iter: int):
-    """Solve W = Backward(u * W^rho_eff + eps_term) for any rho < 0.
+    """Solve W = F(W), F(W) = Backward(u * W^rho + eps_term) clamped, rho < 0.
 
-    Direct contraction iteration for rho in (-1, 0); for rho <= -1 the kernel
-    is split as w^rho = w^{-chi} w^{rho+chi} and the inner problem (in the
-    last factor) is solved to higher accuracy inside an outer loop that
-    contracts with constant chi, which is kept strictly inside (0, 1) so the
-    stopping rule tol*(1 - chi) stays positive.  u is the packed driver.
-    Returns (W, trace, converged, clamp_events, chi).
+    u is the packed driver and top the layers the tail closure sets.  For rho
+    in (-1, 0), iterate F until a step is at most tol*(1 - |rho|); for
+    rho <= -1, iterate `_bracket`.  Returns (W, trace, converged,
+    clamp_events, chi).
     """
-    # One loop for both branches: advance(W) returns (next iterate, clamp
-    # events, ok), and the stopping rule uses the contraction constant.
-    if rho > -1.0:
-        chi, contraction = None, abs(rho)
+    def apply(W):
+        return _clamped(_operator(lat, u, W, rho, eps_term, top))
 
-        def advance(W):
-            W_new, ev = _clamped(
-                _operator(lat, u, W, rho, eps_term, tail_vals, last_rect))
-            return W_new, ev, True
-    else:
-        # chi-splitting: w^rho = w^{-chi} * w^{rho+chi} with rho+chi in (-1, 0)
-        # when reachable in one split, else recurse.  -0.5 - rho lands the
-        # inner exponent at -0.5 (chi = 0.5 for rho = -1); the cap keeps chi < 1.
-        chi = min(-0.5 - rho, 0.99)
-        contraction = chi
-
-        def advance(W):
-            with np.errstate(divide="ignore"):
-                u_eff = u * np.power(W.data, -chi)
-            Z, _, inner_ok, ev, _ = _solve_exponent(
-                prefs, u_eff, rho + chi, W, lat, tail_vals, last_rect,
-                eps_term, 0.1 * tol, max_iter,
-            )
-            return Z, ev, inner_ok
-
+    if rho <= -1.0:
+        return _bracket(lat, apply, W0, tol, max_iter)
     clamp_total = 0
     trace: list[tuple[int, float, float]] = []
     # Each iterate's log is taken once: it serves its step and the next.
     W, log_W = W0, _log(W0.data)
-    prev_step = math.nan
     for it in range(1, max_iter + 1):
-        W_new, ev, ok = advance(W)
+        W_new, ev = apply(W)
         clamp_total += ev
-        if not ok:  # raised after the count, so the frame's clamp_total holds it
-            raise NotConverged("inner solve of the split iteration failed")
         log_new = _log(W_new.data)
         step = _log_gap(W_new.data, W.data, log_new, log_W)
-        ratio = step / prev_step if prev_step and math.isfinite(prev_step) and prev_step > 0 else math.nan
-        trace.append((it, step, ratio))
+        trace.append((it, step, _ratio(step, trace)))
         W, log_W = W_new, log_new
-        if step <= tol * (1.0 - contraction):
-            return W, trace, True, clamp_total, chi
-        prev_step = step
-    return W, trace, False, clamp_total, chi
+        if step <= tol * (1.0 - abs(rho)):
+            return W, trace, True, clamp_total, None
+    return W, trace, False, clamp_total, None
+
+
+def _bracket(lat: Lattice, apply, W0: AdaptedGrid, tol: float, max_iter: int):
+    """Certified fixed point of an antitone F by a shrinking bracket.
+
+    Starts from L, H = the nodewise min and max of W0 and F(W0); each pair
+    step sets (L, H) <- (F(H), F(L)), and L <= H holds throughout because F
+    is antitone.  It stops when, on steps 0..n-1, the new pair is nested in
+    the old one (F(H) >= L and F(L) <= H) and its width sup log(H/L) is at
+    most tol.  Nesting means F maps [L, H] into the new bracket, so a lattice
+    fixed point lies inside it, and the returned midpoint (L + H)/2 is within
+    tol of it.
+    """
+    FW0, clamp_total = apply(W0)
+    L = AdaptedGrid.from_packed(np.minimum(W0.data, FW0.data))
+    H = AdaptedGrid.from_packed(np.maximum(W0.data, FW0.data))
+    before_terminal = slice(0, AdaptedGrid.span(lat.n_steps).start)
+    trace: list[tuple[int, float, float]] = []
+    for it in range(1, max_iter + 1):
+        (L_new, ev_lo), (H_new, ev_hi) = apply(H), apply(L)
+        clamp_total += ev_lo + ev_hi
+        lo, hi = L_new.data[before_terminal], H_new.data[before_terminal]
+        nested = (np.all(lo >= L.data[before_terminal])
+                  and np.all(hi <= H.data[before_terminal]))
+        with np.errstate(over="ignore"):  # lo >= e^-700 after the clamp
+            width = float(np.max(np.log(hi / lo), initial=0.0))
+        trace.append((it, width, _ratio(width, trace)))
+        L, H = L_new, H_new
+        if nested and width <= tol:
+            break
+    mid = AdaptedGrid.from_packed(0.5 * (L.data + H.data), ValueSign.NON_NEGATIVE)
+    chi = max((r for (_, _, r) in trace if math.isfinite(r)), default=0.0)
+    return mid, trace, nested and width <= tol, clamp_total, chi
 
 
 def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
@@ -446,20 +456,27 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
     """Fixed point of the utility recursion for the transformed driver U.
 
     Lambda defaults to U itself.  The initial guess is I^Lambda, which has the
-    right order by construction.  Convergence is declared when the log-space
-    sup-norm step falls below tol*(1 - contraction constant), so the returned
-    grid is within tol of the fixed point in that metric.
+    right order by construction.  Either stopping rule returns a grid within
+    tol of a lattice fixed point in the log-space sup-norm over steps 0..n-1.
+    For rho in (-1, 0) (branch "direct") the iteration contracts with
+    constant |rho| and stops once a step is at most tol*(1 - |rho|).  For
+    rho <= -1 (branch "bracket") the antitone bracket (L, H) <- (F(H), F(L))
+    stops once the new pair is nested in the old one, which puts a fixed
+    point inside it, and its width sup log(H/L) is at most tol.
 
     Raises
     ------
     UnsupportedRegime
         Outside the CRRA and contractive (theta in (0,1]) regimes.
+    InvalidParameters
+        If max_iter < 1.
     PreconditionFailed
-        If enforce_order is set and U is not of the same order as Lambda
-        (for epsilon = 0) or not bounded above by a multiple of Lambda
-        (for epsilon > 0).
+        If enforce_order is set and the order check fails (a one-node lattice
+        included), or U is not of the same order as Lambda (for epsilon = 0)
+        or not bounded above by a multiple of Lambda (for epsilon > 0).
     NotConverged
-        If max_iter is exhausted.
+        If max_iter iterations (pair steps on the bracket branch) pass
+        without meeting the stopping rule.
     """
     regime = classify_regime(prefs)
     if not regime.solver_supported:
@@ -467,6 +484,8 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
             f"solver supports theta in (0, 1]; regime is {regime.kind.value}"
         )
     U.check_shape(lat)
+    if max_iter < 1:
+        raise InvalidParameters("max_iter must be >= 1")
     if epsilon > 0.0 and Lambda is None:
         raise MissingLambda("epsilon > 0 requires a reference grid Lambda")
     lam_grid = Lambda if Lambda is not None else U
@@ -476,7 +495,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
     if enforce_order:
         try:
             reference = order_check(prefs, lam_grid, lat, tail).reference
-        except NotInClass as exc:
+        except (NotInClass, InvalidParameters) as exc:
             raise PreconditionFailed(f"reference grid fails order check: {exc}") from exc
         lo, hi = _order_ratio_bounds(U, lam_grid)
         if epsilon == 0.0 and not (0.0 < lo <= hi < math.inf):
@@ -489,10 +508,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
             )
 
     eps_term = epsilon * np.power(lam_grid.data, prefs.theta) if epsilon > 0.0 else None
-    last_rect = tail.mode == "zero"
-    terminal = AdaptedGrid.span(lat.n_steps)
-    tail_vals = _tail_solution(prefs, lat, tail, U.data[terminal],
-                               np.power(lam_grid.data[terminal], prefs.theta), epsilon)
+    top = _tail_solution(prefs, lat, tail, U.data, eps_term)
 
     if initial_guess is not None:
         initial_guess.check_shape(lat)
@@ -513,9 +529,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
                            chi=None, clamp_events=0)
 
     W, trace, converged, clamp_events, chi = _solve_exponent(
-        prefs, U.data, prefs.rho, W0, lat, tail_vals, last_rect,
-        eps_term, tol, max_iter,
-    )
+        U.data, prefs.rho, W0, lat, top, eps_term, tol, max_iter)
     if not converged:
         raise NotConverged(
             f"no convergence after {max_iter} iterations "
@@ -527,7 +541,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
     return SolveReport(
         solution=W, iterations=len(trace), contraction_ratios=ratios,
         converged=converged, residual=residual, trace=trace,
-        branch="direct" if chi is None else "chi_split", chi=chi,
+        branch="direct" if chi is None else "bracket", chi=chi,
         clamp_events=clamp_events,
     )
 
@@ -730,11 +744,16 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
 
     Raises
     ------
+    InvalidParameters
+        If the lattice has a single node (n_steps = 0): no trace slope can be
+        fitted to one time.
     SignDomainViolation
         If the grid leaves its sign domain.
     """
     grid.check_shape(lat)
     companion.check_shape(lat)
+    if lat.n_steps < 1:
+        raise InvalidParameters("check_solution needs a lattice of at least one step")
     if space not in ("W", "V"):
         raise InvalidParameters(f"space must be 'W' or 'V', got {space!r}")
     domain = ValueSign.NON_NEGATIVE if space == "W" else prefs.value_sign
@@ -770,8 +789,8 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
 
     trace = unconditional_expectation(lat, grid)
     abs_trace = np.abs(trace) + 1e-300
-    half = len(trace) // 2
-    trace_slope = float(np.polyfit(lat.times[half:], np.log(abs_trace[half:]), 1)[0])
+    late = min(len(trace) // 2, len(trace) - 2)  # the later half, two times at least
+    trace_slope = float(np.polyfit(lat.times[late:], np.log(abs_trace[late:]), 1)[0])
     exploding = (trace_slope > 1e-9
                  and abs_trace[-1] > 10.0 * max(abs_trace[0], 1e-12))
     trace_ok = not exploding

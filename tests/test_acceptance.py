@@ -109,7 +109,7 @@ def test_c03_contraction_rates(candidate_solution):
     assert ratios, "need at least two recorded steps"
     assert max(ratios) <= abs(PREFS.rho) + 0.05
 
-    # (b) the split branch at rho = -1 converges to its closed form within 1%
+    # (b) the bracket branch at rho = -1 converges to its closed form within 1%
     p2 = Preferences(b=1.0, delta=0.03, R=2.0, S=3.0)
     assert p2.rho == pytest.approx(-1.0)
     pol2 = candidate_policy(p2, MARKET)
@@ -117,12 +117,11 @@ def test_c03_contraction_rates(candidate_solution):
     tail2 = TailClosure.proportional(pol2.strategy, p2, MARKET)
     U2 = transformed_consumption_grid(p2, lat2, consumption_grid(lat2))
     report = picard_solve(p2, U2, lat2, tail2)
-    assert report.branch == "chi_split"
-    assert report.chi == pytest.approx(0.5)
+    assert report.branch == "bracket" and report.converged
     v0 = report.utility_at_zero(p2)
     assert v0 == pytest.approx(pol2.value(1.0), rel=0.01)
     print(f"\n[criterion 3] max ratio={max(ratios):.4f} <= 0.55; "
-          f"split-branch V0={v0:.4f} vs {pol2.value(1.0):.4f}")
+          f"bracket-branch V0={v0:.4f} vs {pol2.value(1.0):.4f}")
 
 
 def test_c04_uniqueness_from_two_initial_guesses(candidate_setup):

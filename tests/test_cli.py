@@ -48,6 +48,16 @@ RERUN_INPUTS = {
     "wellposed_divergence": {"preferences": ILL_POSED},
 }
 
+#: Inputs the rerun test covers beyond one per catalog entry: test id ->
+#: (entry, inputs as in RERUN_INPUTS).
+RERUN_VARIANTS = {
+    # rho = -1.5 with a zero tail: the bracket over the exact last layer
+    "picard_solve-zero-tail-rho-1.5": (
+        "picard_solve",
+        {"preferences": {"b": 1.0, "delta": 0.03, "R": 2.0, "S": 3.5},
+         "lattice": {"dt": 0.01, "n_steps": 100, "tail": "zero"}}),
+}
+
 
 def write_scenario(tmp_path, raw, name="scenario.json"):
     path = tmp_path / name
@@ -110,15 +120,21 @@ class TestRun:
         csv_text = (tmp_path / "candidate_policy_p1m1.csv").read_text()
         assert csv_text.splitlines()[0].startswith("pi_hat,eta,")
 
-    @pytest.mark.parametrize("name", [e.name for e in catalog()])
-    def test_rerun_is_byte_identical(self, tmp_path, name):
-        overrides = dict(RERUN_INPUTS.get(name, {}))
+    @pytest.mark.parametrize(
+        "name, inputs",
+        [(e.name, RERUN_INPUTS.get(e.name, {})) for e in catalog()]
+        + list(RERUN_VARIANTS.values()),
+        ids=[e.name for e in catalog()] + list(RERUN_VARIANTS))
+    def test_rerun_is_byte_identical(self, tmp_path, capsys, name, inputs):
+        overrides = dict(inputs)
         params = overrides.pop("params", {})
-        scn = parse_scenario(base_scenario(
+        path = write_scenario(tmp_path, base_scenario(
             id="rerun", experiment={"name": name, "params": params}, **overrides))
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        run_scenario(scn, d1, quiet=True)
-        run_scenario(scn, d2, quiet=True)
+        for out_dir in (d1, d2):
+            assert main(["run", "--scenario", str(path), "--out-dir", str(out_dir),
+                         "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
         for suffix in (".csv", ".json"):
             artifact = f"{name}_rerun{suffix}"
             assert (d1 / artifact).read_bytes() == (d2 / artifact).read_bytes()
@@ -283,25 +299,26 @@ class TestMainEntry:
         assert err["error"]["field"] == field
 
     @pytest.mark.parametrize(
-        "experiment, preferences",
+        "experiment, overrides",
         [
             # a horizon whose squared times underflow, and one where X^{1-R} overflows
             ({"name": "mc_drift_check", "params": {"horizon": 1e-200, "n_paths": 1000}},
-             None),
+             {}),
             ({"name": "mc_drift_check", "params": {"horizon": 1e6, "n_paths": 1000}},
-             None),
+             {}),
             # xi <= 0 is no consumption fraction; at R = 2.5 xi^{1-R} is complex
-            ({"name": "transversality_sweep", "params": {"xi_grid": [0.0]}}, None),
+            ({"name": "transversality_sweep", "params": {"xi_grid": [0.0]}}, {}),
             ({"name": "transversality_sweep", "params": {"xi_grid": [-0.1]}},
-             {"b": 1.0, "delta": 0.03, "R": 2.5, "S": 2.5}),
+             {"preferences": {"b": 1.0, "delta": 0.03, "R": 2.5, "S": 2.5}}),
+            # a one-node lattice has a single time: no slope to fit
+            ({"name": "picard_solve", "params": {}}, {"lattice": {"n_steps": 0}}),
+            ({"name": "verification_check", "params": {}}, {"lattice": {"n_steps": 0}}),
         ],
-        ids=["horizon-tiny", "horizon-huge", "xi-zero", "xi-negative"],
+        ids=["horizon-tiny", "horizon-huge", "xi-zero", "xi-negative",
+             "picard-one-node", "verification-one-node"],
     )
-    def test_failing_params_exit_3(self, tmp_path, capsys, experiment, preferences):
-        raw = base_scenario(experiment=experiment)
-        if preferences is not None:
-            raw["preferences"] = preferences
-        path = write_scenario(tmp_path, raw)
+    def test_failing_params_exit_3(self, tmp_path, capsys, experiment, overrides):
+        path = write_scenario(tmp_path, base_scenario(experiment=experiment, **overrides))
         code = main(["run", "--scenario", str(path), "--out-dir",
                      str(tmp_path / "out"), "--quiet"])
         assert code == 3

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import math
 import subprocess
@@ -24,7 +23,6 @@ from ezmerton.lattice import (
     step_expectation,
     transformed_consumption_grid,
     unconditional_expectation,
-    wealth_grid,
 )
 from ezmerton.preferences import transformed_consumption
 
@@ -159,7 +157,7 @@ class TestStepExpectation:
 class TestAdaptedGrid:
     def test_shape_check(self, market, policy):
         lat = build_lattice(market, policy.strategy, dt=0.01, n_steps=3)
-        good = wealth_grid(lat)
+        good = lat.wealth
         good.check_shape(lat)
         bad = AdaptedGrid([np.ones(1), np.ones(2)])
         with pytest.raises(DimensionMismatch):
@@ -190,17 +188,6 @@ class TestAdaptedGrid:
             (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
         grid.values[2][1] = -5.0  # views write through to the packed array
         assert grid.data[4] == -5.0
-
-    def test_csv_round_trip(self, market, policy, tmp_path):
-        lat = build_lattice(market, policy.strategy, dt=0.01, n_steps=3)
-        grid = consumption_grid(lat)
-        path = tmp_path / "grid.csv"
-        grid.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4 + 3 + 2 + 1
-        probe = [r for r in rows if r["step"] == "2" and r["node"] == "1"][0]
-        assert float(probe["value"]) == pytest.approx(grid.values[2][1], rel=1e-15)
 
     def test_transversality_witness(self, prefs, market, policy):
         # E[e^{-delta*theta*t_k} X_k^{1-R}] decays geometrically at e^{-H dt}

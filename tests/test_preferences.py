@@ -69,12 +69,6 @@ def test_invalid_parameters_rejected(kwargs):
         Preferences(**kwargs)
 
 
-def test_chi_splitting_flag():
-    assert Preferences(b=1, delta=0.0, R=2.0, S=3.0).rho == pytest.approx(-1.0)
-    assert Preferences(b=1, delta=0.0, R=2.0, S=3.0).needs_chi_splitting
-    assert not Preferences(b=1, delta=0.0, R=2.0, S=2.5).needs_chi_splitting
-
-
 def test_value_sign():
     assert Preferences(b=1, delta=0, R=0.5, S=0.25).value_sign is ValueSign.NON_NEGATIVE
     assert Preferences(b=1, delta=0, R=2.0, S=2.5).value_sign is ValueSign.NON_POSITIVE

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from ezmerton.closed_form import (
     proportional_value_coefficient,
 )
 from ezmerton.errors import (
+    EzmertonError,
+    IllPosed,
+    InvalidParameters,
     MissingLambda,
     NotConverged,
     NotInClass,
@@ -28,6 +32,7 @@ from ezmerton.lattice import (
 from ezmerton.lattice import step_expectation
 from ezmerton.preferences import transformed_aggregator_grid
 from ezmerton.solver import (
+    _bracket,
     _hitting_defect,
     _pair_defects,
     apply_recursion,
@@ -179,14 +184,13 @@ class TestPicardSolve:
         tail = TailClosure.proportional(pol.strategy, p, market)
         U = transformed_consumption_grid(p, lat, consumption_grid(lat))
         report = picard_solve(p, U, lat, tail)
-        assert report.branch == "chi_split"
-        assert report.chi == pytest.approx(0.5)
+        assert report.branch == "bracket"
         assert report.converged
         assert report.utility_at_zero(p) == pytest.approx(pol.value(1.0), rel=1e-2)
 
     def test_chi_split_at_rho_minus_three_halves(self, market):
-        # rho = -1.5 used to pick chi = -0.5 - rho = 1, which turned the stop
-        # test step <= tol*(1 - chi) into step <= 0 and never converged.
+        # rho = -1.5 once stalled the split iteration that the bracket replaced;
+        # the bracket stops on a certified width.
         p = Preferences(b=1.0, delta=0.03, R=2.0, S=3.5)
         assert p.rho == pytest.approx(-1.5)
         pol = candidate_policy(p, market)
@@ -194,8 +198,8 @@ class TestPicardSolve:
         tail = TailClosure.proportional(pol.strategy, p, market)
         U = transformed_consumption_grid(p, lat, consumption_grid(lat))
         report = picard_solve(p, U, lat, tail)
-        assert report.converged and report.branch == "chi_split"
-        assert 0.0 < report.chi < 1.0
+        assert report.converged and report.branch == "bracket"
+        assert report.trace[-1][1] <= 1e-8
         assert report.utility_at_zero(p) == pytest.approx(pol.value(1.0), rel=1e-4)
 
     def test_crra_branch(self, market):
@@ -238,6 +242,12 @@ class TestPicardSolve:
         report = picard_solve(prefs, holey, lat, tail, epsilon=0.1, Lambda=U)
         assert report.converged
 
+    def test_max_iter_below_one_rejected(self, prefs, setup):
+        # Zero iterations leave no step to report and no bracket to certify.
+        lat, tail, U = setup
+        with pytest.raises(InvalidParameters):
+            picard_solve(prefs, U, lat, tail, max_iter=0)
+
     def test_not_converged(self, prefs, setup):
         lat, tail, U = setup
         lam_theta = AdaptedGrid([100.0 * v**prefs.theta for v in U.values])
@@ -246,14 +256,15 @@ class TestPicardSolve:
                          initial_guess=lam_theta)
 
 
-def per_step_backward(lat, f, tail_values, last_step_rectangle):
-    """Reference sweep: one `step_expectation` call per step on a list of layers."""
+def per_step_backward(lat, f, tail_values, last_layer=None):
+    """Reference sweep: one `step_expectation` call per step on a list of
+    layers; last_layer, when given, sets step n-1 (a zero tail's exact layer)."""
     dt, n = lat.dt, lat.n_steps
     out = [None] * (n + 1)
     out[n] = np.asarray(tail_values, dtype=float)
     for k in range(n - 1, -1, -1):
-        if k == n - 1 and last_step_rectangle:
-            out[k] = step_expectation(lat, out[k + 1]) + dt * f[k]
+        if k == n - 1 and last_layer is not None:
+            out[k] = last_layer
         else:
             out[k] = (step_expectation(lat, out[k + 1] + 0.5 * dt * f[k + 1])
                       + 0.5 * dt * f[k])
@@ -275,14 +286,17 @@ class TestPackedSweepMatchesPerStepReference:
         lat, U, W, f = grids
         tail = TailClosure.proportional(policy.strategy, prefs, market)
         tail_values = np.power(U.values[-1], prefs.theta) / tail.decay_rate**prefs.theta
-        ref = per_step_backward(lat, f, tail_values, last_step_rectangle=False)
+        ref = per_step_backward(lat, f, tail_values)
         out = apply_recursion(prefs, U, W, lat, tail)
         for a, b in zip(out.values, ref):
             np.testing.assert_array_equal(a, b)
 
     def test_apply_recursion_zero_tail_rectangle_step(self, prefs, grids):
+        # The zero tail's last step is the exact frozen-driver layer
+        # (u_{n-1} dt/theta)^theta, not a rectangle of the kernel.
         lat, U, W, f = grids
-        ref = per_step_backward(lat, f, np.zeros(61), last_step_rectangle=True)
+        exact = np.power(U.values[-2] * lat.dt / prefs.theta, prefs.theta)
+        ref = per_step_backward(lat, f, np.zeros(61), last_layer=exact)
         out = apply_recursion(prefs, U, W, lat, TailClosure.zero())
         for a, b in zip(out.values, ref):
             np.testing.assert_array_equal(a, b)
@@ -446,17 +460,12 @@ class TestGeneralizedUtility:
 
 
 class TestReportSerialisation:
-    def test_solve_report_json_and_trace_csv(self, prefs, setup, tmp_path):
+    def test_solve_report_json(self, prefs, setup):
         lat, tail, U = setup
         report = picard_solve(prefs, U, lat, tail)
         payload = report.to_json_dict()
         assert payload["converged"] is True
         assert payload["w0"] == pytest.approx(report.solution.values[0][0])
-        path = tmp_path / "trace.csv"
-        report.trace_to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,sup_norm_step,ratio"
-        assert len(lines) == report.iterations + 1
 
     def test_residual_report_json(self, prefs, setup):
         lat, tail, U = setup
@@ -498,3 +507,141 @@ class TestZeroTail:
         assert report.clamp_events > 0
         assert math.isfinite(report.residual)
         assert report.residual <= 1e-8
+
+
+class TestOneNodeLattice:
+    """n_steps = 0 has a single time, so no decay rate or trace slope exists."""
+
+    def test_one_node_raises_before_any_fit(self, prefs, market, policy):
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=0)
+        tail = TailClosure.proportional(policy.strategy, prefs, market)
+        U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+        with pytest.raises(InvalidParameters):
+            order_check(prefs, U, lat, tail)
+        with pytest.raises(InvalidParameters):
+            check_solution(AdaptedGrid([[1.0]]), U, lat, prefs, 1e-6, "W")
+        with pytest.raises(PreconditionFailed):
+            picard_solve(prefs, U, lat, tail)
+
+    def test_two_nodes_fit_the_trace_slope_through_both_times(self, prefs, market,
+                                                              policy):
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=1)
+        tail = TailClosure.proportional(policy.strategy, prefs, market)
+        U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+        W = picard_solve(prefs, U, lat, tail).solution
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's RankWarning included
+            report = check_solution(W, U, lat, prefs, 1e-6, "W")
+        assert math.isfinite(report.trace_slope)
+
+
+def solve_candidate(market, R, S, dt, n, tail_mode="proportional", delta=0.03,
+                    tol=1e-8):
+    p = Preferences(b=1.0, delta=delta, R=R, S=S)
+    pol = candidate_policy(p, market)
+    lat = build_lattice(market, pol.strategy, dt=dt, n_steps=n)
+    tail = (TailClosure.proportional(pol.strategy, p, market)
+            if tail_mode == "proportional" else TailClosure.zero())
+    U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+    return p, pol, lat, picard_solve(p, U, lat, tail, tol=tol)
+
+
+class TestBracket:
+    """rho <= -1: the antitone bracket and its certificate."""
+
+    #: (R, S) -> V_0 of the nested chi-split iteration this branch replaced,
+    #: at dt 0.05, n = 100 (rho = -1, -1.25, -1.5, -2, -3, -6).
+    SPLIT_VALUES = {
+        (2.0, 3.0): -161.28252130022221,
+        (3.0, 5.5): -2567.794782722806,
+        (2.0, 3.5): -113.66015290913178,
+        (2.0, 4.0): -90.01449505235195,
+        (2.0, 5.0): -67.25492658201907,
+        (2.0, 8.0): -46.24122610764744,
+    }
+
+    @pytest.mark.parametrize("R, S", list(SPLIT_VALUES))
+    def test_matches_the_split_iteration(self, market, R, S):
+        p, pol, _, report = solve_candidate(market, R, S, 0.05, 100)
+        assert report.converged and report.branch == "bracket"
+        assert report.trace[-1][1] <= 1e-8
+        v0 = report.utility_at_zero(p)
+        assert v0 == pytest.approx(self.SPLIT_VALUES[(R, S)], rel=1e-8)
+        assert v0 == pytest.approx(pol.value(1.0), rel=1e-4)
+
+    def test_certificate_bounds_the_distance_to_a_tight_solve(self, market):
+        # rho = -3: the width certifies the returned grid within tol of the
+        # lattice fixed point, here approximated by a solve at tol 1e-12.
+        args = (market, 2.0, 5.0, 0.05, 100)
+        _, _, lat, loose = solve_candidate(*args, tol=1e-8)
+        tight = solve_candidate(*args, tol=1e-12)[3]
+        before_terminal = slice(0, AdaptedGrid.span(lat.n_steps).start)
+        gap = np.abs(np.log(loose.solution.data[before_terminal])
+                     - np.log(tight.solution.data[before_terminal]))
+        assert np.max(gap) <= 1e-8
+        assert tight.trace[-1][1] <= 1e-12
+
+    def test_narrow_pair_without_nesting_is_no_certificate(self, market, policy):
+        # F(W) = c (W/c)^-2 is antitone with an unstable fixed point c: the
+        # first pair is narrower than tol but not nested, and the brackets
+        # that follow only widen.
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=2)
+        c = 2.0
+
+        def apply(W):
+            return AdaptedGrid.from_packed(c * (W.data / c) ** -2.0), 0
+
+        W0 = AdaptedGrid.from_packed(np.full(6, c * math.exp(1e-12)))
+        _, trace, converged, _, _ = _bracket(lat, apply, W0, 1e-8, 20)
+        assert trace[0][1] <= 1e-8
+        assert not converged
+
+    @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
+    def test_regime_sweep(self, market, tail_mode):
+        # theta in (0, 1) on an (R, S) grid down to rho = -8, R on both sides
+        # of 1.  A point either solves or raises a documented error, and the
+        # only one seen is an ill-posed candidate (eta <= 0).
+        solved = ill_posed = 0
+        for R in (0.8, 0.9, 2.0, 5.0):
+            for rho in (-0.5, -1.0, -1.5, -3.0, -6.0, -8.0):
+                S = R + rho * (1.0 - R)
+                if S <= 0.0:
+                    continue
+                for delta in (0.03, 0.1):
+                    try:
+                        p, _, _, report = solve_candidate(market, R, S, 0.05, 40,
+                                                          tail_mode, delta)
+                    except IllPosed:
+                        ill_posed += 1
+                        continue
+                    except EzmertonError as exc:  # documented, but not expected here
+                        pytest.fail(f"(R, S, delta) = ({R}, {S}, {delta}): {exc!r}")
+                    assert report.converged
+                    assert report.branch == ("bracket" if p.rho <= -1.0 else "direct")
+                    if report.branch == "bracket":
+                        assert report.trace[-1][1] <= 1e-8
+                    solved += 1
+        assert (solved, ill_posed) == (41, 3)
+
+
+class TestZeroTailAccuracy:
+    """The zero tail against a closed form that does not pass through it.
+
+    With C = xi X and W_t = w(t) X_t^{1-R}, the truncated recursion on [0, T]
+    reduces to a deterministic one under delta' = delta - kappa (1 - rho),
+    kappa = (1-R)(m + (1-R) s^2/2) with the lattice's log drift m and log
+    volatility s, whose solution is W_0 = (b xi^{1-S} int_0^T e^{-delta' s} ds)^theta.
+    """
+
+    @pytest.mark.parametrize("dt", [0.01, 0.005])
+    @pytest.mark.parametrize("S", [2.5, 3.5, 8.0], ids=["rho-0.5", "rho-1.5", "rho-6"])
+    def test_first_order_error(self, market, S, dt):
+        p, pol, lat, report = solve_candidate(market, 2.0, S, dt, round(1.0 / dt),
+                                              tail_mode="zero")
+        m, s = lat.log_drift, lat.log_vol
+        kappa = (1.0 - p.R) * (m + (1.0 - p.R) * s**2 / 2.0)
+        rate = p.delta - kappa * (1.0 - p.rho)
+        integral = -math.expm1(-rate * lat.horizon) / rate
+        exact = (p.b * pol.strategy.xi ** (1.0 - p.S) * integral) ** p.theta
+        assert report.converged
+        assert abs(report.solution.data[0] / exact - 1.0) <= 0.04 * dt
