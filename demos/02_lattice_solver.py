@@ -57,14 +57,15 @@ gap = max(float(np.max(np.abs(np.log(a) - np.log(b))))
           for a, b in zip(lo.solution.values, hi.solution.values))
 print("two-guess agreement (log sup-norm): %.2e" % gap)
 
-# rho <= -1 (here R=2, S=3 gives rho = -1) switches to the antitone bracket,
-# which stops on a certified width sup log(H/L) <= tol.
+# rho <= -1 (here R=2, S=3 gives rho = -1) switches to the antitone bracket:
+# one backward sweep brackets each node's root of its layer's implicit step,
+# and the layer widths add up to a certified bound <= tol.
 p2 = Preferences(b=1.0, delta=0.03, R=2.0, S=3.0)
 pol2 = candidate_policy(p2, market)
 lat2 = build_lattice(market, pol2.strategy, dt=0.01, n_steps=500)
 tail2 = TailClosure.proportional(pol2.strategy, p2, market)
 U2 = transformed_consumption_grid(p2, lat2, consumption_grid(lat2))
 rep2 = picard_solve(p2, U2, lat2, tail2)
-print("\n%s branch (rho = -1, %d pair steps, width %.1e): V0 = %.4f vs closed %.4f"
+print("\n%s branch (rho = -1, %d scalar steps, bound %.1e): V0 = %.4f vs closed %.4f"
       % (rep2.branch, rep2.iterations, rep2.trace[-1][1],
          rep2.utility_at_zero(p2), pol2.value(1.0)))

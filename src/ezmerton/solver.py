@@ -23,10 +23,15 @@ because the lattice has p_up = ½.
 `picard_solve` iterates the operator F; its initial guess I^Lambda is the one
 the order certificate already computed.  Measured in the log of the ratio to a
 reference process Lambda^theta, F contracts in the sup-norm with constant
-|rho| when rho is in (-1, 0).  For rho <= -1 no constant below 1 is known,
-but F is antitone (w^rho falls as w rises), so the solve iterates a bracket
-(L, H) <- (F(H), F(L)); once the new pair is nested in the old one, a lattice
-fixed point lies inside it, and its width sup log(H/L) certifies the answer.
+|rho| when rho is in (-1, 0).  For rho <= -1 no constant below 1 is known, so
+the solve uses that the trapezoid step is implicit only in its own layer:
+W_k = A_k + e_k + c_k W_k^rho, with c = dt/2 u, e = dt/2 eps Lambda^theta and
+A_k = E_k[W_{k+1} + c_{k+1} W_{k+1}^rho + e_{k+1}].  The scalar map
+T(W) = A + e + c W^rho is antitone, so each node has one root and any two
+consecutive iterates of T bracket it.  `_layer_solve` iterates T node by
+node in a single backward sweep, stops each layer once its bracket is narrow
+enough, and adds the layer widths up into a certified bound on the distance
+to the lattice fixed point.
 A zero tail solves its last step exactly, W_{n-1} = (u_{n-1} dt/theta)^theta
 (W' = -u W^rho with the driver frozen and W(T) = 0), and the kernel is not
 evaluated on the layers a tail closure sets.
@@ -95,7 +100,11 @@ __all__ = [
 DIVERGENCE_THRESHOLD = 1e6
 
 _LOG_CLAMP = 700.0
+_CLAMP_LO, _CLAMP_HI = math.exp(-_LOG_CLAMP), math.exp(_LOG_CLAMP)
 _RATIO_GUARD = 1e12
+#: Float64 spacing at the largest |log w| of any positive float (the smallest
+#: subnormal has log -744.4): no direct stop test at or above it can stall.
+_LOG_SPACING_MAX = math.ulp(-math.log(5e-324))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +193,12 @@ def reference_integral(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
     for an integrand frozen over the step.
     """
     target.check_shape(lat)
-    lam_theta = np.power(target.data, prefs.theta)
+    return _reference_integral(np.power(target.data, prefs.theta), lat, tail)
+
+
+def _reference_integral(lam_theta: np.ndarray, lat: Lattice,
+                        tail: TailClosure) -> AdaptedGrid:
+    """`reference_integral` from the packed Lambda^theta, which is overwritten."""
     n = lat.n_steps
     if tail.mode == "zero":
         top = np.concatenate([lat.dt * lam_theta[AdaptedGrid.span(n - 1)], np.zeros(n + 1)])
@@ -240,7 +254,7 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
             f"E[target^theta] decays at rate {-slope:.3e} <= 0; "
             "the defining integral diverges beyond any horizon"
         )
-    ref = reference_integral(prefs, target, lat, tail)
+    ref = _reference_integral(lam_theta.data.copy(), lat, tail)
     before_terminal = slice(0, AdaptedGrid.span(lat.n_steps).start)
     ratios = lam_theta.data[before_terminal] / ref.data[before_terminal]
     k_lower = float(np.min(ratios))
@@ -321,22 +335,32 @@ def _residual(lat: Lattice, FW: AdaptedGrid, W: AdaptedGrid) -> float:
 def _log_gap(a: np.ndarray, b: np.ndarray, log_a: np.ndarray,
              log_b: np.ndarray) -> float:
     """sup over nodes of |log a - log b| from the logs of both arrays, with
-    equal nodes (0/0, inf/inf) counting as equal; log_b is overwritten."""
+    equal nodes (0/0, inf/inf) counting as equal; log_b is overwritten.
+
+    Equal positive finite nodes already difference to exactly 0, so the
+    equality mask is built only when the plain maximum is not finite.
+    """
     with np.errstate(invalid="ignore"):
-        d = np.subtract(log_a, log_b, out=log_b)
+        d = np.abs(np.subtract(log_a, log_b, out=log_b), out=log_b)
+    gap = float(np.max(d, initial=0.0))
+    if math.isfinite(gap):
+        return gap
     d[a == b] = 0.0
     if np.isnan(d).any():
         return math.inf
-    return float(np.max(np.abs(d, out=d), initial=0.0))
+    return float(np.max(d, initial=0.0))
 
 
-def _clamped(W: AdaptedGrid) -> tuple[AdaptedGrid, int]:
-    """Clip W into [e^-700, e^700] in place; returns (W, clipped node count)."""
-    lo, hi = math.exp(-_LOG_CLAMP), math.exp(_LOG_CLAMP)
+def _clamped(W: AdaptedGrid, counted: int) -> tuple[AdaptedGrid, int]:
+    """Clip W into [e^-700, e^700] in place; returns (W, clipped node count
+    among its first `counted` packed entries, the steps an iteration solves)."""
     v = W.data
-    events = int(np.count_nonzero(v < lo)) + int(np.count_nonzero(v > hi))
-    if events:
-        np.clip(v, lo, hi, out=v)
+    if _CLAMP_LO <= v.min() and v.max() <= _CLAMP_HI:
+        return W, 0
+    solved = v[:counted]
+    events = (int(np.count_nonzero(solved < _CLAMP_LO))
+              + int(np.count_nonzero(solved > _CLAMP_HI)))
+    np.clip(v, _CLAMP_LO, _CLAMP_HI, out=v)
     return W, events
 
 
@@ -346,9 +370,15 @@ class SolveReport:
 
     residual is the sup-norm log-space defect |log F(W*) - log W*| of the
     returned solution under one more operator application.  A trace entry is
-    (iteration, step, ratio); on the "bracket" branch (rho <= -1) it is (pair
-    step, bracket width, width ratio), and chi is the largest width ratio
-    (0.0 if there is none).  chi is None on the other branches.
+    (iteration, step, ratio), and iterations counts the entries.  On the
+    "bracket" branch (rho <= -1, and rho just above -1 where the direct stop
+    test cannot resolve, see `picard_solve`) there is one entry per solved
+    lattice layer, top layer first: (scalar steps the layer took, certified
+    log-space bound over that layer and every layer above it, the layer's
+    largest ratio of successive bracket widths).  So trace[-1][1] is the
+    certified bound over steps 0..n-1, iterations is the largest number of
+    scalar steps any layer took, and chi is the largest width ratio (0.0 if
+    there is none).  chi is None on the other branches.
     """
 
     solution: AdaptedGrid
@@ -384,68 +414,229 @@ def _ratio(step: float, trace: list) -> float:
     return step / prev if 0.0 < prev < math.inf else math.nan
 
 
-def _solve_exponent(u: np.ndarray, rho: float, W0: AdaptedGrid, lat: Lattice,
+def _solve_exponent(u: np.ndarray, rho: float, W0: AdaptedGrid | None, lat: Lattice,
                     top: np.ndarray, eps_term: np.ndarray | None,
                     tol: float, max_iter: int):
     """Solve W = F(W), F(W) = Backward(u * W^rho + eps_term) clamped, rho < 0.
 
     u is the packed driver and top the layers the tail closure sets.  For rho
-    in (-1, 0), iterate F until a step is at most tol*(1 - |rho|); for
-    rho <= -1, iterate `_bracket`.  Returns (W, trace, converged,
-    clamp_events, chi).
+    in (-1, 0), iterate F from W0 until a step is at most tol*(1 - |rho|).  A
+    step is a difference of float64 logs, so at a node whose |log W| lies in
+    the binade of L = max |log W0| over steps 0..n-1 it is either 0 or at
+    least spacing(L).  A stop level below spacing(L) therefore asks those
+    logs to repeat bit for bit from one iterate to the next, which the
+    rounding of the sweep does not promise, and the loop stalls (as
+    rho -> -1+).  Such a point goes to `_layer_solve`, as does every
+    rho <= -1: its certificate is a bracket width and needs no repetition.
+    Returns (W, trace, converged, clamp_events, chi); chi is None on the
+    direct iteration.
     """
-    def apply(W):
-        return _clamped(_operator(lat, u, W, rho, eps_term, top))
-
     if rho <= -1.0:
-        return _bracket(lat, apply, W0, tol, max_iter)
-    clamp_total = 0
-    trace: list[tuple[int, float, float]] = []
+        return _layer_solve(lat, u, rho, eps_term, top, tol, max_iter)
+    stop = tol * (1.0 - abs(rho))
     # Each iterate's log is taken once: it serves its step and the next.
     W, log_W = W0, _log(W0.data)
+    if stop < _LOG_SPACING_MAX:
+        before_terminal = log_W[:AdaptedGrid.span(lat.n_steps).start]
+        if stop < math.ulp(float(np.max(np.abs(before_terminal), initial=0.0))):
+            return _layer_solve(lat, u, rho, eps_term, top, tol, max_iter)
+    counted = AdaptedGrid.span(_closure_start(lat, top)).start
+    clamp_total = 0
+    trace: list[tuple[int, float, float]] = []
     for it in range(1, max_iter + 1):
-        W_new, ev = apply(W)
+        W_new, ev = _clamped(_operator(lat, u, W, rho, eps_term, top), counted)
         clamp_total += ev
         log_new = _log(W_new.data)
         step = _log_gap(W_new.data, W.data, log_new, log_W)
         trace.append((it, step, _ratio(step, trace)))
         W, log_W = W_new, log_new
-        if step <= tol * (1.0 - abs(rho)):
+        if step <= stop:
             return W, trace, True, clamp_total, None
     return W, trace, False, clamp_total, None
 
 
-def _bracket(lat: Lattice, apply, W0: AdaptedGrid, tol: float, max_iter: int):
-    """Certified fixed point of an antitone F by a shrinking bracket.
+def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray | None,
+                 top: np.ndarray, tol: float, max_iter: int):
+    """Solve W = F(W) for rho < 0 in one backward sweep, one layer at a time.
 
-    Starts from L, H = the nodewise min and max of W0 and F(W0); each pair
-    step sets (L, H) <- (F(H), F(L)), and L <= H holds throughout because F
-    is antitone.  It stops when, on steps 0..n-1, the new pair is nested in
-    the old one (F(H) >= L and F(L) <= H) and its width sup log(H/L) is at
-    most tol.  Nesting means F maps [L, H] into the new bracket, so a lattice
-    fixed point lies inside it, and the returned midpoint (L + H)/2 is within
-    tol of it.
+    Below the closure layers top (from step m = `_closure_start` on), the
+    lattice fixed point W* satisfies, at each node of layer k,
+
+        W = T(W) = a + c W^rho,    a = A_k + e,
+
+    with c = dt/2 u, e = dt/2 eps_term, A_k = E_k[carry_{k+1}] and
+    carry = W + c W^rho + e.  T is antitone, so it has one root, and an
+    iterate x and its image T(x) lie on either side of it.  Each layer
+    iterates T from x = a (a lower bound of the root, as c W^rho >= 0), stops
+    once the bracket (x, T(x)) has a relative width r_k >= max |T(x) - x|/x
+    of at most tau = tol/(2m), keeps W_k = x and passes the carry
+    x + c x^rho + e up to the next layer.
+
+    The certificate.  Let Wt be the root for the computed a, and alpha_k a
+    nodewise bound on |A_k - A*_k|; alpha_{m-1} = 0, as the closure layers
+    are exact.
+      (i) dWt/dA = 1/(1 + q) <= 1 with q = |rho| c Wt^(rho-1), so
+          |x - W*_k| <= |x - Wt| + alpha_k <= width + alpha_k.
+      (ii) At the root the carry is 2 Wt - A, of slope (1 - q)/(1 + q) in A,
+          at most 1 in modulus: an exact layer passes an error in A up
+          unenlarged.
+      (iii) At a point W of the bracket the carry is off by (1 - q)(W - Wt):
+          up to (1 + q) width, q taken at the bracket's lower end.  At W = x
+          the offset is (x - Wt) + (T(x) - Wt), two terms of opposite sign,
+          so it is at most the width.
+    Hence alpha_{k-1} = E_{k-1}[alpha_k + width_k].  The carry is at least
+    x >= a, and a mean of ratios is at most their largest (the mediant
+    inequality), so alpha_k/a_k <= r_{k+1} + ... + r_{m-1}.  With (i),
+    |log W_k - log W*_k| <= -log(1 - s_k), s_k = r_k + ... + r_{m-1}: trace
+    records this per layer, and the solve is certified once
+    -log(1 - s_0) <= tol.  tau makes that hold whenever every layer stops and
+    tol <= 1: s_0 <= m tau = tol/2, and -log(1 - s) <= s/(1 - s) <= tol.
+    The rounding of each operation (a few ulps) is not counted, and nodes
+    the clamp moves are exact only up to it; clamp_events counts them.
+
+    Returns (W, trace, converged, clamp_events, chi) as `_solve_exponent`.  A
+    layer that does not certify within max_iter scalar steps ends the sweep
+    unconverged.
     """
-    FW0, clamp_total = apply(W0)
-    L = AdaptedGrid.from_packed(np.minimum(W0.data, FW0.data))
-    H = AdaptedGrid.from_packed(np.maximum(W0.data, FW0.data))
-    before_terminal = slice(0, AdaptedGrid.span(lat.n_steps).start)
+    m = _closure_start(lat, top)
+    W = np.empty(AdaptedGrid.span(lat.n_steps).stop)
+    W[W.size - top.size:] = top
+    half = 0.5 * lat.dt
+    solved = AdaptedGrid.span(m).start
+    c = u[:solved] * half
+    e = None if eps_term is None else eps_term[:solved] * half
+    closure = AdaptedGrid.span(m)
+    tau = tol / (2 * m) if m else tol
+    with np.errstate(all="ignore"):  # a non-finite value selects the masked sweep
+        carry_m = transformed_aggregator_grid(u[closure], W[closure], rho)
+        if eps_term is not None:
+            carry_m += eps_term[closure]
+        carry_m *= half
+        carry_m += W[closure]
+        sweep = _sweep(W, carry_m, c, e, rho, tau, max_iter, masked=False)
+        if sweep is None:
+            sweep = _sweep(W, carry_m, c, e, rho, tau, max_iter, masked=True)
+    layers, clamp_events = sweep
     trace: list[tuple[int, float, float]] = []
-    for it in range(1, max_iter + 1):
-        (L_new, ev_lo), (H_new, ev_hi) = apply(H), apply(L)
-        clamp_total += ev_lo + ev_hi
-        lo, hi = L_new.data[before_terminal], H_new.data[before_terminal]
-        nested = (np.all(lo >= L.data[before_terminal])
-                  and np.all(hi <= H.data[before_terminal]))
-        with np.errstate(over="ignore"):  # lo >= e^-700 after the clamp
-            width = float(np.max(np.log(hi / lo), initial=0.0))
-        trace.append((it, width, _ratio(width, trace)))
-        L, H = L_new, H_new
-        if nested and width <= tol:
+    s = 0.0
+    for steps, r, ratio in layers:
+        s += r
+        trace.append((steps, -math.log1p(-s) if s < 1.0 else math.inf, ratio))
+    if not trace:  # no layer below the closure
+        trace.append((0, 0.0, math.nan))
+    converged = (len(layers) == m and all(r <= tau for _, r, _ in layers)
+                 and trace[-1][1] <= tol)
+    chi = max((ratio for _, _, ratio in trace if math.isfinite(ratio)), default=0.0)
+    return (AdaptedGrid.from_packed(W, ValueSign.NON_NEGATIVE), trace, converged,
+            clamp_events, chi)
+
+
+def _sweep(W: np.ndarray, carry_m: np.ndarray, c: np.ndarray, e: np.ndarray | None,
+           rho: float, tau: float, max_iter: int, masked: bool):
+    """The backward sweep of `_layer_solve`: fills W on steps 0..m-1.
+
+    carry_m is the closure layer's carry.  Returns (layers, clamp events)
+    with one (scalar steps, r_k, largest width ratio) per layer, ending at
+    the first layer that does not certify.  The fast sweep iterates in the
+    unknown x/a in preallocated buffers; it returns None when a width is not
+    finite or a value leaves [e^-700, e^700].  The masked sweep then keeps
+    the kernel's conventions (u = 0 gives 0, u = inf gives inf, as in
+    `transformed_aggregator_grid`) and clamps each layer as the operator
+    clamps F(W): a clamped node's W is e^-+700, its kernel is taken there, and
+    its carry holds the unclamped F(W) = a + c W^rho.
+    """
+    m = carry_m.size - 1
+    carry = carry_m.copy()
+    a_buf, t_buf, ch_buf, x_buf, y_buf = (np.empty(m) for _ in range(5))
+    c_theta = np.power(c, 1.0 / (1.0 - rho)) if masked else None
+    layers: list[tuple[int, float, float]] = []
+    clamp_events = 0
+    for k in range(m - 1, -1, -1):
+        nodes = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
+        a = np.add(carry[1:k + 2], carry[:k + 1], out=a_buf[:k + 1])
+        a *= 0.5
+        if e is not None:
+            a += e[nodes]
+        w, t = W[nodes], t_buf[:k + 1]
+        v = w  # the value the carry takes: F(W) before the clamp
+        if masked:
+            widths = _masked_layer(a, c[nodes], c_theta[nodes], rho, tau, max_iter, w, t)
+            outside = (w < _CLAMP_LO) | (w > _CLAMP_HI)
+            if outside.any():
+                clamp_events += int(np.count_nonzero(outside))
+                np.clip(w, _CLAMP_LO, _CLAMP_HI, out=w)
+                t[...] = transformed_aggregator_grid(c[nodes], w, rho)
+                v = np.where(outside, a + t, w)
+        else:
+            widths = _scaled_layer(a, c[nodes], rho, tau, max_iter, w, t,
+                                   ch_buf[:k + 1], x_buf[:k + 1], y_buf[:k + 1])
+            if widths is None:
+                return None
+        ratios = [r / p for p, r in zip(widths, widths[1:]) if p > 0.0]
+        layers.append((len(widths), widths[-1], max(ratios, default=math.nan)))
+        if not widths[-1] <= tau:
+            return layers, clamp_events
+        np.add(v, t, out=carry[:k + 1])
+        if e is not None:
+            carry[:k + 1] += e[nodes]
+    solved = W[:m * (m + 1) // 2]
+    if not masked and m and not (_CLAMP_LO <= solved.min() and solved.max() <= _CLAMP_HI):
+        return None
+    return layers, clamp_events
+
+
+def _scaled_layer(a, c, rho, tau, max_iter, w, t, ch, x, y):
+    """One layer of the fast sweep; writes w = a x and t = c w^rho.
+
+    In x = W/a the map is x <- 1 + ch x^rho with ch = c a^(rho-1), started
+    at x = 1; the bracket width of a step is max |x_new - x|, at least the
+    relative width the certificate takes.  Returns the widths, one a step,
+    or None when the first is not finite.
+    """
+    np.power(a, rho - 1.0, out=ch)
+    ch *= c
+    widths = [float(ch.max())]  # of the first bracket (1, T(1)) = (1, 1 + ch)
+    if not widths[0] < math.inf:
+        return None
+    x.fill(1.0)
+    np.add(ch, 1.0, out=y)
+    while widths[-1] > tau and len(widths) < max_iter:
+        x, y = y, x
+        np.power(x, rho, out=y)
+        y *= ch
+        y += 1.0
+        np.subtract(y, x, out=t)
+        widths.append(float(np.abs(t, out=t).max()))
+    np.multiply(a, x, out=w)
+    np.subtract(y, 1.0, out=t)  # c (a x)^rho = a ch x^rho = a (T(x) - 1)
+    t *= a
+    return widths
+
+
+def _masked_layer(a, c, c_theta, rho, tau, max_iter, w, t):
+    """One layer of the masked sweep; writes w and t = c w^rho by the kernel.
+
+    It starts from max(a, c^theta), a lower bound of the root (W = c W^rho
+    at a = 0 gives W = c^theta), and measures each bracket against its lower
+    end; equal ends (0 and 0, or inf and inf) have width 0.  A node stops
+    once its own bracket is narrow enough: at a = 0 the start is the root,
+    where T has slope |rho|, and iterating on would only grow its rounding.
+    Returns the widths, one a step.
+    """
+    x = np.maximum(a, c_theta)
+    widths = []
+    for _ in range(max_iter):
+        kernel = transformed_aggregator_grid(c, x, rho)
+        y = a + kernel
+        gap = np.abs(y - x) / np.minimum(x, y)
+        gap[x == y] = 0.0
+        widths.append(float(np.max(gap)))
+        if widths[-1] <= tau:
             break
-    mid = AdaptedGrid.from_packed(0.5 * (L.data + H.data), ValueSign.NON_NEGATIVE)
-    chi = max((r for (_, _, r) in trace if math.isfinite(r)), default=0.0)
-    return mid, trace, nested and width <= tol, clamp_total, chi
+        x = np.where(gap <= tau, x, y)
+    w[...] = x
+    t[...] = transformed_aggregator_grid(c, x, rho)
+    return widths
 
 
 def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
@@ -460,9 +651,17 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
     tol of a lattice fixed point in the log-space sup-norm over steps 0..n-1.
     For rho in (-1, 0) (branch "direct") the iteration contracts with
     constant |rho| and stops once a step is at most tol*(1 - |rho|).  For
-    rho <= -1 (branch "bracket") the antitone bracket (L, H) <- (F(H), F(L))
-    stops once the new pair is nested in the old one, which puts a fixed
-    point inside it, and its width sup log(H/L) is at most tol.
+    rho <= -1 (branch "bracket") one backward sweep solves each layer's
+    implicit trapezoid step node by node: the scalar map T(W) = A + e + c W^rho
+    is antitone, so two consecutive iterates bracket the node's root.  A layer
+    stops once its bracket is at most tol/(2m) wide relative to a lower bound
+    of the root (m solved layers), and the layer widths add up to the
+    certified bound trace[-1][1] <= tol (see `_layer_solve`); iterations is
+    then the largest number of scalar steps a layer took and chi the largest
+    ratio of successive bracket widths.  A point with rho in (-1, 0) whose
+    direct stop level tol*(1 - |rho|) lies below the float64 spacing of
+    max |log W0| is solved on the bracket branch too (see `_solve_exponent`).
+    That branch needs no initial guess.
 
     Raises
     ------
@@ -475,8 +674,9 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
         included), or U is not of the same order as Lambda (for epsilon = 0)
         or not bounded above by a multiple of Lambda (for epsilon > 0).
     NotConverged
-        If max_iter iterations (pair steps on the bracket branch) pass
-        without meeting the stopping rule.
+        If max_iter iterations pass without meeting the stopping rule, or on
+        the bracket branch, if a layer is not certified within max_iter
+        scalar steps.
     """
     regime = classify_regime(prefs)
     if not regime.solver_supported:
@@ -515,8 +715,10 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
         W0 = initial_guess.copy()
     elif reference is not None:  # the order certificate already holds I^Lambda
         W0 = reference
-    else:
+    elif prefs.rho > -1.0:
         W0 = reference_integral(prefs, lam_grid, lat, tail)
+    else:  # the layer solve takes no initial guess
+        W0 = None
 
     if prefs.rho == 0.0:
         # Additive utility: the operator does not depend on W.
@@ -533,13 +735,15 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
     if not converged:
         raise NotConverged(
             f"no convergence after {max_iter} iterations "
-            f"(last step {trace[-1][1]:.3e})"
+            f"(last step {trace[-1][1]:.3e})" if chi is None else
+            f"no certified bound within tol after at most {max_iter} scalar "
+            f"steps per layer (bound {trace[-1][1]:.3e})"
         )
     residual = _residual(
         lat, apply_recursion(prefs, U, W, lat, tail, epsilon, lam_grid), W)
     ratios = [r for (_, _, r) in trace if math.isfinite(r)]
     return SolveReport(
-        solution=W, iterations=len(trace), contraction_ratios=ratios,
+        solution=W, iterations=max(it for it, _, _ in trace), contraction_ratios=ratios,
         converged=converged, residual=residual, trace=trace,
         branch="direct" if chi is None else "bracket", chi=chi,
         clamp_events=clamp_events,

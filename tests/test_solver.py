@@ -32,8 +32,8 @@ from ezmerton.lattice import (
 from ezmerton.lattice import step_expectation
 from ezmerton.preferences import transformed_aggregator_grid
 from ezmerton.solver import (
-    _bracket,
     _hitting_defect,
+    _log_gap,
     _pair_defects,
     apply_recursion,
     check_solution,
@@ -500,11 +500,12 @@ class TestZeroTail:
     def test_zero_tail_residual_is_finite(self, prefs, market, policy):
         # The clamp lifts the terminal zeros of W to e^-700 while F(W) keeps
         # them at 0; the residual covers steps 0..n-1, which the iteration
-        # solves, so it stays finite and within the tolerance.
+        # solves, so it stays finite and within the tolerance.  clamp_events
+        # counts only solved nodes, and none of them is clamped here.
         lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=100)
         U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
         report = picard_solve(prefs, U, lat, TailClosure.zero(), tol=1e-8)
-        assert report.clamp_events > 0
+        assert report.clamp_events == 0
         assert math.isfinite(report.residual)
         assert report.residual <= 1e-8
 
@@ -535,15 +536,41 @@ class TestOneNodeLattice:
         assert math.isfinite(report.trace_slope)
 
 
+def candidate_tail(p, pol, market, tail_mode):
+    return (TailClosure.proportional(pol.strategy, p, market)
+            if tail_mode == "proportional" else TailClosure.zero())
+
+
 def solve_candidate(market, R, S, dt, n, tail_mode="proportional", delta=0.03,
                     tol=1e-8):
     p = Preferences(b=1.0, delta=delta, R=R, S=S)
     pol = candidate_policy(p, market)
     lat = build_lattice(market, pol.strategy, dt=dt, n_steps=n)
-    tail = (TailClosure.proportional(pol.strategy, p, market)
-            if tail_mode == "proportional" else TailClosure.zero())
+    tail = candidate_tail(p, pol, market, tail_mode)
     U = transformed_consumption_grid(p, lat, consumption_grid(lat))
     return p, pol, lat, picard_solve(p, U, lat, tail, tol=tol)
+
+
+def assert_agrees_with_picard(p, U, lat, tail, report, tol=1e-8, epsilon=0.0,
+                              Lambda=None):
+    """Plain Picard on `apply_recursion` from I^Lambda to a 1e-13 fixed point
+    agrees with the solve within 2 tol in log space on steps 0..n-1, and the
+    solve's own residual is at most tol."""
+    before_terminal = slice(0, AdaptedGrid.span(lat.n_steps).start)
+    W = reference_integral(p, Lambda if Lambda is not None else U, lat, tail)
+    for _ in range(200):
+        FW = apply_recursion(p, U, W, lat, tail, epsilon, Lambda)
+        step = np.max(np.abs(np.log(FW.data[before_terminal])
+                             - np.log(W.data[before_terminal])))
+        W = FW
+        if step <= 1e-13:
+            break
+    assert step <= 1e-13
+    gap = np.abs(np.log(report.solution.data[before_terminal])
+                 - np.log(W.data[before_terminal]))
+    assert np.max(gap) <= 2.0 * tol
+    assert np.max(gap) <= report.trace[-1][1] <= tol
+    assert report.residual <= tol
 
 
 class TestBracket:
@@ -581,20 +608,98 @@ class TestBracket:
         assert np.max(gap) <= 1e-8
         assert tight.trace[-1][1] <= 1e-12
 
-    def test_narrow_pair_without_nesting_is_no_certificate(self, market, policy):
-        # F(W) = c (W/c)^-2 is antitone with an unstable fixed point c: the
-        # first pair is narrower than tol but not nested, and the brackets
-        # that follow only widen.
-        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=2)
-        c = 2.0
+    @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
+    @pytest.mark.parametrize("rho", [-1.0, -1.5, -3.0, -6.0, -16.0])
+    def test_agrees_with_a_tight_picard_iteration(self, market, rho, tail_mode):
+        p, pol, lat, report = solve_candidate(market, 2.0, 2.0 - rho, 0.05, 40, tail_mode)
+        assert p.rho == pytest.approx(rho) and report.branch == "bracket"
+        U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        assert_agrees_with_picard(p, U, lat, candidate_tail(p, pol, market, tail_mode),
+                                  report)
 
-        def apply(W):
-            return AdaptedGrid.from_packed(c * (W.data / c) ** -2.0), 0
+    def test_agrees_with_picard_under_an_epsilon_term(self, market):
+        p = Preferences(b=1.0, delta=0.03, R=2.0, S=3.5)
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=40)
+        tail = TailClosure.proportional(pol.strategy, p, market)
+        U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        report = picard_solve(p, U, lat, tail, epsilon=0.5, Lambda=U)
+        assert report.branch == "bracket"
+        assert_agrees_with_picard(p, U, lat, tail, report, epsilon=0.5, Lambda=U)
 
-        W0 = AdaptedGrid.from_packed(np.full(6, c * math.exp(1e-12)))
-        _, trace, converged, _, _ = _bracket(lat, apply, W0, 1e-8, 20)
-        assert trace[0][1] <= 1e-8
-        assert not converged
+    @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
+    def test_agrees_with_picard_over_zero_consumption_nodes(self, market, tail_mode):
+        # R, S < 1 (rho = -1.5): C = 0 gives u = 0, where the kernel is 0 and
+        # the node's root is W = A + e.
+        p = Preferences(b=1.0, delta=0.1, R=0.8, S=0.5)
+        assert p.rho == pytest.approx(-1.5)
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=40)
+        tail = candidate_tail(p, pol, market, tail_mode)
+        C = consumption_grid(lat).copy()
+        for k in range(5, 36, 3):
+            C.values[k][1::3] = 0.0
+        U = transformed_consumption_grid(p, lat, C)
+        assert np.count_nonzero(U.data == 0.0) > 50
+        lam = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        report = picard_solve(p, U, lat, tail, Lambda=lam, enforce_order=False)
+        assert report.branch == "bracket" and report.clamp_events == 0
+        assert_agrees_with_picard(p, U, lat, tail, report, Lambda=lam)
+
+    def test_zero_continuation_solves_the_last_layer_exactly(self, market):
+        # u = 0 on part of the terminal step under a proportional tail: the
+        # closure sets W_T = 0 there (the kernel's 0 at u = 0), so nodes of
+        # step n-1 above two such nodes see A = 0 and their root is that of
+        # W = c W^rho, W = c^theta.  No numpy warning escapes (the suite
+        # turns them into errors), and the independent residual confirms the
+        # grid.
+        p = Preferences(b=1.0, delta=0.1, R=0.8, S=0.5)
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=40)
+        tail = TailClosure.proportional(pol.strategy, p, market)
+        C = consumption_grid(lat).copy()
+        C.values[40][:20] = 0.0
+        U = transformed_consumption_grid(p, lat, C)
+        lam = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        report = picard_solve(p, U, lat, tail, Lambda=lam, enforce_order=False)
+        assert report.branch == "bracket" and report.trace[-1][1] <= 1e-8
+        assert report.clamp_events == 0
+        assert report.residual <= 1e-8
+        c_theta = (0.5 * lat.dt * U.values[39][:19]) ** p.theta
+        np.testing.assert_allclose(report.solution.values[39][:19], c_theta, rtol=1e-12)
+
+    def test_no_false_certificate_where_the_layer_map_expands(self, market):
+        # U scaled up on one layer until q = |rho| (W* - A - e)/W* > 1 there:
+        # the scalar map no longer contracts near the root.  The solve must
+        # refuse, or return a grid that the independent residual confirms.
+        p = Preferences(b=1.0, delta=0.03, R=2.0, S=5.0)
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=40)
+        tail = TailClosure.proportional(pol.strategy, p, market)
+        U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        k0, scale = 20, 1e4
+        scaled = U.copy()
+        scaled.values[k0][:] *= scale
+        # The layers above k0 do not see the scaling, so A on layer k0 comes
+        # from the unscaled solution; its root is found by bisection.
+        W = picard_solve(p, U, lat, tail).solution
+        c = 0.5 * lat.dt * U.values[k0 + 1]
+        carry = W.values[k0 + 1] + c * W.values[k0 + 1] ** p.rho
+        a = step_expectation(lat, carry)
+        c0 = 0.5 * lat.dt * scaled.values[k0]
+        lo, hi = a.copy(), a + c0 * a**p.rho
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            below = mid - c0 * mid**p.rho < a
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        q = abs(p.rho) * (lo - a) / lo
+        assert np.min(q) > 1.0
+        try:
+            report = picard_solve(p, scaled, lat, tail, Lambda=U)
+        except NotConverged:
+            return
+        assert report.residual <= 1e-8
+        assert report.trace[-1][1] <= 1e-8
 
     @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
     def test_regime_sweep(self, market, tail_mode):
@@ -645,3 +750,75 @@ class TestZeroTailAccuracy:
         exact = (p.b * pol.strategy.xi ** (1.0 - p.S) * integral) ** p.theta
         assert report.converged
         assert abs(report.solution.data[0] / exact - 1.0) <= 0.04 * dt
+
+
+class TestStopLevelNearMinusOne:
+    """rho in (-1, 0) keeps the direct iteration unless its stop level
+    tol*(1 - |rho|) lies below the float64 spacing of max |log W0|."""
+
+    @pytest.mark.parametrize("tail_mode, value", [("proportional", -161.2825213),
+                                                  ("zero", -63.5727264)])
+    def test_rho_just_above_minus_one_solves(self, market, tail_mode, value):
+        # rho = -1 + 1e-11: the stop level 1e-19 is far below the spacing of
+        # the logs (8.9e-16 at |log W| ~ 5), where the direct loop stalled.
+        p, _, _, report = solve_candidate(market, 2.0, 2.99999999999, 0.05, 100, tail_mode)
+        assert -1.0 < p.rho < -1.0 + 1e-10
+        assert report.converged and report.branch == "bracket"
+        assert report.trace[-1][1] <= 1e-8 and report.residual <= 1e-8
+        assert report.utility_at_zero(p) == pytest.approx(value, rel=1e-9)
+
+    def test_minus_one_half_stays_direct_bit_for_bit(self, prefs, setup):
+        # The direct branch is plain iteration of the operator from I^Lambda,
+        # stopped at the first step <= tol (1 - |rho|).
+        lat, tail, U = setup
+        report = picard_solve(prefs, U, lat, tail)
+        assert report.branch == "direct" and report.chi is None
+        W = reference_integral(prefs, U, lat, tail)
+        steps = []
+        while not steps or steps[-1] > 1e-8 * (1.0 - abs(prefs.rho)):
+            FW = apply_recursion(prefs, U, W, lat, tail)
+            steps.append(float(np.max(np.abs(np.log(FW.data) - np.log(W.data)))))
+            W = FW
+        assert [step for _, step, _ in report.trace] == steps
+        np.testing.assert_array_equal(report.solution.data, W.data)
+
+
+class TestBitIdenticalShortcuts:
+    def test_log_gap_takes_the_max_before_any_mask(self, rng):
+        def masked(a, b):  # the formula with the equality mask on every call
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.log(a) - np.log(b)
+            d[a == b] = 0.0
+            return math.inf if np.isnan(d).any() else float(np.max(np.abs(d), initial=0.0))
+
+        base = rng.uniform(0.5, 2.0, 200)
+        cases = [(base, base * rng.uniform(0.9, 1.1, 200)), (base, base.copy()),
+                 (base[:0], base[:0])]
+        for special in ([0.0, 0.0], [np.inf, np.inf], [0.0, 1.0], [np.inf, 1.0],
+                        [np.nan, 1.0]):
+            a, b = base.copy(), base * 1.01
+            a[7], b[7] = special
+            cases.append((a, b))
+        for a, b in cases:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_a, log_b = np.log(a), np.log(b)
+            got = _log_gap(a, b, log_a, log_b)
+            want = masked(a, b)
+            assert got == want or (math.isinf(got) and math.isinf(want)), (got, want)
+
+    @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
+    def test_order_check_shares_lambda_theta_with_its_reference(self, prefs, market,
+                                                                policy, tail_mode):
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=60)
+        tail = candidate_tail(prefs, policy, market, tail_mode)
+        U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+        lam_theta = [v**prefs.theta for v in U.values]
+        n = lat.n_steps
+        if tail_mode == "zero":
+            want = per_step_backward(lat, lam_theta, np.zeros(n + 1),
+                                     last_layer=lat.dt * lam_theta[n - 1])
+        else:
+            want = per_step_backward(lat, lam_theta, lam_theta[n] / tail.decay_rate)
+        for ref in (order_check(prefs, U, lat, tail).reference,
+                    reference_integral(prefs, U, lat, tail)):
+            np.testing.assert_array_equal(ref.data, np.concatenate(want))
