@@ -3,7 +3,8 @@ The lattice fixed-point solver against the closed form
 ======================================================
 
 Builds the binomial wealth lattice for the candidate strategy, solves the
-utility recursion by contraction iteration, and compares with the exact value.
+utility recursion in one certified backward sweep, and compares with the
+exact value.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from ezmerton import (
     Market,
     Preferences,
     TailClosure,
+    apply_recursion,
     build_lattice,
     candidate_policy,
     consumption_grid,
@@ -34,38 +36,44 @@ tail = TailClosure.proportional(policy.strategy, prefs, market)
 U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
 
 # The reference process certificate: U^theta is comparable to its own
-# running conditional integral, which is what makes the iteration contract.
+# running conditional integral, which is what makes the recursion contract.
 cert = order_check(prefs, U, lat, tail)
 print("order certificate: ratio in [%.6f, %.6f]" % (cert.k_lower, cert.K_upper))
 
+# Each layer's implicit trapezoid step is solved node by node between two
+# iterates of an antitone scalar map; the layer widths add up to a certified
+# bound on the distance to the lattice fixed point.
 report = picard_solve(prefs, U, lat, tail)
-print("converged in", report.iterations, "iterations; residual", report.residual)
-print("per-iteration sup-norm steps:",
-      ["%.2e" % s for (_, s, _) in report.trace])
+print("at most", report.iterations, "scalar steps per layer; certified bound %.1e;"
+      % report.trace[-1][1], "residual %.1e" % report.residual)
 v0 = report.utility_at_zero(prefs)
 print("lattice V0 =", v0, " closed form =", policy.value(1.0),
       " rel err = %.2e" % abs(v0 / policy.value(1.0) - 1.0))
 
-# Uniqueness in practice: wildly different starting guesses land on the same
-# fixed point.
-lam_theta = [v**prefs.theta for v in U.values]
-lo = picard_solve(prefs, U, lat, tail,
-                  initial_guess=AdaptedGrid([0.1 * v for v in lam_theta]))
-hi = picard_solve(prefs, U, lat, tail,
-                  initial_guess=AdaptedGrid([10.0 * v for v in lam_theta]))
-gap = max(float(np.max(np.abs(np.log(a) - np.log(b))))
-          for a, b in zip(lo.solution.values, hi.solution.values))
-print("two-guess agreement (log sup-norm): %.2e" % gap)
+# Uniqueness in practice: the recursion operator itself, iterated from two
+# wildly different starts, lands on the solve's grid.
+solved = slice(0, AdaptedGrid.span(lat.n_steps).start)
+log_solution = np.log(report.solution.data[solved])
+for scale in (0.1, 10.0):
+    W = AdaptedGrid.from_packed(scale * U.data**prefs.theta)
+    for it in range(1, 201):
+        FW = apply_recursion(prefs, U, W, lat, tail)
+        step = np.max(np.abs(np.log(FW.data[solved]) - np.log(W.data[solved])))
+        W = FW
+        if step <= 1e-8 * (1.0 - abs(prefs.rho)):
+            break
+    gap = np.max(np.abs(np.log(W.data[solved]) - log_solution))
+    print("operator from %4.1f x U^theta: %d iterations, log gap to the solve %.2e"
+          % (scale, it, gap))
 
-# rho <= -1 (here R=2, S=3 gives rho = -1) switches to the antitone bracket:
-# one backward sweep brackets each node's root of its layer's implicit step,
-# and the layer widths add up to a certified bound <= tol.
+# rho <= -1 (here R=2, S=3 gives rho = -1) has no a-priori contraction
+# constant, but the same sweep certifies it.
 p2 = Preferences(b=1.0, delta=0.03, R=2.0, S=3.0)
 pol2 = candidate_policy(p2, market)
 lat2 = build_lattice(market, pol2.strategy, dt=0.01, n_steps=500)
 tail2 = TailClosure.proportional(pol2.strategy, p2, market)
 U2 = transformed_consumption_grid(p2, lat2, consumption_grid(lat2))
 rep2 = picard_solve(p2, U2, lat2, tail2)
-print("\n%s branch (rho = -1, %d scalar steps, bound %.1e): V0 = %.4f vs closed %.4f"
-      % (rep2.branch, rep2.iterations, rep2.trace[-1][1],
+print("\nrho = -1 (%d scalar steps, bound %.1e): V0 = %.4f vs closed %.4f"
+      % (rep2.iterations, rep2.trace[-1][1],
          rep2.utility_at_zero(p2), pol2.value(1.0)))

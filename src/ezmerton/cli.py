@@ -358,8 +358,8 @@ def _run_picard_solve(scn: Scenario):
         tol=scn.solver_cfg["tol"], max_iter=scn.solver_cfg["max_iter"],
     )
     rows = [
-        {"iteration": it, "sup_norm_step": step, "ratio": ratio}
-        for it, step, ratio in report.trace
+        {"scalar_steps": steps, "certified_bound": bound, "width_ratio": ratio}
+        for steps, bound, ratio in report.trace
     ]
     summary = report.to_json_dict()
     summary["utility_at_zero"] = report.utility_at_zero(prefs)

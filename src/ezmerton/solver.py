@@ -20,18 +20,19 @@ in one scratch buffer of n+1 values, and the step writes ½(a[1:] + a[:-1])
 + dt/2 f_k into the output layer, so a step is four numpy calls and
 allocates nothing.  The neighbour mean is the exact one-step expectation
 because the lattice has p_up = ½.
-`picard_solve` iterates the operator F; its initial guess I^Lambda is the one
-the order certificate already computed.  Measured in the log of the ratio to a
-reference process Lambda^theta, F contracts in the sup-norm with constant
-|rho| when rho is in (-1, 0).  For rho <= -1 no constant below 1 is known, so
-the solve uses that the trapezoid step is implicit only in its own layer:
-W_k = A_k + e_k + c_k W_k^rho, with c = dt/2 u, e = dt/2 eps Lambda^theta and
-A_k = E_k[W_{k+1} + c_{k+1} W_{k+1}^rho + e_{k+1}].  The scalar map
-T(W) = A + e + c W^rho is antitone, so each node has one root and any two
-consecutive iterates of T bracket it.  `_layer_solve` iterates T node by
-node in a single backward sweep, stops each layer once its bracket is narrow
-enough, and adds the layer widths up into a certified bound on the distance
-to the lattice fixed point.
+`picard_solve` finds the fixed point W = F(W) of that operator.  Measured in
+the log of the ratio to a reference process Lambda^theta, F contracts in the
+sup-norm with constant |rho| when rho is in (-1, 0), so the fixed point is
+unique; for rho <= -1 no constant below 1 is known.  The solver does not
+iterate F.  It uses that the trapezoid step is implicit only in its own
+layer: W_k = A_k + e_k + c_k W_k^rho, with c = dt/2 u, e = dt/2 eps
+Lambda^theta and A_k = E_k[W_{k+1} + c_{k+1} W_{k+1}^rho + e_{k+1}].  For
+every rho <= 0 the scalar map T(W) = A + e + c W^rho is antitone, so each
+node has one root and any two consecutive iterates of T bracket it.
+`_layer_solve` iterates T node by node in a single backward sweep, stops each
+layer once its bracket is narrow enough, and adds the layer widths up into a
+certified bound on the distance to the lattice fixed point.  At rho = 0
+(additive utility) T does not depend on W, and its second iterate is exact.
 A zero tail solves its last step exactly, W_{n-1} = (u_{n-1} dt/theta)^theta
 (W' = -u W^rho with the driver frozen and W(T) = 0), and the kernel is not
 evaluated on the layers a tail closure sets.
@@ -102,9 +103,6 @@ DIVERGENCE_THRESHOLD = 1e6
 _LOG_CLAMP = 700.0
 _CLAMP_LO, _CLAMP_HI = math.exp(-_LOG_CLAMP), math.exp(_LOG_CLAMP)
 _RATIO_GUARD = 1e12
-#: Float64 spacing at the largest |log w| of any positive float (the smallest
-#: subnormal has log -744.4): no direct stop test at or above it can stall.
-_LOG_SPACING_MAX = math.ulp(-math.log(5e-324))
 
 
 # ---------------------------------------------------------------------------
@@ -314,71 +312,37 @@ def _operator(lat: Lattice, u: np.ndarray, W: AdaptedGrid, rho: float,
                                    sign_domain=ValueSign.NON_NEGATIVE)
 
 
-def _log(a: np.ndarray) -> np.ndarray:
-    """Nodewise log of a packed array (log 0 = -inf)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(a)
+def _residual(FW: AdaptedGrid, W: AdaptedGrid, solved: int) -> float:
+    """sup |log F(W) - log W| over the first `solved` packed nodes (the layers
+    below the tail closure), with F(W) clipped into [e^-700, e^700].
 
-
-def _residual(lat: Lattice, FW: AdaptedGrid, W: AdaptedGrid) -> float:
-    """sup |log F(W) - log W| over steps 0..n-1.
-
-    The tail closure sets the terminal layer and the iteration does not solve
-    it: with a zero tail the clamp lifts W's terminal zeros to e^-700 while
-    F(W) keeps them at 0, which would read as an infinite defect.
+    The clamped map is what the solve certifies: where F(W) leaves that range
+    (inf where u = inf, 0 above a block of zero consumption) the solve stores
+    the clamp.  FW is scratch and is overwritten; NaN reads as inf.
     """
-    before_terminal = slice(0, AdaptedGrid.span(lat.n_steps).start)
-    a, b = FW.data[before_terminal], W.data[before_terminal]
-    return _log_gap(a, b, _log(a), _log(b))
-
-
-def _log_gap(a: np.ndarray, b: np.ndarray, log_a: np.ndarray,
-             log_b: np.ndarray) -> float:
-    """sup over nodes of |log a - log b| from the logs of both arrays, with
-    equal nodes (0/0, inf/inf) counting as equal; log_b is overwritten.
-
-    Equal positive finite nodes already difference to exactly 0, so the
-    equality mask is built only when the plain maximum is not finite.
-    """
-    with np.errstate(invalid="ignore"):
-        d = np.abs(np.subtract(log_a, log_b, out=log_b), out=log_b)
-    gap = float(np.max(d, initial=0.0))
-    if math.isfinite(gap):
-        return gap
-    d[a == b] = 0.0
-    if np.isnan(d).any():
-        return math.inf
-    return float(np.max(d, initial=0.0))
-
-
-def _clamped(W: AdaptedGrid, counted: int) -> tuple[AdaptedGrid, int]:
-    """Clip W into [e^-700, e^700] in place; returns (W, clipped node count
-    among its first `counted` packed entries, the steps an iteration solves)."""
-    v = W.data
-    if _CLAMP_LO <= v.min() and v.max() <= _CLAMP_HI:
-        return W, 0
-    solved = v[:counted]
-    events = (int(np.count_nonzero(solved < _CLAMP_LO))
-              + int(np.count_nonzero(solved > _CLAMP_HI)))
-    np.clip(v, _CLAMP_LO, _CLAMP_HI, out=v)
-    return W, events
+    f = FW.data[:solved]
+    np.clip(f, _CLAMP_LO, _CLAMP_HI, out=f)
+    np.log(f, out=f)
+    f -= np.log(W.data[:solved])
+    gap = float(np.max(np.abs(f, out=f), initial=0.0))
+    return math.inf if math.isnan(gap) else gap
 
 
 @dataclass
 class SolveReport:
-    """Result of a Picard solve, with per-iteration diagnostics.
+    """Result of a lattice solve, with per-layer diagnostics.
 
     residual is the sup-norm log-space defect |log F(W*) - log W*| of the
-    returned solution under one more operator application.  A trace entry is
-    (iteration, step, ratio), and iterations counts the entries.  On the
-    "bracket" branch (rho <= -1, and rho just above -1 where the direct stop
-    test cannot resolve, see `picard_solve`) there is one entry per solved
+    returned solution under one more operator application, over the layers
+    below the tail closure and with F(W*) clipped into the clamp's range
+    [e^-700, e^700] (see `_residual`).  The trace has one entry per solved
     lattice layer, top layer first: (scalar steps the layer took, certified
     log-space bound over that layer and every layer above it, the layer's
     largest ratio of successive bracket widths).  So trace[-1][1] is the
     certified bound over steps 0..n-1, iterations is the largest number of
-    scalar steps any layer took, and chi is the largest width ratio (0.0 if
-    there is none).  chi is None on the other branches.
+    scalar steps any layer took, contraction_ratios lists the finite width
+    ratios, chi is the largest of them (0.0 if there is none), and
+    clamp_events counts the solved nodes the clamp moved.
     """
 
     solution: AdaptedGrid
@@ -387,8 +351,7 @@ class SolveReport:
     converged: bool
     residual: float
     trace: list[tuple[int, float, float]]
-    branch: str
-    chi: float | None
+    chi: float
     clamp_events: int
 
     def utility_at_zero(self, prefs: Preferences) -> float:
@@ -400,7 +363,6 @@ class SolveReport:
             "iterations": self.iterations,
             "converged": self.converged,
             "residual": self.residual,
-            "branch": self.branch,
             "chi": self.chi,
             "clamp_events": self.clamp_events,
             "contraction_ratios": self.contraction_ratios,
@@ -408,56 +370,9 @@ class SolveReport:
         }
 
 
-def _ratio(step: float, trace: list) -> float:
-    """step over the last traced step; nan unless that one is positive and finite."""
-    prev = trace[-1][1] if trace else math.nan
-    return step / prev if 0.0 < prev < math.inf else math.nan
-
-
-def _solve_exponent(u: np.ndarray, rho: float, W0: AdaptedGrid | None, lat: Lattice,
-                    top: np.ndarray, eps_term: np.ndarray | None,
-                    tol: float, max_iter: int):
-    """Solve W = F(W), F(W) = Backward(u * W^rho + eps_term) clamped, rho < 0.
-
-    u is the packed driver and top the layers the tail closure sets.  For rho
-    in (-1, 0), iterate F from W0 until a step is at most tol*(1 - |rho|).  A
-    step is a difference of float64 logs, so at a node whose |log W| lies in
-    the binade of L = max |log W0| over steps 0..n-1 it is either 0 or at
-    least spacing(L).  A stop level below spacing(L) therefore asks those
-    logs to repeat bit for bit from one iterate to the next, which the
-    rounding of the sweep does not promise, and the loop stalls (as
-    rho -> -1+).  Such a point goes to `_layer_solve`, as does every
-    rho <= -1: its certificate is a bracket width and needs no repetition.
-    Returns (W, trace, converged, clamp_events, chi); chi is None on the
-    direct iteration.
-    """
-    if rho <= -1.0:
-        return _layer_solve(lat, u, rho, eps_term, top, tol, max_iter)
-    stop = tol * (1.0 - abs(rho))
-    # Each iterate's log is taken once: it serves its step and the next.
-    W, log_W = W0, _log(W0.data)
-    if stop < _LOG_SPACING_MAX:
-        before_terminal = log_W[:AdaptedGrid.span(lat.n_steps).start]
-        if stop < math.ulp(float(np.max(np.abs(before_terminal), initial=0.0))):
-            return _layer_solve(lat, u, rho, eps_term, top, tol, max_iter)
-    counted = AdaptedGrid.span(_closure_start(lat, top)).start
-    clamp_total = 0
-    trace: list[tuple[int, float, float]] = []
-    for it in range(1, max_iter + 1):
-        W_new, ev = _clamped(_operator(lat, u, W, rho, eps_term, top), counted)
-        clamp_total += ev
-        log_new = _log(W_new.data)
-        step = _log_gap(W_new.data, W.data, log_new, log_W)
-        trace.append((it, step, _ratio(step, trace)))
-        W, log_W = W_new, log_new
-        if step <= stop:
-            return W, trace, True, clamp_total, None
-    return W, trace, False, clamp_total, None
-
-
 def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray | None,
                  top: np.ndarray, tol: float, max_iter: int):
-    """Solve W = F(W) for rho < 0 in one backward sweep, one layer at a time.
+    """Solve W = F(W) for rho <= 0 in one backward sweep, one layer at a time.
 
     Below the closure layers top (from step m = `_closure_start` on), the
     lattice fixed point W* satisfies, at each node of layer k,
@@ -465,8 +380,8 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray |
         W = T(W) = a + c W^rho,    a = A_k + e,
 
     with c = dt/2 u, e = dt/2 eps_term, A_k = E_k[carry_{k+1}] and
-    carry = W + c W^rho + e.  T is antitone, so it has one root, and an
-    iterate x and its image T(x) lie on either side of it.  Each layer
+    carry = W + c W^rho + e.  T is antitone (constant at rho = 0), so it has
+    one root, and an iterate x and its image T(x) lie on either side of it.  Each layer
     iterates T from x = a (a lower bound of the root, as c W^rho >= 0), stops
     once the bracket (x, T(x)) has a relative width r_k >= max |T(x) - x|/x
     of at most tau = tol/(2m), keeps W_k = x and passes the carry
@@ -494,9 +409,9 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray |
     The rounding of each operation (a few ulps) is not counted, and nodes
     the clamp moves are exact only up to it; clamp_events counts them.
 
-    Returns (W, trace, converged, clamp_events, chi) as `_solve_exponent`.  A
-    layer that does not certify within max_iter scalar steps ends the sweep
-    unconverged.
+    Returns (W, trace, converged, clamp_events, chi), with trace and chi as
+    in `SolveReport`.  A layer that does not certify within max_iter scalar
+    steps ends the sweep unconverged.
     """
     m = _closure_start(lat, top)
     W = np.empty(AdaptedGrid.span(lat.n_steps).stop)
@@ -642,26 +557,20 @@ def _masked_layer(a, c, c_theta, rho, tau, max_iter, w, t):
 def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
                  tail: TailClosure, epsilon: float = 0.0,
                  Lambda: AdaptedGrid | None = None, tol: float = 1e-8,
-                 max_iter: int = 200, initial_guess: AdaptedGrid | None = None,
-                 enforce_order: bool = True) -> SolveReport:
+                 max_iter: int = 200, enforce_order: bool = True) -> SolveReport:
     """Fixed point of the utility recursion for the transformed driver U.
 
-    Lambda defaults to U itself.  The initial guess is I^Lambda, which has the
-    right order by construction.  Either stopping rule returns a grid within
-    tol of a lattice fixed point in the log-space sup-norm over steps 0..n-1.
-    For rho in (-1, 0) (branch "direct") the iteration contracts with
-    constant |rho| and stops once a step is at most tol*(1 - |rho|).  For
-    rho <= -1 (branch "bracket") one backward sweep solves each layer's
-    implicit trapezoid step node by node: the scalar map T(W) = A + e + c W^rho
-    is antitone, so two consecutive iterates bracket the node's root.  A layer
-    stops once its bracket is at most tol/(2m) wide relative to a lower bound
-    of the root (m solved layers), and the layer widths add up to the
-    certified bound trace[-1][1] <= tol (see `_layer_solve`); iterations is
-    then the largest number of scalar steps a layer took and chi the largest
-    ratio of successive bracket widths.  A point with rho in (-1, 0) whose
-    direct stop level tol*(1 - |rho|) lies below the float64 spacing of
-    max |log W0| is solved on the bracket branch too (see `_solve_exponent`).
-    That branch needs no initial guess.
+    Lambda defaults to U itself; it sets the epsilon term and the order
+    certificate.  For every supported rho <= 0 one backward sweep solves each
+    layer's implicit trapezoid step node by node: the scalar map
+    T(W) = A + e + c W^rho is antitone, so two consecutive iterates bracket
+    the node's root.  A layer stops once its bracket is at most tol/(2m) wide
+    relative to a lower bound of the root (m solved layers), and the layer
+    widths add up to the certified bound trace[-1][1] <= tol on the
+    log-space sup-norm distance to the lattice fixed point over steps
+    0..n-1 (see `_layer_solve`).  max_iter caps the scalar steps of each
+    layer; iterations is the most that a layer took.  At rho = 0 T does not
+    depend on W, so its second iterate is exact and the bound is 0.
 
     Raises
     ------
@@ -674,9 +583,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
         included), or U is not of the same order as Lambda (for epsilon = 0)
         or not bounded above by a multiple of Lambda (for epsilon > 0).
     NotConverged
-        If max_iter iterations pass without meeting the stopping rule, or on
-        the bracket branch, if a layer is not certified within max_iter
-        scalar steps.
+        If a layer is not certified within max_iter scalar steps.
     """
     regime = classify_regime(prefs)
     if not regime.solver_supported:
@@ -691,10 +598,9 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
     lam_grid = Lambda if Lambda is not None else U
     lam_grid.check_shape(lat)
 
-    reference = None
     if enforce_order:
         try:
-            reference = order_check(prefs, lam_grid, lat, tail).reference
+            order_check(prefs, lam_grid, lat, tail)
         except (NotInClass, InvalidParameters) as exc:
             raise PreconditionFailed(f"reference grid fails order check: {exc}") from exc
         lo, hi = _order_ratio_bounds(U, lam_grid)
@@ -709,43 +615,19 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
 
     eps_term = epsilon * np.power(lam_grid.data, prefs.theta) if epsilon > 0.0 else None
     top = _tail_solution(prefs, lat, tail, U.data, eps_term)
-
-    if initial_guess is not None:
-        initial_guess.check_shape(lat)
-        W0 = initial_guess.copy()
-    elif reference is not None:  # the order certificate already holds I^Lambda
-        W0 = reference
-    elif prefs.rho > -1.0:
-        W0 = reference_integral(prefs, lam_grid, lat, tail)
-    else:  # the layer solve takes no initial guess
-        W0 = None
-
-    if prefs.rho == 0.0:
-        # Additive utility: the operator does not depend on W.
-        W = apply_recursion(prefs, U, W0, lat, tail, epsilon, lam_grid)
-        residual = _residual(
-            lat, apply_recursion(prefs, U, W, lat, tail, epsilon, lam_grid), W)
-        return SolveReport(solution=W, iterations=1, contraction_ratios=[],
-                           converged=True, residual=residual,
-                           trace=[(1, residual, math.nan)], branch="additive",
-                           chi=None, clamp_events=0)
-
-    W, trace, converged, clamp_events, chi = _solve_exponent(
-        U.data, prefs.rho, W0, lat, top, eps_term, tol, max_iter)
+    W, trace, converged, clamp_events, chi = _layer_solve(
+        lat, U.data, prefs.rho, eps_term, top, tol, max_iter)
     if not converged:
         raise NotConverged(
-            f"no convergence after {max_iter} iterations "
-            f"(last step {trace[-1][1]:.3e})" if chi is None else
             f"no certified bound within tol after at most {max_iter} scalar "
             f"steps per layer (bound {trace[-1][1]:.3e})"
         )
-    residual = _residual(
-        lat, apply_recursion(prefs, U, W, lat, tail, epsilon, lam_grid), W)
+    residual = _residual(apply_recursion(prefs, U, W, lat, tail, epsilon, lam_grid), W,
+                         AdaptedGrid.span(_closure_start(lat, top)).start)
     ratios = [r for (_, _, r) in trace if math.isfinite(r)]
     return SolveReport(
         solution=W, iterations=max(it for it, _, _ in trace), contraction_ratios=ratios,
-        converged=converged, residual=residual, trace=trace,
-        branch="direct" if chi is None else "bracket", chi=chi,
+        converged=converged, residual=residual, trace=trace, chi=chi,
         clamp_events=clamp_events,
     )
 
