@@ -12,7 +12,7 @@ error.  Errors are emitted as one JSON object on stderr; a validation error
 names the offending field.  Every number, experiment params included, must be
 finite: JSON's NaN and Infinity are rejected at validation, as is a params key
 the experiment does not declare (`list --json`).  Sizes (lattice nodes, grid
-points and cells, Monte Carlo draws, counterexample integrand values) are
+points and cells, Monte Carlo draws, counterexample unit blocks) are
 checked against ELEMENT_BUDGET before anything is allocated.
 
 Scenario schema (version 1)::
@@ -67,10 +67,12 @@ _SOLVER_DEFAULTS = {"epsilon": 0.0, "tol": 1e-8, "max_iter": 200}
 
 #: Most elements one scenario may ask for, checked before anything is
 #: allocated: lattice nodes, grid points, grid-search cells, Monte Carlo draws
-#: and counterexample integrand values.  Ten million float64 values are 80 MB.
+#: and counterexample unit blocks.  Ten million float64 values are 80 MB.
 ELEMENT_BUDGET = 10_000_000
-#: Integrand values per unit block of a counterexample: three integrands, each
-#: at least one 21-point Gauss-Kronrod rule.
+#: Budget units charged per unit block of a counterexample.  A block costs a
+#: few closed-form values, but the charge stays at the 3 * 21 of a 21-point
+#: rule per integrand, so that the accepted T_grid range and its exit-2 bound
+#: do not move.
 _VALUES_PER_BLOCK = 3 * 21
 #: Default consumption-fraction grid of the sweep and the grid search.
 _XI_GRID = {"start": 0.005, "stop": 0.2, "step": 0.005}

@@ -358,13 +358,6 @@ class RootReport:
     roots: tuple[LabeledRoot, ...]
     regime_note: str
 
-    @property
-    def finite_root(self) -> float | None:
-        for root in self.roots:
-            if root.label == "finite":
-                return root.value
-        return None
-
 
 def difference_form_roots(prefs: Preferences, market: Market,
                           strat: ProportionalStrategy) -> RootReport:

@@ -8,7 +8,8 @@ The oscillating-consumption counterexamples use the on/off stream supported on
 the odd unit intervals A^c, A = union of [2n, 2n+1): the discounted-form value
 is a convergent one-signed integral, while the difference-form integrand has
 positive and negative parts that both grow linearly in the horizon, so the
-difference form assigns no value at all.
+difference form assigns no value at all.  Both integrands are exponentials on
+each unit block, so their block integrals are taken in closed form.
 """
 
 from __future__ import annotations
@@ -195,31 +196,35 @@ def _slope_tstat(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), float(tstat)
 
 
-def _unit_block_integrals(fn, T_max: int) -> np.ndarray:
-    """Integral of fn over each unit block [j, j+1], j = 0..T_max-1."""
-    from scipy import integrate  # here, not at the top: only the counterexamples need scipy
+def _oscillating_blocks(delta: float, theta: float, kappa: float, n_blocks: int):
+    """Exact integrals over each unit block [j, j+1], j = 0..n_blocks-1.
 
-    vals = np.empty(T_max)
-    for j in range(T_max):
-        vals[j], _ = integrate.quad(fn, j, j + 1.0, limit=100)
-    return vals
+    Returns the block integrals (positive part, negative part, discounted) of
+    the on/off stream, with kappa = 1/(1-R) and theta = 1 for the additive
+    case.  With f = t - j every integrand is a constant times e^{lambda f},
+    because 1 + theta*rho = theta:
+
+    - on (j odd): the difference-form integrand is
+      delta theta kappa (2e^delta - 1) e^{-delta theta f}, the discounted one
+      2 delta theta kappa e^{delta(1 - theta j)} e^{-2 delta theta f};
+    - off (j even): the difference-form integrand is
+      -delta theta kappa e^{delta theta f}, the discounted one is zero.
+    """
+    j = np.arange(n_blocks)
+    on = j % 2 == 1
+    diff = np.where(on, kappa * (2.0 * math.exp(delta) - 1.0) * -math.expm1(-delta * theta),
+                    -kappa * math.expm1(delta * theta))
+    disc = np.where(on, kappa * -math.expm1(-2.0 * delta * theta)
+                    * np.exp(delta * (1.0 - theta * j)), 0.0)
+    # The difference-form integrand keeps one sign on each block (the sign of
+    # kappa on the on blocks, the opposite one off), so its positive and
+    # negative parts integrate to max(+-I, 0) block by block.
+    return np.maximum(diff, 0.0), np.maximum(-diff, 0.0), disc
 
 
-def _oscillating_report(integrand_diff, integrand_disc, T_grid) -> CounterexampleReport:
-    T_grid = [float(T) for T in T_grid]
-    if len(T_grid) < 8:
-        raise InvalidParameters("need at least 8 horizons for the slope fit")
-    if any(T != int(T) or T <= 0 for T in T_grid):
-        raise InvalidParameters("horizons must be positive integers")
-    T_max = int(max(T_grid))
-
-    pos_blocks = _unit_block_integrals(
-        lambda s: max(integrand_diff(s), 0.0), T_max
-    )
-    neg_blocks = _unit_block_integrals(
-        lambda s: max(-integrand_diff(s), 0.0), T_max
-    )
-    disc_blocks = _unit_block_integrals(integrand_disc, T_max)
+def _oscillating_report(pos_blocks: np.ndarray, neg_blocks: np.ndarray,
+                        disc_blocks: np.ndarray, T_grid: list[float]) -> CounterexampleReport:
+    """Partial integrals at the horizons T_grid from the unit-block integrals."""
     pos_cum = np.concatenate([[0.0], np.cumsum(pos_blocks)])
     neg_cum = np.concatenate([[0.0], np.cumsum(neg_blocks)])
     disc_cum = np.concatenate([[0.0], np.cumsum(disc_blocks)])
@@ -251,36 +256,34 @@ def _oscillating_report(integrand_diff, integrand_disc, T_grid) -> Counterexampl
     )
 
 
+def _counterexample(delta: float, theta: float, R: float, T_grid) -> CounterexampleReport:
+    """The on/off counterexample at theta (1 for additive utility)."""
+    if delta <= 0.0:
+        raise InvalidParameters("the counterexample needs delta > 0")
+    T_grid = [float(T) for T in T_grid]
+    if len(T_grid) < 8:
+        raise InvalidParameters("need at least 8 horizons for the slope fit")
+    if any(T != int(T) or T <= 0 for T in T_grid):
+        raise InvalidParameters("horizons must be positive integers")
+    blocks = _oscillating_blocks(delta, theta, 1.0 / (1.0 - R), int(max(T_grid)))
+    return _oscillating_report(*blocks, T_grid)
+
+
 def crra_counterexample(delta: float, R: float, T_grid) -> CounterexampleReport:
     """Additive-utility stream that the difference form cannot evaluate.
 
-    The discounted value integral converges (quadrature reproduces the
-    time-0 value 1/(1-R)); the positive and negative parts of the
+    The discounted value integral converges (its closed-form block integrals
+    sum to the time-0 value 1/(1-R)); the positive and negative parts of the
     difference-form integrand both grow linearly in the horizon.
     """
-    u_of_c, v_delta = crra_oscillating_paths(delta, R)
-
-    def diff_integrand(s):
-        return u_of_c(s) - delta * v_delta(s)
-
-    def disc_integrand(s):
-        return math.exp(-delta * s) * u_of_c(s)
-
-    return _oscillating_report(diff_integrand, disc_integrand, T_grid)
+    return _counterexample(delta, 1.0, R, T_grid)
 
 
 def ezsdu_counterexample(prefs: Preferences, T_grid) -> CounterexampleReport:
     """Recursive-utility analogue of `crra_counterexample` (theta in (0,1))."""
     if not (0.0 < prefs.theta < 1.0):
         raise UnsupportedRegime("counterexample stated for theta in (0, 1)")
-    flow, v_delta, disc_integrand = ezsdu_oscillating_paths(prefs)
-    delta, R, theta, rho = prefs.delta, prefs.R, prefs.theta, prefs.rho
-
-    def diff_integrand(s):
-        w = (1.0 - R) * v_delta(s)
-        return flow(s) * w**rho - delta * theta * v_delta(s)
-
-    return _oscillating_report(diff_integrand, disc_integrand, T_grid)
+    return _counterexample(prefs.delta, prefs.theta, prefs.R, T_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -185,11 +185,6 @@ class Lattice:
             )
 
     @property
-    def node_wealth(self) -> list[np.ndarray]:
-        """Wealth at each step, as views into the packed `wealth` grid."""
-        return self.wealth.values
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 

@@ -622,7 +622,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
             f"no certified bound within tol after at most {max_iter} scalar "
             f"steps per layer (bound {trace[-1][1]:.3e})"
         )
-    residual = _residual(apply_recursion(prefs, U, W, lat, tail, epsilon, lam_grid), W,
+    residual = _residual(_operator(lat, U.data, W, prefs.rho, eps_term, top), W,
                          AdaptedGrid.span(_closure_start(lat, top)).start)
     ratios = [r for (_, _, r) in trace if math.isfinite(r)]
     return SolveReport(

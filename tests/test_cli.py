@@ -352,11 +352,10 @@ class TestMainEntry:
 
 
 @pytest.mark.parametrize(
-    "name, scipy_loaded",
-    [("picard_solve", False), ("aversion_demos", False), ("crra_counterexample", True)],
+    "name",
+    ["picard_solve", "aversion_demos", "crra_counterexample", "ezsdu_counterexample"],
 )
-def test_only_the_counterexamples_load_scipy(tmp_path, subprocess_env, name,
-                                            scipy_loaded):
+def test_no_catalog_entry_loads_scipy(tmp_path, subprocess_env, name):
     # picard_solve runs the reference scenario (dt 0.01, 500 steps)
     path = write_scenario(tmp_path, base_scenario(
         experiment={"name": name, "params": {}}))
@@ -368,10 +367,7 @@ def test_only_the_counterexamples_load_scipy(tmp_path, subprocess_env, name,
                          text=True, check=True, env=subprocess_env).stdout
     exit_code, modules = out.strip().split(" ", 1)
     assert exit_code == "0"
-    if scipy_loaded:
-        assert "'scipy.integrate'" in modules
-    else:
-        assert modules == "[]"
+    assert modules == "[]"
 
 
 class TestCatalog:

@@ -18,6 +18,7 @@ from ezmerton.experiments import (
     verification_check,
     wellposed_divergence,
 )
+from ezmerton.experiments import _oscillating_blocks
 
 
 class TestCrraCounterexample:
@@ -45,6 +46,44 @@ class TestCrraCounterexample:
         tail_gap = abs(report.discounted_partials[-1] - report.discounted_partials[-2])
         head_gap = abs(report.discounted_partials[1] - report.discounted_partials[0])
         assert tail_gap < head_gap  # Cauchy in T
+
+
+class TestBlockIntegralOracle:
+    """The closed-form unit-block integrals against quadrature of the
+    pointwise paths, block by block."""
+
+    N_BLOCKS = 12
+
+    def quad_blocks(self, fn):
+        return np.array([integrate.quad(fn, j, j + 1.0, epsrel=1e-13, limit=100)[0]
+                         for j in range(self.N_BLOCKS)])
+
+    @pytest.mark.parametrize("delta", [0.03, 0.5, 3.0])
+    @pytest.mark.parametrize("R, S", [(0.5, 0.5), (2.0, 2.0), (0.5, 0.25), (2.0, 2.5)],
+                             ids=["crra-R<1", "crra-R>1", "ezsdu-R<1", "ezsdu-R>1"])
+    def test_blocks_match_quadrature(self, delta, R, S):
+        if R == S:  # additive utility, theta = 1
+            theta = 1.0
+            u_of_c, v_delta = crra_oscillating_paths(delta, R)
+
+            def g(s):
+                return u_of_c(s) - delta * v_delta(s)
+
+            def disc(s):
+                return math.exp(-delta * s) * u_of_c(s)
+        else:
+            prefs = Preferences(b=1.0, delta=delta, R=R, S=S)
+            theta = prefs.theta
+            assert 0.0 < theta < 1.0
+            flow, v_delta, disc = ezsdu_oscillating_paths(prefs)
+
+            def g(s):
+                return flow(s) * ((1.0 - R) * v_delta(s)) ** prefs.rho - delta * theta * v_delta(s)
+
+        blocks = _oscillating_blocks(delta, theta, 1.0 / (1.0 - R), self.N_BLOCKS)
+        oracles = (lambda s: max(g(s), 0.0), lambda s: max(-g(s), 0.0), disc)
+        for got, fn in zip(blocks, oracles):
+            np.testing.assert_allclose(got, self.quad_blocks(fn), rtol=1e-12, atol=0.0)
 
 
 class TestEzsduCounterexample:

@@ -31,19 +31,19 @@ class TestBuildLattice:
     def test_riskless_growth(self, market):
         lat = build_lattice(market, ProportionalStrategy(pi=0.0, xi=1e-12),
                             dt=0.1, n_steps=20, x0=1.0)
-        for k, w in enumerate(lat.node_wealth):
+        for k, w in enumerate(lat.wealth.values):
             np.testing.assert_allclose(w, math.exp(market.r * k * 0.1), rtol=1e-9)
 
     def test_single_node(self, market, policy):
         lat = build_lattice(market, policy.strategy, dt=0.1, n_steps=0, x0=2.0)
-        assert len(lat.node_wealth) == 1
-        assert lat.node_wealth[0][0] == 2.0
+        assert len(lat.wealth.values) == 1
+        assert lat.wealth.values[0][0] == 2.0
 
     def test_packed_wealth_matches_per_step_formula(self, market, policy):
         # Reference: the per-step construction, compared bit for bit.
         lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=60, x0=1.5)
         sqdt = math.sqrt(lat.dt)
-        for k, w in enumerate(lat.node_wealth):
+        for k, w in enumerate(lat.wealth.values):
             j = np.arange(k + 1)
             ref = lat.x0 * np.exp(lat.log_drift * k * lat.dt
                                   + lat.log_vol * sqdt * (2.0 * j - k))
@@ -80,8 +80,8 @@ class TestBuildLattice:
         for k in (1, 7, 30):
             j = np.arange(k + 1)
             direct = lat.x0 * lat.up**j * lat.down ** (k - j)
-            np.testing.assert_allclose(lat.node_wealth[k], direct, rtol=1e-11)
-        assert all(np.all(w > 0.0) for w in lat.node_wealth)
+            np.testing.assert_allclose(lat.wealth.values[k], direct, rtol=1e-11)
+        assert all(np.all(w > 0.0) for w in lat.wealth.values)
 
     def test_mc_oracle_for_one_step_moments(self, market, policy):
         # Sample moments of simulated log X_1 match the lattice one-step
@@ -124,13 +124,13 @@ class TestStepExpectation:
         dt = 0.01
         lat = build_lattice(market, policy.strategy, dt=dt, n_steps=10)
         k = 5
-        out = step_expectation(lat, lat.node_wealth[k + 1])
+        out = step_expectation(lat, lat.wealth.values[k + 1])
         exact = (math.exp(lat.log_drift * dt)
-                 * math.cosh(lat.log_vol * math.sqrt(dt)) * lat.node_wealth[k])
+                 * math.cosh(lat.log_vol * math.sqrt(dt)) * lat.wealth.values[k])
         np.testing.assert_allclose(out, exact, rtol=1e-12)
         continuous = math.exp(
             (market.r + policy.pi_hat * (market.mu - market.r) - policy.eta) * dt
-        ) * lat.node_wealth[k]
+        ) * lat.wealth.values[k]
         np.testing.assert_allclose(out, continuous, rtol=1e-8)
 
     def test_dimension_mismatch(self, market, policy):
@@ -144,7 +144,7 @@ class TestStepExpectation:
         # Iterating the one-step expectation 1000 times agrees with the
         # k-step binomial expectation taken directly.
         lat = build_lattice(market, policy.strategy, dt=0.005, n_steps=1000)
-        terminal = np.log(lat.node_wealth[-1])  # a bounded payoff
+        terminal = np.log(lat.wealth.values[-1])  # a bounded payoff
         vals = terminal
         for _ in range(1000):
             vals = step_expectation(lat, vals)
@@ -196,7 +196,7 @@ class TestAdaptedGrid:
         lat = build_lattice(market, policy.strategy, dt=dt, n_steps=200)
         grid = AdaptedGrid([
             math.exp(-prefs.delta * prefs.theta * k * dt) * w ** (1.0 - prefs.R)
-            for k, w in enumerate(lat.node_wealth)
+            for k, w in enumerate(lat.wealth.values)
         ])
         trace = unconditional_expectation(lat, grid)
         H = decay_rate(prefs.delta * prefs.theta, prefs, market, policy.strategy)

@@ -51,7 +51,7 @@ def closed_w_grid(prefs, market, lat, strat):
         (1.0 - prefs.R) * coef
         * math.exp(-prefs.delta * prefs.theta * k * lat.dt)
         * w ** (1.0 - prefs.R)
-        for k, w in enumerate(lat.node_wealth)
+        for k, w in enumerate(lat.wealth.values)
     ])
 
 
@@ -320,7 +320,7 @@ class TestPackedSweepMatchesPerStepReference:
         dt = lat.dt
         acc = V[lat.n_steps]
         for k in range(lat.n_steps - 1, -1, -1):
-            logw = np.log(lat.node_wealth[k] / lat.x0) - lat.log_drift * k * dt
+            logw = np.log(lat.wealth.values[k] / lat.x0) - lat.log_drift * k * dt
             interior = step_expectation(lat, acc + 0.5 * dt * f[k + 1]) + 0.5 * dt * f[k]
             acc = np.where(np.abs(logw) >= band, V[k], interior)
         return V[0] - acc
