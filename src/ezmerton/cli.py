@@ -13,7 +13,9 @@ names the offending field.  Every number, experiment params included, must be
 finite: JSON's NaN and Infinity are rejected at validation, as is a params key
 the experiment does not declare (`list --json`).  Sizes (lattice nodes, grid
 points and cells, Monte Carlo draws, counterexample unit blocks) are
-checked against ELEMENT_BUDGET before anything is allocated.
+checked against ELEMENT_BUDGET before anything is allocated.  The Monte Carlo
+check then uses about 8 bytes per charged draw plus one block of draws, and a
+lattice solve at most five float64 grids of its charged nodes.
 
 Scenario schema (version 1)::
 
@@ -67,7 +69,11 @@ _SOLVER_DEFAULTS = {"epsilon": 0.0, "tol": 1e-8, "max_iter": 200}
 
 #: Most elements one scenario may ask for, checked before anything is
 #: allocated: lattice nodes, grid points, grid-search cells, Monte Carlo draws
-#: and counterexample unit blocks.  Ten million float64 values are 80 MB.
+#: and counterexample unit blocks.  Ten million float64 values are 80 MB.  In
+#: bytes, `mc_drift_check` holds 8 per charged draw (its one path array of
+#: 21 * n_paths values) plus one 1.3 MB block of draws, and `picard_solve` at
+#: most five float64 grids of its charged nodes (wealth, U and the solve's
+#: three scratch grids): at most 80 MB and 400 MB at the budget.
 ELEMENT_BUDGET = 10_000_000
 #: Budget units charged per unit block of a counterexample.  A block costs a
 #: few closed-form values, but the charge stays at the 3 * 21 of a 21-point
@@ -314,9 +320,16 @@ def _param_grid(params: dict, key: str, default: dict) -> np.ndarray:
 
 
 def _T_grid(params: dict) -> list:
-    """Counterexample horizons; the largest sets the number of unit blocks."""
+    """Counterexample horizons; the largest sets the number of unit blocks.
+
+    The slope fit needs two distinct horizons and the tail closure the last
+    four unit blocks.
+    """
+    field = "experiment.params.T_grid"
     T_grid = _param_list(params, "T_grid", list(range(10, 101, 10)))
-    _within_budget(max(T_grid, default=0) * _VALUES_PER_BLOCK, "experiment.params.T_grid")
+    _within_budget(max(T_grid, default=0) * _VALUES_PER_BLOCK, field)
+    _require(len(set(T_grid)) >= 2, "needs at least two distinct horizons", field)
+    _require(max(T_grid) >= 4, "needs a largest horizon of at least 4", field)
     return T_grid
 
 

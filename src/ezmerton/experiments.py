@@ -265,6 +265,11 @@ def _counterexample(delta: float, theta: float, R: float, T_grid) -> Counterexam
         raise InvalidParameters("need at least 8 horizons for the slope fit")
     if any(T != int(T) or T <= 0 for T in T_grid):
         raise InvalidParameters("horizons must be positive integers")
+    if len(set(T_grid)) < 2:
+        raise InvalidParameters("the slope fit needs at least two distinct horizons")
+    if max(T_grid) < 4:
+        raise InvalidParameters(
+            "the tail closure needs a largest horizon of at least 4 unit blocks")
     blocks = _oscillating_blocks(delta, theta, 1.0 / (1.0 - R), int(max(T_grid)))
     return _oscillating_report(*blocks, T_grid)
 

@@ -216,9 +216,21 @@ def build_lattice(market: Market, strat: ProportionalStrategy, dt: float,
     sqdt = math.sqrt(dt)
     up = math.exp(m * dt + s * sqdt)
     down = math.exp(m * dt - s * sqdt)
-    k = AdaptedGrid.per_node(np.arange(n_steps + 1))  # step of each packed node
-    j = np.arange(k.size) - k * (k + 1) // 2          # its number of up-moves
-    wealth = x0 * np.exp(m * k * dt + s * sqdt * (2.0 * j - k))
+    # log(wealth / x0) = m k dt + s sqrt(dt) (2j - k) at node (k, j), built in
+    # the output with two grids of scratch.  Packed index i = k(k+1)/2 + j
+    # gives 2j - k = 2i - k(k+2), exact in floating point.
+    k = AdaptedGrid.per_node(np.arange(n_steps + 1, dtype=float))
+    wealth = np.arange(k.size, dtype=float)
+    wealth *= 2.0
+    scratch = k + 2.0
+    scratch *= k
+    wealth -= scratch
+    wealth *= s * sqdt
+    np.multiply(k, m, out=scratch)
+    scratch *= dt
+    wealth += scratch
+    np.exp(wealth, out=wealth)
+    wealth *= x0
     return Lattice(
         dt=dt, n_steps=n_steps, x0=x0, up=up, down=down, p_up=0.5,
         wealth=AdaptedGrid.from_packed(wealth), log_drift=m, log_vol=s,
@@ -280,8 +292,8 @@ def transformed_consumption_grid(prefs: Preferences, lat: Lattice,
                                  C: AdaptedGrid) -> AdaptedGrid:
     """U = b*theta*e^{-delta t} C^{1-S} at every node of the lattice.
 
-    One vectorised `transformed_consumption` call over the packed nodes, each
-    at its own step's time.
+    One vectorised `transformed_consumption` call over the packed nodes, with
+    the discount factor taken once per step and repeated over its nodes.
 
     Raises
     ------
@@ -289,9 +301,8 @@ def transformed_consumption_grid(prefs: Preferences, lat: Lattice,
         If C does not live on the lattice.
     """
     C.check_shape(lat)
-    return AdaptedGrid.from_packed(
-        transformed_consumption(prefs, AdaptedGrid.per_node(lat.times), C.data)
-    )
+    return AdaptedGrid.from_packed(transformed_consumption(
+        prefs, lat.times, C.data, repeats=np.arange(1, lat.n_steps + 2)))
 
 
 @dataclass(frozen=True)
@@ -324,6 +335,11 @@ class TailClosure:
         return cls(mode="proportional", strategy=strategy, decay_rate=rate)
 
 
+#: Paths per block of normal draws in `mc_drift_check`; a block of 20 steps
+#: is 1.3 MB.
+_DRIFT_BLOCK_PATHS = 8192
+
+
 @dataclass(frozen=True)
 class DriftCheckReport:
     """Regression estimate of the decay rate of log E[e^{-nu t} X_t^{1-R}]."""
@@ -345,8 +361,13 @@ def mc_drift_check(market: Market, strat: ProportionalStrategy, nu: float,
 
     Wealth is simulated from the exact GBM solution (no discretisation error),
     with a counter-based Philox generator keyed by the seed so results are
-    reproducible and independent of scheduling.  The standard error comes from
-    slopes over independent path batches.
+    reproducible and independent of scheduling.  The normals come in blocks of
+    paths from that one Philox stream, which continues path by path, so they
+    are the numbers of a single (n_paths, n_times - 1) draw; each block turns
+    into log-wealth increments in place and its running sum goes straight into
+    the one (n_paths, n_times) path array, exponentiated in place.  The working
+    set is that array plus one block.  The standard error comes from slopes
+    over independent path batches.
 
     The slope estimates -H_nu(pi, xi).
 
@@ -365,17 +386,22 @@ def mc_drift_check(market: Market, strat: ProportionalStrategy, nu: float,
     if not np.dot(times, times) > 0.0:  # polyfit scales by this norm
         raise ExperimentError(f"horizon {horizon} is too short to fit a slope")
     dts = np.diff(times)
+    drift, vol = m * dts, s * np.sqrt(dts)
     rng = np.random.Generator(np.random.Philox(seed))
-    z = rng.standard_normal((n_paths, n_times - 1))
-    log_x = np.concatenate(
-        [np.zeros((n_paths, 1)),
-         np.cumsum(m * dts + s * np.sqrt(dts) * z, axis=1)],
-        axis=1,
-    )
+    y = np.empty((n_paths, n_times))
+    y[:, 0] = 0.0
+    block = np.empty((min(n_paths, _DRIFT_BLOCK_PATHS), n_times - 1))
+    for start in range(0, n_paths, block.shape[0]):
+        z = block[:n_paths - start]
+        rng.standard_normal(out=z)
+        z *= vol
+        z += drift
+        np.cumsum(z, axis=1, out=y[start:start + len(z), 1:])
+    y *= 1.0 - R
     # Over a long horizon X_t^{1-R} overflows; fit_slope reports the
     # non-finite log means as an ExperimentError, not as numpy warnings.
     with np.errstate(over="ignore"):
-        y = np.exp((1.0 - R) * log_x)  # X_t^{1-R} with x0 = 1
+        np.exp(y, out=y)  # X_t^{1-R} with x0 = 1
 
     def fit_slope(values: np.ndarray) -> float:
         # values: (paths, times); slope of log mean(e^{-nu t} y) on t

@@ -603,7 +603,9 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
             order_check(prefs, lam_grid, lat, tail)
         except (NotInClass, InvalidParameters) as exc:
             raise PreconditionFailed(f"reference grid fails order check: {exc}") from exc
-        lo, hi = _order_ratio_bounds(U, lam_grid)
+        # The order check has found Lambda strictly positive and finite, so
+        # U / U is 1 at every node.
+        lo, hi = (1.0, 1.0) if lam_grid is U else _order_ratio_bounds(U, lam_grid)
         if epsilon == 0.0 and not (0.0 < lo <= hi < math.inf):
             raise PreconditionFailed(
                 f"U not of the same order as Lambda: ratio range [{lo}, {hi}]"

@@ -351,6 +351,39 @@ class TestMainEntry:
         assert names == sorted(names)
 
 
+def run_module(tmp_path, subprocess_env, raw):
+    """`python -m ezmerton run` on the scenario raw, in a fresh interpreter."""
+    path = write_scenario(tmp_path, raw)
+    return subprocess.run(
+        [sys.executable, "-m", "ezmerton", "run", "--scenario", str(path),
+         "--out-dir", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, env=subprocess_env)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_no_warning_escapes_the_cli(tmp_path, subprocess_env, name):
+    # Outside pytest's warning filter: a numpy warning would reach stderr.
+    inputs = dict(RERUN_INPUTS.get(name, {}))
+    params = inputs.pop("params", {})
+    proc = run_module(tmp_path, subprocess_env, base_scenario(
+        experiment={"name": name, "params": params}, **inputs))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("name", ["crra_counterexample", "ezsdu_counterexample"])
+@pytest.mark.parametrize("T_grid", [[1, 2, 3, 1, 2, 3, 1, 2], [4] * 8],
+                         ids=["largest-below-4", "one-horizon"])
+def test_degenerate_T_grid_exits_2_with_one_error_line(tmp_path, subprocess_env,
+                                                       name, T_grid):
+    # These grids once raised IndexError (exit 1) or printed a RankWarning.
+    proc = run_module(tmp_path, subprocess_env, base_scenario(
+        experiment={"name": name, "params": {"T_grid": T_grid}}))
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["code"], error["field"]) == ("validation", "experiment.params.T_grid")
+
+
 @pytest.mark.parametrize(
     "name",
     ["picard_solve", "aversion_demos", "crra_counterexample", "ezsdu_counterexample"],

@@ -47,6 +47,16 @@ class TestCrraCounterexample:
         head_gap = abs(report.discounted_partials[1] - report.discounted_partials[0])
         assert tail_gap < head_gap  # Cauchy in T
 
+    @pytest.mark.parametrize("T_grid, match", [
+        ([1, 2, 3, 1, 2, 3, 1, 2], "largest horizon"),  # the tail closure reads 4 blocks
+        ([4] * 8, "two distinct horizons"),             # no slope to fit
+    ])
+    def test_degenerate_horizon_grids_rejected(self, prefs, T_grid, match):
+        with pytest.raises(InvalidParameters, match=match):
+            crra_counterexample(0.03, 2.0, T_grid)
+        with pytest.raises(InvalidParameters, match=match):
+            ezsdu_counterexample(prefs, T_grid)
+
 
 class TestBlockIntegralOracle:
     """The closed-form unit-block integrals against quadrature of the
