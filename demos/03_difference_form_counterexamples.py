@@ -25,9 +25,8 @@ print("  T      positive part   negative part")
 for T, p, n in zip(report.T_grid, report.positive_part_partials,
                    report.negative_part_partials):
     print(f"  {T:5.0f}  {p:13.4f}  {n:14.4f}")
-print("  fitted slopes: +%.4f (t=%.0f), +%.4f (t=%.0f)"
-      % (report.positive_slope, report.positive_tstat,
-         report.negative_slope, report.negative_tstat))
+print("  fitted slopes: +%.4f, +%.4f"
+      % (report.positive_slope, report.negative_slope))
 
 # The difference-form path oscillates around the level 1/(1-R) = -1.
 _, v_delta = crra_oscillating_paths(0.03, 2.0)

@@ -14,8 +14,9 @@ finite: JSON's NaN and Infinity are rejected at validation, as is a params key
 the experiment does not declare (`list --json`).  Sizes (lattice nodes, grid
 points and cells, Monte Carlo draws, counterexample unit blocks) are
 checked against ELEMENT_BUDGET before anything is allocated.  The Monte Carlo
-check then uses about 8 bytes per charged draw plus one block of draws, and a
-lattice solve at most five float64 grids of its charged nodes.
+check then holds one block of paths whatever its size, so its n_paths charge
+bounds its time, and a lattice solve at most four float64 grids of its charged
+nodes.
 
 Scenario schema (version 1)::
 
@@ -70,10 +71,11 @@ _SOLVER_DEFAULTS = {"epsilon": 0.0, "tol": 1e-8, "max_iter": 200}
 #: Most elements one scenario may ask for, checked before anything is
 #: allocated: lattice nodes, grid points, grid-search cells, Monte Carlo draws
 #: and counterexample unit blocks.  Ten million float64 values are 80 MB.  In
-#: bytes, `mc_drift_check` holds 8 per charged draw (its one path array of
-#: 21 * n_paths values) plus one 1.3 MB block of draws, and `picard_solve` at
-#: most five float64 grids of its charged nodes (wealth, U and the solve's
-#: three scratch grids): at most 80 MB and 400 MB at the budget.
+#: bytes, `mc_drift_check` holds one 1.3 MB block of draws and one 1.4 MB
+#: block of paths whatever n_paths is, so its charge of 21 * n_paths bounds
+#: its time, not its memory; `picard_solve` holds at most four float64 grids
+#: of its charged nodes (wealth, U, the solution and one scratch grid), at
+#: most 320 MB at the budget.
 ELEMENT_BUDGET = 10_000_000
 #: Budget units charged per unit block of a counterexample.  A block costs a
 #: few closed-form values, but the charge stays at the 3 * 21 of a 21-point

@@ -153,9 +153,7 @@ class CounterexampleReport:
     positive_part_partials: list[float]
     negative_part_partials: list[float]
     positive_slope: float
-    positive_tstat: float
     negative_slope: float
-    negative_tstat: float
     discounted_partials: list[float]
 
     def rows(self):
@@ -176,24 +174,13 @@ class CounterexampleReport:
         return {
             "discounted_value_at_0": self.discounted_value_at_0,
             "positive_slope": self.positive_slope,
-            "positive_tstat": self.positive_tstat,
             "negative_slope": self.negative_slope,
-            "negative_tstat": self.negative_tstat,
         }
 
 
-def _slope_tstat(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """OLS slope and its t-statistic."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(x)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    dof = max(n - 2, 1)
-    se = math.sqrt(float(np.sum(resid**2)) / dof / sxx) if sxx > 0 else math.inf
-    tstat = slope / se if se > 0 else math.inf
-    return float(slope), float(tstat)
+def _slope(x: list[float], y: list[float]) -> float:
+    """OLS slope of y on x."""
+    return float(np.polyfit(np.asarray(x, dtype=float), np.asarray(y, dtype=float), 1)[0])
 
 
 def _oscillating_blocks(delta: float, theta: float, kappa: float, n_blocks: int):
@@ -241,17 +228,13 @@ def _oscillating_report(pos_blocks: np.ndarray, neg_blocks: np.ndarray,
         if 0.0 < ratio < 1.0:
             total += b2 * ratio / (1.0 - ratio)
 
-    pos_slope, pos_t = _slope_tstat(np.array(T_grid), np.array(pos_partials))
-    neg_slope, neg_t = _slope_tstat(np.array(T_grid), np.array(neg_partials))
     return CounterexampleReport(
         discounted_value_at_0=total,
         T_grid=T_grid,
         positive_part_partials=pos_partials,
         negative_part_partials=neg_partials,
-        positive_slope=pos_slope,
-        positive_tstat=pos_t,
-        negative_slope=neg_slope,
-        negative_tstat=neg_t,
+        positive_slope=_slope(T_grid, pos_partials),
+        negative_slope=_slope(T_grid, neg_partials),
         discounted_partials=disc_partials,
     )
 

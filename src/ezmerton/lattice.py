@@ -335,8 +335,8 @@ class TailClosure:
         return cls(mode="proportional", strategy=strategy, decay_rate=rate)
 
 
-#: Paths per block of normal draws in `mc_drift_check`; a block of 20 steps
-#: is 1.3 MB.
+#: Paths per block in `mc_drift_check`; at 20 steps a block of draws is
+#: 1.3 MB and a block of paths (21 times, plus a row of running sums) 1.4 MB.
 _DRIFT_BLOCK_PATHS = 8192
 
 
@@ -363,11 +363,15 @@ def mc_drift_check(market: Market, strat: ProportionalStrategy, nu: float,
     with a counter-based Philox generator keyed by the seed so results are
     reproducible and independent of scheduling.  The normals come in blocks of
     paths from that one Philox stream, which continues path by path, so they
-    are the numbers of a single (n_paths, n_times - 1) draw; each block turns
-    into log-wealth increments in place and its running sum goes straight into
-    the one (n_paths, n_times) path array, exponentiated in place.  The working
-    set is that array plus one block.  The standard error comes from slopes
-    over independent path batches.
+    are the numbers of a single (n_paths, n_times - 1) draw.  Each block turns
+    into log-wealth increments in place, and its `cumsum` goes into one
+    (block + 1, n_times) buffer, exponentiated there.  Blocks end at batch
+    boundaries, and each is added into the running column sums of all paths
+    and of its batch, which wait in row 0 of the buffer: numpy sums axis 0
+    row by row, so these are the sums, and the means, of the whole path
+    array.  The working set is one block of draws and one of paths, whatever
+    n_paths is.  The standard error comes from slopes over independent path
+    batches.
 
     The slope estimates -H_nu(pi, xi).
 
@@ -387,39 +391,54 @@ def mc_drift_check(market: Market, strat: ProportionalStrategy, nu: float,
         raise ExperimentError(f"horizon {horizon} is too short to fit a slope")
     dts = np.diff(times)
     drift, vol = m * dts, s * np.sqrt(dts)
+    batch = max(n_paths // n_batches, 1)
+    n_full = max(min(n_batches, n_paths // batch), 0)  # the non-empty batches, all full
+    batched = n_full * batch
     rng = np.random.Generator(np.random.Philox(seed))
-    y = np.empty((n_paths, n_times))
-    y[:, 0] = 0.0
-    block = np.empty((min(n_paths, _DRIFT_BLOCK_PATHS), n_times - 1))
-    for start in range(0, n_paths, block.shape[0]):
-        z = block[:n_paths - start]
-        rng.standard_normal(out=z)
-        z *= vol
-        z += drift
-        np.cumsum(z, axis=1, out=y[start:start + len(z), 1:])
-    y *= 1.0 - R
-    # Over a long horizon X_t^{1-R} overflows; fit_slope reports the
-    # non-finite log means as an ExperimentError, not as numpy warnings.
+    rows = min(n_paths, _DRIFT_BLOCK_PATHS)
+    z = np.empty((rows, n_times - 1))
+    # Row 0 carries a running column sum into each reduction; rows 1.. hold
+    # one block of X_t^{1-R} paths, which all start at 1 (x0 = 1).
+    buf = np.empty((rows + 1, n_times))
+    buf[1:, 0] = 1.0
+    total = np.zeros(n_times)
+    batch_sums = np.zeros((n_full, n_times))
+    start = 0
+    # Over a long horizon X_t^{1-R} and its sums overflow; log_means reports
+    # the non-finite log means as an ExperimentError, not as numpy warnings.
     with np.errstate(over="ignore"):
-        np.exp(y, out=y)  # X_t^{1-R} with x0 = 1
+        while start < n_paths:
+            stop = (start // batch + 1) * batch if start < batched else n_paths
+            stop = min(stop, start + rows)
+            draws = z[:stop - start]
+            rng.standard_normal(out=draws)
+            np.multiply(draws, vol, out=draws)
+            np.add(draws, drift, out=draws)
+            y = buf[1:stop - start + 1, 1:]
+            np.cumsum(draws, axis=1, out=y)
+            np.multiply(y, 1.0 - R, out=y)
+            np.exp(y, out=y)
+            block = buf[:stop - start + 1]
+            sums = [total] if start >= batched else [batch_sums[start // batch], total]
+            for acc in sums:  # acc + the block's rows, added row by row
+                block[0] = acc
+                np.add.reduce(block, axis=0, out=acc)
+            start = stop
 
-    def fit_slope(values: np.ndarray) -> float:
-        # values: (paths, times); slope of log mean(e^{-nu t} y) on t
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            logmean = np.log(values.mean(axis=0)) - nu * times
+    def log_means(sums: np.ndarray, count: int) -> np.ndarray:
+        # log mean(e^{-nu t} X_t^{1-R}); sums / count is numpy's mean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logmean = np.log(sums / count) - nu * times
         if not np.isfinite(logmean).all():
             raise ExperimentError(f"log means over horizon {horizon} are not finite")
-        coeffs = np.polyfit(times, logmean, 1)
-        return float(coeffs[0])
+        return logmean
 
-    slope = fit_slope(y)
-    batch = max(n_paths // n_batches, 1)
-    batch_slopes = [
-        fit_slope(y[i * batch:(i + 1) * batch])
-        for i in range(n_batches)
-        if len(y[i * batch:(i + 1) * batch]) > 0
-    ]
+    def fit_slope(logmean: np.ndarray) -> float:
+        return float(np.polyfit(times, logmean, 1)[0])
+
+    logmean = log_means(total, n_paths)
+    slope = fit_slope(logmean)
+    batch_slopes = [fit_slope(log_means(sums, batch)) for sums in batch_sums]
     stderr = float(np.std(batch_slopes, ddof=1) / math.sqrt(len(batch_slopes)))
-    logmean = np.log(y.mean(axis=0)) - nu * times
     return DriftCheckReport(slope=slope, stderr=stderr, n_paths=n_paths,
                             times=times, log_means=logmean)

@@ -254,31 +254,40 @@ def _check_sign(prefs: Preferences, v) -> None:
 def transformed_consumption(prefs: Preferences, t, c, repeats=None):
     """U = b*theta*e^{-delta t} * C^{1-S}, with U = inf when C = 0 and S > 1.
 
-    Accepts scalars or arrays; the boundary C = 0 (and a NaN consumption) is
-    handled explicitly so no IEEE division warnings leak out.  With repeats,
-    t holds one time per run of repeats[i] consecutive entries of c (the steps
-    of a packed lattice grid), so e^{-delta t} is taken once per run.  At most
-    two arrays of c's size are live at a time, plus boolean masks.
+    Accepts scalars or arrays; the boundary C = 0 is handled explicitly so no
+    IEEE division warnings leak out.  A power, discount factor or product
+    beyond the float range is inf, also without a warning: the solver's order
+    check rejects it as a documented error.  With repeats, t holds one time per run
+    of repeats[i] consecutive entries of c (the steps of a packed lattice
+    grid), so e^{-delta t} is taken once per run.  At most two arrays of c's
+    size are live at a time, plus boolean masks.
+
+    Raises
+    ------
+    DomainError
+        If a consumption is negative or NaN.
     """
     t_arr = np.asarray(t, dtype=float)
     c_arr = np.asarray(c, dtype=float)
-    if np.any(c_arr < 0.0):
+    if np.any(~(c_arr >= 0.0)):
         raise DomainError("consumption must be non-negative")
     positive = c_arr > 0.0
     base = np.where(positive, c_arr, 1.0)
-    # A fresh output, not base in place: with the in-place power, filling a
-    # 2000-step grid one step at a time left glibc's heap fragmented, and the
-    # solve that followed peaked 12 MB (11%) higher in resident memory.
-    out = np.power(base, 1.0 - prefs.S, out=np.empty_like(base))
-    del base
-    out[~positive] = np.inf if prefs.S > 1.0 else 0.0
-    scale = prefs.b * prefs.theta * np.exp(-prefs.delta * t_arr)
-    if repeats is not None:
-        scale = np.repeat(scale, repeats)
-    if out.shape == np.broadcast_shapes(out.shape, scale.shape):
-        out *= scale
-    else:
-        out = scale * out
+    with np.errstate(over="ignore"):
+        # A fresh output, not base in place: with the in-place power, filling
+        # a 2000-step grid one step at a time left glibc's heap fragmented,
+        # and the solve that followed peaked 12 MB (11%) higher in resident
+        # memory.
+        out = np.power(base, 1.0 - prefs.S, out=np.empty_like(base))
+        del base
+        out[~positive] = np.inf if prefs.S > 1.0 else 0.0
+        scale = prefs.b * prefs.theta * np.exp(-prefs.delta * t_arr)
+        if repeats is not None:
+            scale = np.repeat(scale, repeats)
+        if out.shape == np.broadcast_shapes(out.shape, scale.shape):
+            out *= scale
+        else:
+            out = scale * out
     if out.ndim == 0:
         return float(out)
     return out

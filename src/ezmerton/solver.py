@@ -17,9 +17,10 @@ defects sweep it one step at a time, since each step needs the next, while
 a gap-g pair-defect family advances every start step at once in g calls.
 A sequential sweep works in place: the carry a = G_{k+1} + dt/2 f_{k+1} sits
 in one scratch buffer of n+1 values, and the step writes ½(a[1:] + a[:-1])
-+ dt/2 f_k into the output layer, so a step is four numpy calls and
-allocates nothing.  The neighbour mean is the exact one-step expectation
-because the lattice has p_up = ½.
++ dt/2 f_k into a second one, so a step is a few numpy calls and allocates
+nothing; the operator and `reference_integral` then copy G_k over f_k, so G
+accumulates in the integrand's own buffer.  The neighbour mean is the exact
+one-step expectation because the lattice has p_up = ½.
 `picard_solve` finds the fixed point W = F(W) of that operator.  Measured in
 the log of the ratio to a reference process Lambda^theta, F contracts in the
 sup-norm with constant |rho| when rho is in (-1, 0), so the fixed point is
@@ -103,6 +104,11 @@ DIVERGENCE_THRESHOLD = 1e6
 _LOG_CLAMP = 700.0
 _CLAMP_LO, _CLAMP_HI = math.exp(-_LOG_CLAMP), math.exp(_LOG_CLAMP)
 _RATIO_GUARD = 1e12
+#: 0-d operands for the ufunc calls made once per lattice layer: a Python
+#: float operand is converted anew on every call, which costs a small layer
+#: about a third of the call.
+_HALF, _ONE = np.array(0.5), np.array(1.0)
+_HALF.flags.writeable = _ONE.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +131,8 @@ def _trapezoid_step(a: np.ndarray, half_k: np.ndarray, out: np.ndarray | None = 
         out = np.add(a[..., 1:], a[..., :-1], out=out)
     else:
         out = np.delete(a[..., 1:] + a[..., :-1], straddles, axis=-1)
-    out *= 0.5
-    out += half_k
+    np.multiply(out, _HALF, out=out)
+    np.add(out, half_k, out=out)
     return out
 
 
@@ -136,26 +142,29 @@ def _closure_start(lat: Lattice, top: np.ndarray) -> int:
 
 
 def _backward_accumulate(lat: Lattice, f: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """G_k = E_k[ sum of trapezoid slices of f + G_m ], one backward sweep.
+    """G_k = E_k[ sum of trapezoid slices of f + G_m ], one backward sweep in f.
 
     top holds the packed layers m..n that the tail closure sets (see
-    `_closure_start`); f is the packed integrand on at least steps 0..m and is
-    overwritten (scaled to dt/2 * f).  The carry a = G_{k+1} + half_{k+1}
-    lives in one scratch buffer of n+1 values.
+    `_closure_start`); f is the packed integrand on steps 0..m, or on the
+    whole lattice.  G is accumulated in place: f is returned holding G on
+    steps 0..m-1 and the closure layers as far as f reaches.  The carry
+    a = G_{k+1} + half_{k+1} and one step of G live in two buffers of one
+    layer, so the sweep holds no grid beyond f.
     """
-    out = np.empty(AdaptedGrid.span(lat.n_steps).stop)
-    out[out.size - top.size:] = top
     m = _closure_start(lat, top)
-    half = f
-    half *= 0.5 * lat.dt
     layer = AdaptedGrid.span(m)
-    carry = np.add(out[layer], half[layer])
+    half = f[:layer.stop]
+    np.multiply(half, 0.5 * lat.dt, out=half)
+    carry = np.add(top[:m + 1], half[layer])
+    f[layer.start:] = top[:f.size - layer.start]
+    g = np.empty(m)
     for k in range(m - 1, -1, -1):
         start = k * (k + 1) // 2
         half_k = half[start:start + k + 1]
-        g = _trapezoid_step(carry[:k + 2], half_k, out[start:start + k + 1])
-        np.add(g, half_k, out=carry[:k + 1])
-    return out
+        g_k = _trapezoid_step(carry[:k + 2], half_k, g[:k + 1])
+        np.add(g_k, half_k, out=carry[:k + 1])
+        half_k[...] = g_k
+    return f
 
 
 def _tail_solution(prefs: Preferences, lat: Lattice, tail: TailClosure,
@@ -196,7 +205,7 @@ def reference_integral(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
 
 def _reference_integral(lam_theta: np.ndarray, lat: Lattice,
                         tail: TailClosure) -> AdaptedGrid:
-    """`reference_integral` from the packed Lambda^theta, which is overwritten."""
+    """`reference_integral` from the packed Lambda^theta, accumulated in place."""
     n = lat.n_steps
     if tail.mode == "zero":
         top = np.concatenate([lat.dt * lam_theta[AdaptedGrid.span(n - 1)], np.zeros(n + 1)])
@@ -244,17 +253,18 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
         raise InvalidParameters("order check needs a lattice of at least one step")
     if np.any(~(target.data > 0.0)) or np.any(np.isinf(target.data)):
         raise NotInClass("reference process must be strictly positive and finite")
-    lam_theta = AdaptedGrid.from_packed(np.power(target.data, prefs.theta))
-    trace = unconditional_expectation(lat, lam_theta)
+    lam_theta = np.power(target.data, prefs.theta)
+    trace = unconditional_expectation(lat, AdaptedGrid.from_packed(lam_theta))
     slope = float(np.polyfit(lat.times, np.log(trace), 1)[0])
     if slope >= -1e-12:
         raise NotInClass(
             f"E[target^theta] decays at rate {-slope:.3e} <= 0; "
             "the defining integral diverges beyond any horizon"
         )
-    ref = _reference_integral(lam_theta.data.copy(), lat, tail)
+    ref = _reference_integral(lam_theta.copy(), lat, tail)
     before_terminal = slice(0, AdaptedGrid.span(lat.n_steps).start)
-    ratios = lam_theta.data[before_terminal] / ref.data[before_terminal]
+    ratios = lam_theta[before_terminal]  # divided in place
+    np.divide(ratios, ref.data[before_terminal], out=ratios)
     k_lower = float(np.min(ratios))
     K_upper = float(np.max(ratios))
     if not (0.0 < k_lower <= K_upper < _RATIO_GUARD):
@@ -296,34 +306,44 @@ def apply_recursion(prefs: Preferences, U: AdaptedGrid, W: AdaptedGrid,
     if Lambda is not None:
         Lambda.check_shape(lat)
     eps_term = epsilon * np.power(Lambda.data, prefs.theta) if epsilon > 0.0 else None
-    return _operator(lat, U.data, W, prefs.rho, eps_term,
-                     _tail_solution(prefs, lat, tail, U.data, eps_term))
+    top = _tail_solution(prefs, lat, tail, U.data, eps_term)
+    fw = _operator(lat, U.data, W, prefs.rho, eps_term, top)
+    if fw.size < W.data.size:  # a zero tail: fw ends at step n-1, top holds n-1 and n
+        fw = np.concatenate([fw, top[lat.n_steps:]])
+    return AdaptedGrid.from_packed(fw, sign_domain=ValueSign.NON_NEGATIVE)
 
 
 def _operator(lat: Lattice, u: np.ndarray, W: AdaptedGrid, rho: float,
-              eps_term: np.ndarray | None, top: np.ndarray) -> AdaptedGrid:
-    """Backward(u * W^rho + eps_term) below the closure layers top: the packed
-    kernel on the steps the sweep reads, then one backward sweep."""
+              eps_term: np.ndarray | None, top: np.ndarray) -> np.ndarray:
+    """Packed F(W) on steps 0..m, m = `_closure_start`: the kernel
+    u * W^rho + eps_term on those steps, then one backward sweep in place,
+    which leaves the closure's layer m on top."""
     below = slice(0, AdaptedGrid.span(_closure_start(lat, top)).stop)
     f = transformed_aggregator_grid(u[below], W.data[below], rho)
     if eps_term is not None:
         f += eps_term[below]
-    return AdaptedGrid.from_packed(_backward_accumulate(lat, f, top),
-                                   sign_domain=ValueSign.NON_NEGATIVE)
+    return _backward_accumulate(lat, f, top)
 
 
-def _residual(FW: AdaptedGrid, W: AdaptedGrid, solved: int) -> float:
+#: Nodes per chunk of the log W that `_residual` subtracts (256 KB).
+_RESIDUAL_CHUNK = 1 << 15
+
+
+def _residual(fw: np.ndarray, W: np.ndarray, solved: int) -> float:
     """sup |log F(W) - log W| over the first `solved` packed nodes (the layers
     below the tail closure), with F(W) clipped into [e^-700, e^700].
 
     The clamped map is what the solve certifies: where F(W) leaves that range
     (inf where u = inf, 0 above a block of zero consumption) the solve stores
-    the clamp.  FW is scratch and is overwritten; NaN reads as inf.
+    the clamp.  fw is scratch and is overwritten, and log W is taken chunk by
+    chunk; NaN reads as inf.
     """
-    f = FW.data[:solved]
+    f = fw[:solved]
     np.clip(f, _CLAMP_LO, _CLAMP_HI, out=f)
     np.log(f, out=f)
-    f -= np.log(W.data[:solved])
+    for lo in range(0, solved, _RESIDUAL_CHUNK):
+        chunk = f[lo:lo + _RESIDUAL_CHUNK]
+        chunk -= np.log(W[lo:lo + chunk.size])
     gap = float(np.max(np.abs(f, out=f), initial=0.0))
     return math.inf if math.isnan(gap) else gap
 
@@ -409,6 +429,10 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray |
     The rounding of each operation (a few ulps) is not counted, and nodes
     the clamp moves are exact only up to it; clamp_events counts them.
 
+    The solve holds W and buffers of one layer: c and e are formed layer by
+    layer.  So a `picard_solve` holds W plus one scratch grid (the order
+    check's Lambda^theta, or the residual's F(W)) beyond U and wealth.
+
     Returns (W, trace, converged, clamp_events, chi), with trace and chi as
     in `SolveReport`.  A layer that does not certify within max_iter scalar
     steps ends the sweep unconverged.
@@ -417,9 +441,6 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray |
     W = np.empty(AdaptedGrid.span(lat.n_steps).stop)
     W[W.size - top.size:] = top
     half = 0.5 * lat.dt
-    solved = AdaptedGrid.span(m).start
-    c = u[:solved] * half
-    e = None if eps_term is None else eps_term[:solved] * half
     closure = AdaptedGrid.span(m)
     tau = tol / (2 * m) if m else tol
     with np.errstate(all="ignore"):  # a non-finite value selects the masked sweep
@@ -428,103 +449,110 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray |
             carry_m += eps_term[closure]
         carry_m *= half
         carry_m += W[closure]
-        sweep = _sweep(W, carry_m, c, e, rho, tau, max_iter, masked=False)
+        sweep = _sweep(W, carry_m, u, eps_term, half, rho, tau, max_iter, masked=False)
         if sweep is None:
-            sweep = _sweep(W, carry_m, c, e, rho, tau, max_iter, masked=True)
+            sweep = _sweep(W, carry_m, u, eps_term, half, rho, tau, max_iter, masked=True)
     layers, clamp_events = sweep
     trace: list[tuple[int, float, float]] = []
     s = 0.0
-    for steps, r, ratio in layers:
-        s += r
-        trace.append((steps, -math.log1p(-s) if s < 1.0 else math.inf, ratio))
+    for widths in layers:
+        s += widths[-1]
+        ratios = [r / p for p, r in zip(widths, widths[1:]) if p > 0.0]
+        trace.append((len(widths), -math.log1p(-s) if s < 1.0 else math.inf,
+                      max(ratios, default=math.nan)))
     if not trace:  # no layer below the closure
         trace.append((0, 0.0, math.nan))
-    converged = (len(layers) == m and all(r <= tau for _, r, _ in layers)
+    converged = (len(layers) == m and all(widths[-1] <= tau for widths in layers)
                  and trace[-1][1] <= tol)
     chi = max((ratio for _, _, ratio in trace if math.isfinite(ratio)), default=0.0)
     return (AdaptedGrid.from_packed(W, ValueSign.NON_NEGATIVE), trace, converged,
             clamp_events, chi)
 
 
-def _sweep(W: np.ndarray, carry_m: np.ndarray, c: np.ndarray, e: np.ndarray | None,
-           rho: float, tau: float, max_iter: int, masked: bool):
+def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: np.ndarray | None,
+           half: float, rho: float, tau: float, max_iter: int, masked: bool):
     """The backward sweep of `_layer_solve`: fills W on steps 0..m-1.
 
-    carry_m is the closure layer's carry.  Returns (layers, clamp events)
-    with one (scalar steps, r_k, largest width ratio) per layer, ending at
-    the first layer that does not certify.  The fast sweep iterates in the
-    unknown x/a in preallocated buffers; it returns None when a width is not
-    finite or a value leaves [e^-700, e^700].  The masked sweep then keeps
-    the kernel's conventions (u = 0 gives 0, u = inf gives inf, as in
-    `transformed_aggregator_grid`) and clamps each layer as the operator
-    clamps F(W): a clamped node's W is e^-+700, its kernel is taken there, and
-    its carry holds the unclamped F(W) = a + c W^rho.
+    carry_m is the closure layer's carry.  Each layer forms its own
+    c = half u and e = half eps_term in buffers of n values.  Returns
+    (layers, clamp events) with each layer's bracket widths, one a scalar
+    step, ending at the first layer that does not certify.  The fast sweep
+    iterates in the unknown x/a in preallocated buffers; it returns None when
+    a width is not finite or a value leaves [e^-700, e^700].  The masked
+    sweep then keeps the kernel's conventions (u = 0 gives 0, u = inf gives
+    inf, as in `transformed_aggregator_grid`) and clamps each layer as the
+    operator clamps F(W): a clamped node's W is e^-+700, its kernel is taken
+    there, and its carry holds the unclamped F(W) = a + c W^rho.
     """
     m = carry_m.size - 1
     carry = carry_m.copy()
-    a_buf, t_buf, ch_buf, x_buf, y_buf = (np.empty(m) for _ in range(5))
-    c_theta = np.power(c, 1.0 / (1.0 - rho)) if masked else None
-    layers: list[tuple[int, float, float]] = []
+    a_buf, c_buf, e_buf, t_buf, ch_buf, x_buf, y_buf = (np.empty(m) for _ in range(7))
+    half, rho_1, rho_0 = np.array(half), np.array(rho - 1.0), np.array(rho)
+    layers: list[list[float]] = []
     clamp_events = 0
     for k in range(m - 1, -1, -1):
         nodes = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
+        c = np.multiply(u[nodes], half, out=c_buf[:k + 1])
         a = np.add(carry[1:k + 2], carry[:k + 1], out=a_buf[:k + 1])
-        a *= 0.5
-        if e is not None:
-            a += e[nodes]
+        np.multiply(a, _HALF, out=a)
+        if eps_term is not None:
+            e = np.multiply(eps_term[nodes], half, out=e_buf[:k + 1])
+            np.add(a, e, out=a)
         w, t = W[nodes], t_buf[:k + 1]
         v = w  # the value the carry takes: F(W) before the clamp
         if masked:
-            widths = _masked_layer(a, c[nodes], c_theta[nodes], rho, tau, max_iter, w, t)
+            widths = _masked_layer(a, c, np.power(c, 1.0 / (1.0 - rho)), rho, tau,
+                                   max_iter, w, t)
             outside = (w < _CLAMP_LO) | (w > _CLAMP_HI)
             if outside.any():
                 clamp_events += int(np.count_nonzero(outside))
                 np.clip(w, _CLAMP_LO, _CLAMP_HI, out=w)
-                t[...] = transformed_aggregator_grid(c[nodes], w, rho)
+                t[...] = transformed_aggregator_grid(c, w, rho)
                 v = np.where(outside, a + t, w)
         else:
-            widths = _scaled_layer(a, c[nodes], rho, tau, max_iter, w, t,
-                                   ch_buf[:k + 1], x_buf[:k + 1], y_buf[:k + 1])
+            ch = np.power(a, rho_1, out=ch_buf[:k + 1])
+            np.multiply(ch, c, out=ch)
+            widths = _scaled_layer(a, ch, rho_0, tau, max_iter, w, t,
+                                   x_buf[:k + 1], y_buf[:k + 1])
             if widths is None:
                 return None
-        ratios = [r / p for p, r in zip(widths, widths[1:]) if p > 0.0]
-        layers.append((len(widths), widths[-1], max(ratios, default=math.nan)))
+        layers.append(widths)
         if not widths[-1] <= tau:
             return layers, clamp_events
         np.add(v, t, out=carry[:k + 1])
-        if e is not None:
-            carry[:k + 1] += e[nodes]
+        if eps_term is not None:
+            np.add(carry[:k + 1], e, out=carry[:k + 1])
     solved = W[:m * (m + 1) // 2]
     if not masked and m and not (_CLAMP_LO <= solved.min() and solved.max() <= _CLAMP_HI):
         return None
     return layers, clamp_events
 
 
-def _scaled_layer(a, c, rho, tau, max_iter, w, t, ch, x, y):
+def _scaled_layer(a, ch, rho, tau, max_iter, w, t, x, y):
     """One layer of the fast sweep; writes w = a x and t = c w^rho.
 
     In x = W/a the map is x <- 1 + ch x^rho with ch = c a^(rho-1), started
     at x = 1; the bracket width of a step is max |x_new - x|, at least the
     relative width the certificate takes.  Returns the widths, one a step,
-    or None when the first is not finite.
+    or None when the first is not finite.  It runs once per layer and step,
+    so it calls the ufuncs and their reductions directly, with 0-d operands.
     """
-    np.power(a, rho - 1.0, out=ch)
-    ch *= c
-    widths = [float(ch.max())]  # of the first bracket (1, T(1)) = (1, 1 + ch)
+    widths = [float(np.maximum.reduce(ch))]  # of the first bracket (1, T(1)) = (1, 1 + ch)
     if not widths[0] < math.inf:
         return None
-    x.fill(1.0)
-    np.add(ch, 1.0, out=y)
+    np.add(ch, _ONE, out=y)
     while widths[-1] > tau and len(widths) < max_iter:
         x, y = y, x
         np.power(x, rho, out=y)
-        y *= ch
-        y += 1.0
+        np.multiply(y, ch, out=y)
+        np.add(y, _ONE, out=y)
         np.subtract(y, x, out=t)
-        widths.append(float(np.abs(t, out=t).max()))
+        widths.append(float(np.maximum.reduce(np.absolute(t, out=t))))
+    if len(widths) == 1:  # no step taken: the iterate is x = 1
+        x.fill(1.0)
     np.multiply(a, x, out=w)
-    np.subtract(y, 1.0, out=t)  # c (a x)^rho = a ch x^rho = a (T(x) - 1)
-    t *= a
+    np.subtract(y, _ONE, out=t)  # c (a x)^rho = a ch x^rho = a (T(x) - 1)
+    np.multiply(t, a, out=t)
     return widths
 
 
@@ -624,7 +652,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
             f"no certified bound within tol after at most {max_iter} scalar "
             f"steps per layer (bound {trace[-1][1]:.3e})"
         )
-    residual = _residual(_operator(lat, U.data, W, prefs.rho, eps_term, top), W,
+    residual = _residual(_operator(lat, U.data, W, prefs.rho, eps_term, top), W.data,
                          AdaptedGrid.span(_closure_start(lat, top)).start)
     ratios = [r for (_, _, r) in trace if math.isfinite(r)]
     return SolveReport(

@@ -384,6 +384,17 @@ def test_degenerate_T_grid_exits_2_with_one_error_line(tmp_path, subprocess_env,
     assert (error["code"], error["field"]) == ("validation", "experiment.params.T_grid")
 
 
+def test_consumption_overflow_exits_3_with_one_error_line(tmp_path, subprocess_env):
+    # C^{1-S} overflows at xi = 1e-300; numpy's warning once reached stderr
+    # ahead of the error object.
+    proc = run_module(tmp_path, subprocess_env, base_scenario(
+        lattice={"dt": 0.02, "n_steps": 50},
+        experiment={"name": "picard_solve", "params": {"xi": 1e-300}}))
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["code"] == "numeric"
+
+
 @pytest.mark.parametrize(
     "name",
     ["picard_solve", "aversion_demos", "crra_counterexample", "ezsdu_counterexample"],

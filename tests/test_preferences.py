@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,18 @@ class TestCoordinateTransform:
         assert transformed_consumption(prefs, 0.0, 0.0) == math.inf  # S > 1
         p_low = Preferences(b=1, delta=0.0, R=0.5, S=0.25)
         assert transformed_consumption(p_low, 0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("c", [math.nan, [1.0, math.nan, 0.0]])
+    def test_nan_consumption_rejected(self, prefs, c):
+        # NaN compares false both ways, so it once took the C = 0 boundary.
+        with pytest.raises(DomainError):
+            transformed_consumption(prefs, 0.0, c)
+
+    def test_overflow_is_inf_without_a_warning(self, prefs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert transformed_consumption(prefs, 0.0, 1e-300) == math.inf
+            assert transformed_consumption(prefs, -1e5, 1.0) == math.inf  # e^{-delta t}
 
     def test_round_trip(self, prefs, rng):
         for _ in range(50):

@@ -1,13 +1,16 @@
 """Working-set bounds of the large allocations, and bit-identity with the
 plain formulas they replace.
 
-The Monte Carlo drift check holds one (n_paths, n_times) path array plus one
-block of draws; the lattice build and the consumption transform hold at most
-three grids, output included; the CLI's `picard_solve` entry at most five
-(wealth, U and the solve's three scratch grids).  Peaks are read with
+The Monte Carlo drift check holds one block of draws and one block of paths,
+whatever the number of paths; the lattice build and the consumption
+transform hold at most three grids, output included; `picard_solve` at most
+two beyond its inputs (the solution W and one scratch grid), and so the
+CLI's `picard_solve` entry at most four (wealth, U, W and the scratch grid;
+wealth, C and the transform's two while U is built).  Peaks are read with
 tracemalloc, which sees numpy's buffers.  The oracles below are the one-shot
-formulas: the whole draw at once with a `concatenate`, the wealth exponent
-over the full grid and the masked `np.where` consumption transform.
+formulas: the whole draw at once with a `concatenate` and the column means
+of all its paths, the wealth exponent over the full grid and the masked
+`np.where` consumption transform.
 """
 
 import json
@@ -19,16 +22,18 @@ import pytest
 
 from ezmerton import cli
 from ezmerton.closed_form import ProportionalStrategy
-from ezmerton.errors import ExperimentError
+from ezmerton.errors import DomainError, ExperimentError
 from ezmerton.lattice import (
     _DRIFT_BLOCK_PATHS,
     AdaptedGrid,
+    TailClosure,
     build_lattice,
     consumption_grid,
     mc_drift_check,
     transformed_consumption_grid,
 )
 from ezmerton.preferences import Preferences
+from ezmerton.solver import picard_solve
 
 #: Bytes of bookkeeping allowed on top of the array bounds (report objects,
 #: a generator, per-layer traces).
@@ -138,13 +143,14 @@ class TestDriftCheck:
             drift_oracle(market, strat, 0.05, 5.0, 1000, 1e4, 1)
         assert str(streamed.value) == str(oracle.value)
 
-    def test_holds_one_path_array_and_one_block(self, market, policy):
-        n_paths, n_times = 60_000, 21
+    def test_holds_two_blocks(self, market, policy):
+        n_times = 21
         mc_drift_check(market, policy.strategy, 0.02, 2.0, 1000, 5.0, 0)  # warm up imports
-        _, peak = peak_bytes(lambda: mc_drift_check(
-            market, policy.strategy, 0.02, 2.0, n_paths, 5.0, 3, n_times=n_times))
-        block = _DRIFT_BLOCK_PATHS * (n_times - 1) * 8
-        assert peak <= n_paths * n_times * 8 + block + SLACK
+        block = (_DRIFT_BLOCK_PATHS + 1) * n_times * 8
+        for n_paths in (60_000, 240_000):  # the bound does not grow with the paths
+            _, peak = peak_bytes(lambda: mc_drift_check(
+                market, policy.strategy, 0.02, 2.0, n_paths, 5.0, 3, n_times=n_times))
+            assert peak <= 2 * block + SLACK, n_paths
 
 
 LATTICE_SIZES = [0, 1, 100, 333, 500, 2000]
@@ -166,11 +172,13 @@ class TestLatticeGrids:
         prefs = Preferences(b=1.3, delta=0.03, R=R, S=S)
         lat = build_lattice(market, policy.strategy, dt=0.01, n_steps=n, x0=2.5)
         C = consumption_grid(lat)
-        if n > 1:  # C = 0 and NaN nodes take the boundary value
+        if n > 1:  # C = 0 nodes take the boundary value
             C.data[[1, 4 % C.data.size]] = 0.0
-            C.data[-1] = math.nan
         U = transformed_consumption_grid(prefs, lat, C)
         np.testing.assert_array_equal(U.data, consumption_oracle(prefs, lat, C.data))
+        C.data[-1] = math.nan  # a NaN node is not a boundary value
+        with pytest.raises(DomainError):
+            transformed_consumption_grid(prefs, lat, C)
 
     def test_build_holds_three_grids(self, market, policy):
         n = 1000
@@ -185,7 +193,16 @@ class TestLatticeGrids:
         assert peak <= 3 * grid_bytes(n) + SLACK
 
 
-def test_cli_picard_solve_holds_five_grids(tmp_path):
+def test_picard_solve_holds_two_grids(prefs, market, policy):
+    n = 1000
+    lat = build_lattice(market, policy.strategy, 0.005, n)
+    U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+    tail = TailClosure.proportional(policy.strategy, prefs, market)
+    _, peak = peak_bytes(lambda: picard_solve(prefs, U, lat, tail))
+    assert peak <= 2 * grid_bytes(n) + SLACK
+
+
+def test_cli_picard_solve_holds_four_grids(tmp_path):
     n = 1000
     scn = cli.parse_scenario({
         "id": "ws",
@@ -197,4 +214,4 @@ def test_cli_picard_solve_holds_five_grids(tmp_path):
     _, peak = peak_bytes(lambda: cli.run_scenario(scn, tmp_path, quiet=True))
     summary = json.loads((tmp_path / "picard_solve_ws.json").read_text())["summary"]
     assert summary["converged"]
-    assert peak <= 5 * grid_bytes(n) + SLACK
+    assert peak <= 4 * grid_bytes(n) + SLACK
