@@ -12,12 +12,7 @@ from .preferences import (  # noqa: F401
     RegimeKind,
     ValueSign,
     classify_regime,
-    difference_aggregator,
-    discount_transform,
-    ez_aggregator,
-    from_wu_coords,
     numeraire_shift,
-    to_wu_coords,
     transformed_aggregator,
     transformed_consumption,
 )

@@ -395,10 +395,8 @@ def policy_grid_search(prefs: Preferences, market: Market, pi_grid,
     if np.any(xi_arr <= 0.0):
         raise InvalidParameters("xi grid must be strictly positive")
     P, X = np.meshgrid(pi_arr, xi_arr, indexing="ij")
-    lam, sig = market.sharpe, market.sigma
-    H = (prefs.delta * prefs.theta
-         + (prefs.R - 1.0) * (market.r + lam * sig * P - X
-                              - P**2 * sig**2 * prefs.R / 2.0))
+    H = closed_form._H(prefs.delta * prefs.theta, market.r, market.sharpe,
+                       market.sigma, prefs.R, P, X)
     masked = H <= 0.0
     values = np.full(H.shape, np.nan)
     ok = ~masked

@@ -44,7 +44,7 @@ from . import closed_form
 from .closed_form import ProportionalStrategy
 from .errors import (DimensionMismatch, ExperimentError, InvalidParameters,
                      InvalidStep, NotEvaluable)
-from .preferences import Market, Preferences, ValueSign, transformed_consumption
+from .preferences import Market, Preferences, transformed_consumption
 
 __all__ = [
     "Lattice",
@@ -66,7 +66,8 @@ class AdaptedGrid:
 
     `data[k(k+1)/2 + j]` is the value at node (k, j), j = number of up-moves.
     `values[k]` is a view of step k into `data`, so writes through `values`
-    change the grid.  sign_domain, when set, is enforced by `validate_sign`.
+    change the grid.  A grid carries no sign domain: `solver.check_solution`
+    checks the one its space implies.
 
     Raises
     ------
@@ -74,18 +75,17 @@ class AdaptedGrid:
         If layer k of `values` does not hold exactly k+1 numbers.
     """
 
-    def __init__(self, values, sign_domain: ValueSign | None = None):
+    def __init__(self, values):
         layers = [np.asarray(v, dtype=float) for v in values]
         for k, v in enumerate(layers):
             if v.shape != (k + 1,):
                 raise DimensionMismatch(
                     f"layer {k} must hold {k + 1} values, got shape {v.shape}"
                 )
-        self._set(np.concatenate(layers) if layers else np.empty(0), sign_domain)
+        self._set(np.concatenate(layers) if layers else np.empty(0))
 
     @classmethod
-    def from_packed(cls, data: np.ndarray,
-                    sign_domain: ValueSign | None = None) -> "AdaptedGrid":
+    def from_packed(cls, data: np.ndarray) -> "AdaptedGrid":
         """Wrap a packed array (not copied) as a grid.
 
         Raises
@@ -94,10 +94,10 @@ class AdaptedGrid:
             If data is not one-dimensional with a triangular number of entries.
         """
         grid = cls.__new__(cls)
-        grid._set(np.asarray(data, dtype=float), sign_domain)
+        grid._set(np.asarray(data, dtype=float))
         return grid
 
-    def _set(self, data: np.ndarray, sign_domain: ValueSign | None) -> None:
+    def _set(self, data: np.ndarray) -> None:
         n = (math.isqrt(8 * data.size + 1) - 3) // 2
         if data.ndim != 1 or (n + 1) * (n + 2) // 2 != data.size:
             raise DimensionMismatch(
@@ -105,7 +105,6 @@ class AdaptedGrid:
             )
         self.data = data
         self.n_steps = n
-        self.sign_domain = sign_domain
         self._views: list[np.ndarray] | None = None
 
     @staticmethod
@@ -136,21 +135,13 @@ class AdaptedGrid:
         if self.n_steps != lat.n_steps:
             raise DimensionMismatch("grid shape does not match lattice")
 
-    def validate_sign(self) -> bool:
-        if self.sign_domain is ValueSign.NON_NEGATIVE:
-            return not np.any(self.data < 0.0)
-        if self.sign_domain is ValueSign.NON_POSITIVE:
-            return not np.any(self.data > 0.0)
-        return True
-
     def copy(self) -> "AdaptedGrid":
-        return AdaptedGrid.from_packed(self.data.copy(), self.sign_domain)
+        return AdaptedGrid.from_packed(self.data.copy())
 
     def scaled(self, factor) -> "AdaptedGrid":
         """Nodewise scaling; factor may be a scalar or a per-step sequence."""
         factors = np.broadcast_to(np.asarray(factor, dtype=float), (self.n_steps + 1,))
-        return AdaptedGrid.from_packed(self.per_node(factors) * self.data,
-                                       self.sign_domain)
+        return AdaptedGrid.from_packed(self.per_node(factors) * self.data)
 
     def sup_abs(self) -> float:
         return float(np.max(np.abs(self.data)))
@@ -284,8 +275,7 @@ def unconditional_expectation(lat: Lattice, grid: AdaptedGrid) -> np.ndarray:
 
 def consumption_grid(lat: Lattice) -> AdaptedGrid:
     """On-lattice consumption C = xi * X under the bound strategy."""
-    return AdaptedGrid.from_packed(lat.strategy.xi * lat.wealth.data,
-                                   sign_domain=ValueSign.NON_NEGATIVE)
+    return AdaptedGrid.from_packed(lat.strategy.xi * lat.wealth.data)
 
 
 def transformed_consumption_grid(prefs: Preferences, lat: Lattice,

@@ -18,9 +18,10 @@ The utility process V associated with a consumption stream C solves
 
 so utility values live in the half-line (1-R)*[0, inf): non-negative for R < 1,
 non-positive for R > 1.  The aggregator keeps one sign, which is what makes the
-infinite-horizon recursion well-behaved; the sign-indefinite difference form
-b c^{1-S}/(1-S) ((1-R)v)^rho - delta*theta*v is provided for the diagnostics
-that need it.
+infinite-horizon recursion well-behaved.  The sign-indefinite difference form
+b c^{1-S}/(1-S) ((1-R)v)^rho - delta*theta*v enters only the counterexample
+diagnostics (`closed_form.difference_form_roots` and the `experiments`
+counterexamples), which integrate it in closed form.
 
 The coordinate change W = (1-R) V, U = b*theta*e^{-delta t} C^{1-S} turns the
 recursion into W_t = E_t[ integral u w^rho ], with u, w >= 0.  The two-argument
@@ -46,14 +47,9 @@ __all__ = [
     "RegimeKind",
     "ValueSign",
     "classify_regime",
-    "ez_aggregator",
-    "difference_aggregator",
     "transformed_aggregator",
     "transformed_aggregator_grid",
     "transformed_consumption",
-    "to_wu_coords",
-    "from_wu_coords",
-    "discount_transform",
     "numeraire_shift",
 ]
 
@@ -74,11 +70,6 @@ class ValueSign(enum.Enum):
 
     NON_NEGATIVE = "non_negative"  # R < 1
     NON_POSITIVE = "non_positive"  # R > 1
-
-    def admits(self, v: float) -> bool:
-        if self is ValueSign.NON_NEGATIVE:
-            return v >= 0.0
-        return v <= 0.0
 
 
 @dataclass(frozen=True)
@@ -243,21 +234,15 @@ def transformed_aggregator_grid(
     return out
 
 
-def _check_sign(prefs: Preferences, v) -> None:
-    w = (1.0 - prefs.R) * np.asarray(v, dtype=float)
-    if np.any(w < 0.0):
-        raise DomainError(
-            "utility value outside the sign domain (1-R)*[0, inf)"
-        )
-
-
 def transformed_consumption(prefs: Preferences, t, c, repeats=None):
     """U = b*theta*e^{-delta t} * C^{1-S}, with U = inf when C = 0 and S > 1.
 
     Accepts scalars or arrays; the boundary C = 0 is handled explicitly so no
     IEEE division warnings leak out.  A power, discount factor or product
-    beyond the float range is inf, also without a warning: the solver's order
-    check rejects it as a documented error.  With repeats, t holds one time per run
+    beyond the float range is inf, and the U = inf of a zero consumption times
+    a discount factor that underflows to 0 is NaN, both without a warning: the
+    solver's order check rejects either as a documented error.  With repeats,
+    t holds one time per run
     of repeats[i] consecutive entries of c (the steps of a packed lattice
     grid), so e^{-delta t} is taken once per run.  At most two arrays of c's
     size are live at a time, plus boolean masks.
@@ -273,7 +258,7 @@ def transformed_consumption(prefs: Preferences, t, c, repeats=None):
         raise DomainError("consumption must be non-negative")
     positive = c_arr > 0.0
     base = np.where(positive, c_arr, 1.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         # A fresh output, not base in place: with the in-place power, filling
         # a 2000-step grid one step at a time left glibc's heap fragmented,
         # and the solve that followed peaked 12 MB (11%) higher in resident
@@ -288,94 +273,6 @@ def transformed_consumption(prefs: Preferences, t, c, repeats=None):
             out *= scale
         else:
             out = scale * out
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def ez_aggregator(prefs: Preferences, t: float, c: float, v: float) -> float:
-    """Discounted-form aggregator b e^{-delta t} c^{1-S}/(1-S) ((1-R)v)^rho.
-
-    Evaluated through the transformed kernel, so the c = 0 and v = 0
-    boundaries inherit its conventions.  The result carries the sign of the
-    domain (1-R)*[0, inf).
-
-    Raises
-    ------
-    DomainError
-        If (1-R)v < 0.
-    """
-    _check_sign(prefs, v)
-    u = transformed_consumption(prefs, t, c)
-    w = (1.0 - prefs.R) * v
-    return transformed_aggregator(u, w, prefs.rho) / (1.0 - prefs.R)
-
-
-def difference_aggregator(prefs: Preferences, c: float, v: float) -> float:
-    """Difference-form aggregator b c^{1-S}/(1-S) ((1-R)v)^rho - delta*theta*v.
-
-    Unlike the discounted form this may take either sign; it is used by the
-    counterexample and bubble diagnostics, not by the solver.
-    """
-    _check_sign(prefs, v)
-    u0 = transformed_consumption(prefs, 0.0, c)
-    w = (1.0 - prefs.R) * v
-    kernel = transformed_aggregator(u0, w, prefs.rho) / (1.0 - prefs.R)
-    return kernel - prefs.delta * prefs.theta * v
-
-
-def to_wu_coords(prefs: Preferences, V, C, t):
-    """Map (V, C) to the transformed coordinates (W, U).
-
-    W = (1-R) V and U = b*theta*e^{-delta t} C^{1-S} (inf when C = 0, S > 1).
-    """
-    _check_sign(prefs, V)
-    W = (1.0 - prefs.R) * np.asarray(V, dtype=float)
-    U = transformed_consumption(prefs, t, C)
-    if W.ndim == 0:
-        W = float(W)
-    return W, U
-
-
-def from_wu_coords(prefs: Preferences, W, U, t):
-    """Inverse of `to_wu_coords`: recover (V, C) from (W, U).
-
-    C is recovered as (U e^{delta t} / (b theta))^{1/(1-S)}, with the U = inf
-    (S > 1) and U = 0 (S < 1) boundaries mapping back to C = 0.
-    """
-    W_arr = np.asarray(W, dtype=float)
-    U_arr = np.asarray(U, dtype=float)
-    if np.any(W_arr < 0.0):
-        raise DomainError("W must be non-negative")
-    V = W_arr / (1.0 - prefs.R)
-    base = U_arr * np.exp(prefs.delta * np.asarray(t, dtype=float)) / (prefs.b * prefs.theta)
-    zero_c = np.isinf(base) if prefs.S > 1.0 else (base == 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        C = np.where(
-            zero_c,
-            0.0,
-            np.power(np.where(zero_c, 1.0, base), 1.0 / (1.0 - prefs.S)),
-        )
-    if V.ndim == 0:
-        return float(V), float(C)
-    return V, C
-
-
-def discount_transform(prefs: Preferences, t, values, direction: str):
-    """Rescale utility values between the discounted and difference forms.
-
-    direction="discount_to_difference" multiplies by e^{delta*theta*t};
-    "difference_to_discount" divides.  The round trip is the identity.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    factor = np.exp(prefs.delta * prefs.theta * t_arr)
-    if direction == "discount_to_difference":
-        out = vals * factor
-    elif direction == "difference_to_discount":
-        out = vals / factor
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
     if out.ndim == 0:
         return float(out)
     return out

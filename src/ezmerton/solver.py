@@ -211,8 +211,7 @@ def _reference_integral(lam_theta: np.ndarray, lat: Lattice,
         top = np.concatenate([lat.dt * lam_theta[AdaptedGrid.span(n - 1)], np.zeros(n + 1)])
     else:
         top = lam_theta[AdaptedGrid.span(n)] / tail.decay_rate
-    return AdaptedGrid.from_packed(_backward_accumulate(lat, lam_theta, top),
-                                   sign_domain=ValueSign.NON_NEGATIVE)
+    return AdaptedGrid.from_packed(_backward_accumulate(lat, lam_theta, top))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,7 @@ def apply_recursion(prefs: Preferences, U: AdaptedGrid, W: AdaptedGrid,
     fw = _operator(lat, U.data, W, prefs.rho, eps_term, top)
     if fw.size < W.data.size:  # a zero tail: fw ends at step n-1, top holds n-1 and n
         fw = np.concatenate([fw, top[lat.n_steps:]])
-    return AdaptedGrid.from_packed(fw, sign_domain=ValueSign.NON_NEGATIVE)
+    return AdaptedGrid.from_packed(fw)
 
 
 def _operator(lat: Lattice, u: np.ndarray, W: AdaptedGrid, rho: float,
@@ -465,8 +464,7 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray |
     converged = (len(layers) == m and all(widths[-1] <= tau for widths in layers)
                  and trace[-1][1] <= tol)
     chi = max((ratio for _, _, ratio in trace if math.isfinite(ratio)), default=0.0)
-    return (AdaptedGrid.from_packed(W, ValueSign.NON_NEGATIVE), trace, converged,
-            clamp_events, chi)
+    return AdaptedGrid.from_packed(W), trace, converged, clamp_events, chi
 
 
 def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: np.ndarray | None,
@@ -722,8 +720,7 @@ def generalized_utility(C_grid: AdaptedGrid, prefs: Preferences, market: Market,
             "lattice must be built under the candidate strategy "
             f"(pi={policy.pi_hat}, xi={policy.eta})"
         )
-    c_hat = AdaptedGrid.from_packed(policy.eta * lat.wealth.data)
-    u_hat = None  # the candidate's own driver, built on first need
+    c_hat = policy.eta * lat.wealth.data
     ns = [1]
     while ns[-1] < n_max:
         ns.append(min(2 * ns[-1], n_max))
@@ -731,18 +728,11 @@ def generalized_utility(C_grid: AdaptedGrid, prefs: Preferences, market: Market,
     values: list[float] = []
     for n in ns:
         if prefs.R < 1.0:
-            c_n = np.minimum(C_grid.data, n * c_hat.data)
+            c_n = np.minimum(C_grid.data, n * c_hat)
         else:
-            c_n = np.maximum(C_grid.data, c_hat.data / n)
+            c_n = np.maximum(C_grid.data, c_hat / n)
         u_n = transformed_consumption_grid(prefs, lat, AdaptedGrid.from_packed(c_n))
-        if np.all(np.isfinite(u_n.data)) and np.all(u_n.data > 0.0):
-            lam = u_n
-        else:
-            if u_hat is None:
-                u_hat = transformed_consumption_grid(prefs, lat, c_hat)
-            lam = u_hat
-        report = picard_solve(prefs, u_n, lat, tail, epsilon=0.0, Lambda=lam,
-                              tol=tol, enforce_order=False)
+        report = picard_solve(prefs, u_n, lat, tail, tol=tol, enforce_order=False)
         values.append(report.utility_at_zero(prefs))
 
     last = values[-1]
@@ -873,8 +863,8 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     if space not in ("W", "V"):
         raise InvalidParameters(f"space must be 'W' or 'V', got {space!r}")
     domain = ValueSign.NON_NEGATIVE if space == "W" else prefs.value_sign
-    probe = AdaptedGrid.from_packed(grid.data, sign_domain=domain)
-    if not probe.validate_sign():
+    outside = grid.data < 0.0 if domain is ValueSign.NON_NEGATIVE else grid.data > 0.0
+    if np.any(outside):
         raise SignDomainViolation(f"grid leaves its {domain.value} domain")
 
     half = _aggregator_values(grid, companion, lat, prefs, space)

@@ -385,14 +385,22 @@ def test_degenerate_T_grid_exits_2_with_one_error_line(tmp_path, subprocess_env,
 
 
 def test_consumption_overflow_exits_3_with_one_error_line(tmp_path, subprocess_env):
-    # C^{1-S} overflows at xi = 1e-300; numpy's warning once reached stderr
-    # ahead of the error object.
-    proc = run_module(tmp_path, subprocess_env, base_scenario(
-        lattice={"dt": 0.02, "n_steps": 50},
-        experiment={"name": "picard_solve", "params": {"xi": 1e-300}}))
-    assert proc.returncode == 3
-    (line,) = proc.stderr.splitlines()
-    assert json.loads(line)["error"]["code"] == "numeric"
+    # C^{1-S} overflows at xi = 1e-300.  At delta = 10, pi = 10 and dt 0.5
+    # the low nodes' wealth underflows to C = 0, so U = inf there, while
+    # e^{-delta t} underflows to 0 on the late steps: inf * 0 is NaN.  Each
+    # of numpy's warnings once reached stderr ahead of the error object.
+    cases = (
+        base_scenario(lattice={"dt": 0.02, "n_steps": 50},
+                      experiment={"name": "picard_solve", "params": {"xi": 1e-300}}),
+        base_scenario(preferences={"b": 1.0, "delta": 10.0, "R": 2.0, "S": 2.5},
+                      lattice={"dt": 0.5, "n_steps": 400, "tail": "zero"},
+                      experiment={"name": "picard_solve", "params": {"pi": 10}}),
+    )
+    for raw in cases:
+        proc = run_module(tmp_path, subprocess_env, raw)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["code"] == "numeric"
 
 
 @pytest.mark.parametrize(

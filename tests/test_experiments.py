@@ -5,8 +5,17 @@ import pytest
 from scipy import integrate
 
 from ezmerton import Preferences
-from ezmerton.closed_form import optimal_consumption_rate
-from ezmerton.errors import InvalidParameters, UnsupportedRegime, WellPosed
+from ezmerton.closed_form import (
+    ProportionalStrategy,
+    optimal_consumption_rate,
+    proportional_utility,
+)
+from ezmerton.errors import (
+    InvalidParameters,
+    NotEvaluable,
+    UnsupportedRegime,
+    WellPosed,
+)
 from ezmerton.experiments import (
     aversion_demos,
     crra_counterexample,
@@ -211,6 +220,23 @@ class TestPolicyGridSearch:
         p = Preferences(b=1.0, delta=0.05, R=0.5, S=0.25)
         with pytest.raises(Exception):
             policy_grid_search(p, market, [0.1], [0.01])
+
+    def test_every_cell_matches_proportional_utility(self, prefs, market):
+        report = policy_grid_search(
+            prefs, market,
+            pi_grid=np.linspace(0.0, 1.4, 30),
+            xi_grid=np.linspace(0.01, 0.19, 30),
+        )
+        assert report.not_evaluable.any() and not report.not_evaluable.all()
+        for (i, j), value in np.ndenumerate(report.values):
+            strat = ProportionalStrategy(report.pi_grid[i], report.xi_grid[j])
+            if report.not_evaluable[i, j]:
+                assert math.isnan(value)
+                with pytest.raises(NotEvaluable):
+                    proportional_utility(prefs, market, strat, 1.0, 0.0)
+            else:
+                assert value == pytest.approx(
+                    proportional_utility(prefs, market, strat, 1.0, 0.0), rel=1e-14)
 
 
 class TestAversionDemos:

@@ -10,12 +10,7 @@ from ezmerton import (
     RegimeKind,
     ValueSign,
     classify_regime,
-    difference_aggregator,
-    discount_transform,
-    ez_aggregator,
-    from_wu_coords,
     numeraire_shift,
-    to_wu_coords,
     transformed_aggregator,
     transformed_consumption,
 )
@@ -73,8 +68,6 @@ def test_invalid_parameters_rejected(kwargs):
 def test_value_sign():
     assert Preferences(b=1, delta=0, R=0.5, S=0.25).value_sign is ValueSign.NON_NEGATIVE
     assert Preferences(b=1, delta=0, R=2.0, S=2.5).value_sign is ValueSign.NON_POSITIVE
-    assert ValueSign.NON_POSITIVE.admits(-3.0)
-    assert not ValueSign.NON_POSITIVE.admits(1.0)
 
 
 def test_market_sharpe(market):
@@ -83,23 +76,31 @@ def test_market_sharpe(market):
         Market(r=0.02, mu=0.07, sigma=0.0)
 
 
+def aggregator(prefs, t, c, v):
+    """The discounted aggregator b e^{-delta t} c^{1-S}/(1-S) ((1-R)v)^rho,
+    evaluated as the kernel u w^rho of the transformed driver u = U(t, c) and
+    w = (1-R)v, scaled back by 1/(1-R)."""
+    u = transformed_consumption(prefs, t, c)
+    return transformed_aggregator(u, (1.0 - prefs.R) * v, prefs.rho) / (1.0 - prefs.R)
+
+
 class TestAggregator:
     def test_reference_point(self, prefs):
         # b e^{-delta*0} * 1/(1-S) * ((1-R)(-1))^rho = (1/-1.5) * 1 = -2/3
-        g = ez_aggregator(prefs, t=0.0, c=1.0, v=-1.0)
+        g = aggregator(prefs, t=0.0, c=1.0, v=-1.0)
         assert g == pytest.approx(-2.0 / 3.0, rel=1e-12)
 
     def test_linear_in_scale(self, prefs):
         doubled = Preferences(b=2.0, delta=prefs.delta, R=prefs.R, S=prefs.S)
-        g1 = ez_aggregator(prefs, 0.7, 1.3, -0.4)
-        g2 = ez_aggregator(doubled, 0.7, 1.3, -0.4)
+        g1 = aggregator(prefs, 0.7, 1.3, -0.4)
+        g2 = aggregator(doubled, 0.7, 1.3, -0.4)
         assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
 
     def test_homogeneity(self, prefs):
         # g(t, a c, a^{1-R} v) = a^{1-R} g(t, c, v)
         a = 4.0
-        base = ez_aggregator(prefs, 0.0, 1.0, -1.0)
-        scaled = ez_aggregator(prefs, 0.0, a * 1.0, a ** (1 - prefs.R) * -1.0)
+        base = aggregator(prefs, 0.0, 1.0, -1.0)
+        scaled = aggregator(prefs, 0.0, a * 1.0, a ** (1 - prefs.R) * -1.0)
         assert scaled == pytest.approx(a ** (1 - prefs.R) * base, rel=1e-12)
         assert scaled == pytest.approx(-2.0 / 3.0 * 0.25, rel=1e-12)
 
@@ -109,34 +110,13 @@ class TestAggregator:
             c = float(rng.uniform(0.1, 5.0))
             v = -float(rng.uniform(0.1, 5.0))
             t = float(rng.uniform(0.0, 10.0))
-            lhs = ez_aggregator(prefs, t, a * c, a ** (1 - prefs.R) * v)
-            rhs = a ** (1 - prefs.R) * ez_aggregator(prefs, t, c, v)
+            lhs = aggregator(prefs, t, a * c, a ** (1 - prefs.R) * v)
+            rhs = a ** (1 - prefs.R) * aggregator(prefs, t, c, v)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_sign_domain_enforced(self, prefs):
         with pytest.raises(DomainError):
-            ez_aggregator(prefs, 0.0, 1.0, 1.0)  # R > 1 needs v <= 0
-
-
-class TestDifferenceAggregator:
-    def test_delta_zero_collapse(self):
-        p = Preferences(b=1.0, delta=0.0, R=2.0, S=2.5)
-        for c, v in [(1.0, -1.0), (0.5, -2.0), (2.0, -0.1)]:
-            assert difference_aggregator(p, c, v) == pytest.approx(
-                ez_aggregator(p, 0.0, c, v), rel=1e-12
-            )
-
-    def test_reference_point(self):
-        p = Preferences(b=0.03, delta=0.03, R=2.0, S=2.5)
-        # 0.03/(-1.5) - 0.03*(2/3)*(-1) = -0.02 + 0.02 = 0
-        assert difference_aggregator(p, 1.0, -1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_takes_both_signs(self, prefs):
-        # For R > 1 and delta > 0 the difference form is sign-indefinite:
-        # with S > 1 the kernel term vanishes as c grows, leaving -delta*theta*v > 0.
-        values = [difference_aggregator(prefs, c, v)
-                  for c, v in [(1.0, -1e-3), (1e3, -10.0)]]
-        assert min(values) < 0.0 < max(values)
+            aggregator(prefs, 0.0, 1.0, 1.0)  # R > 1 needs v <= 0
 
 
 class TestTransformedAggregator:
@@ -189,14 +169,9 @@ class TestTransformedAggregator:
 
 
 class TestCoordinateTransform:
-    def test_w_side(self):
-        p = Preferences(b=1, delta=0.0, R=2.0, S=2.5)
-        W, _ = to_wu_coords(p, V=-3.0, C=1.0, t=0.0)
-        assert W == 3.0
-
     def test_u_reference_point(self):
         p = Preferences(b=1.0, delta=0.0, R=2.0, S=2.5)
-        _, U = to_wu_coords(p, V=-1.0, C=1.0, t=0.0)
+        U = transformed_consumption(p, 0.0, 1.0)
         assert U == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_zero_consumption_boundary(self, prefs):
@@ -216,37 +191,8 @@ class TestCoordinateTransform:
             assert transformed_consumption(prefs, 0.0, 1e-300) == math.inf
             assert transformed_consumption(prefs, -1e5, 1.0) == math.inf  # e^{-delta t}
 
-    def test_round_trip(self, prefs, rng):
-        for _ in range(50):
-            v = -float(rng.uniform(0.01, 100.0))
-            c = float(rng.uniform(0.01, 100.0))
-            t = float(rng.uniform(0.0, 20.0))
-            W, U = to_wu_coords(prefs, v, c, t)
-            v2, c2 = from_wu_coords(prefs, W, U, t)
-            assert v2 == pytest.approx(v, rel=1e-12)
-            assert c2 == pytest.approx(c, rel=1e-12)
-
 
 class TestDiscountTransform:
-    def test_delta_zero_identity(self):
-        p = Preferences(b=1, delta=0.0, R=2.0, S=2.5)
-        vals = np.array([-1.0, -2.0, -3.0])
-        out = discount_transform(p, np.array([0.0, 5.0, 10.0]), vals,
-                                 "discount_to_difference")
-        assert np.array_equal(out, vals)
-
-    def test_reference_point(self, prefs):
-        # delta*theta = 0.02, t = 10: -5 e^{0.2}
-        out = discount_transform(prefs, 10.0, -5.0, "discount_to_difference")
-        assert out == pytest.approx(-5.0 * math.exp(0.2), rel=1e-14)
-
-    def test_round_trip(self, prefs, rng):
-        t = rng.uniform(0.0, 30.0, 40)
-        v = -rng.uniform(0.1, 10.0, 40)
-        there = discount_transform(prefs, t, v, "discount_to_difference")
-        back = discount_transform(prefs, t, there, "difference_to_discount")
-        np.testing.assert_allclose(back, v, rtol=1e-14)
-
     def test_matches_proportional_coefficient(self, prefs, market, policy):
         # Removing the discount from the closed-form proportional value gives
         # a time-constant coefficient.
@@ -257,7 +203,7 @@ class TestDiscountTransform:
             proportional_utility(prefs, market, policy.strategy, 1.0, t)
             for t in times
         ])
-        upcounted = discount_transform(prefs, times, vals, "discount_to_difference")
+        upcounted = vals * np.exp(prefs.delta * prefs.theta * times)
         np.testing.assert_allclose(upcounted, upcounted[0], rtol=1e-12)
 
 

@@ -387,10 +387,27 @@ class TestCheckSolution:
         assert report.classification == "subsolution"
 
     def test_sign_domain_violation(self, prefs, setup):
+        # One node outside the domain is enough: W is non-negative, and V
+        # lies in (1-R)*[0, inf), non-positive for R > 1 and non-negative
+        # for R < 1.
         lat, tail, U = setup
-        bad = AdaptedGrid([-np.ones(k + 1) for k in range(lat.n_steps + 1)])
-        with pytest.raises(SignDomainViolation):
-            check_solution(bad, U, lat, prefs, tol=1e-6, space="W")
+        C = consumption_grid(lat)
+        low_R = Preferences(b=1.0, delta=0.03, R=0.5, S=0.25)
+        for p, companion, space, inside in ((prefs, U, "W", 1.0),
+                                            (prefs, C, "V", -1.0),
+                                            (low_R, C, "V", 1.0)):
+            bad = np.full(U.data.size, inside)
+            bad[7] = -inside
+            with pytest.raises(SignDomainViolation):
+                check_solution(AdaptedGrid.from_packed(bad), companion, lat, p,
+                               tol=1e-6, space=space)
+
+    def test_zero_grid_lies_in_both_sign_domains(self, prefs, setup):
+        lat, tail, U = setup
+        zero = AdaptedGrid.from_packed(np.zeros(U.data.size))
+        check_solution(zero, U, lat, prefs, tol=1e-6, space="W")  # non-negative
+        check_solution(zero, consumption_grid(lat), lat, prefs, tol=1e-6,
+                       space="V")  # non-positive for R > 1
 
     def test_comparison_of_scaled_pair(self, prefs, setup):
         lat, tail, U = setup
