@@ -15,8 +15,8 @@ the experiment does not declare (`list --json`).  Sizes (lattice nodes, grid
 points and cells, Monte Carlo draws, counterexample unit blocks) are
 checked against ELEMENT_BUDGET before anything is allocated.  The Monte Carlo
 check then holds one block of paths whatever its size, so its n_paths charge
-bounds its time, and a lattice solve at most four float64 grids of its charged
-nodes.
+bounds its time, and a lattice solve at most three float64 grids of its
+charged nodes (wealth, U and the solution W plus one block).
 
 Scenario schema (version 1)::
 
@@ -73,9 +73,9 @@ _SOLVER_DEFAULTS = {"epsilon": 0.0, "tol": 1e-8, "max_iter": 200}
 #: and counterexample unit blocks.  Ten million float64 values are 80 MB.  In
 #: bytes, `mc_drift_check` holds one 1.3 MB block of draws and one 1.4 MB
 #: block of paths whatever n_paths is, so its charge of 21 * n_paths bounds
-#: its time, not its memory; `picard_solve` holds at most four float64 grids
-#: of its charged nodes (wealth, U, the solution and one scratch grid), at
-#: most 320 MB at the budget.
+#: its time, not its memory; `picard_solve` holds at most three float64 grids
+#: of its charged nodes (wealth, C and U while U is built; wealth, U and the
+#: solution W plus one block while it solves), at most 240 MB at the budget.
 ELEMENT_BUDGET = 10_000_000
 #: Budget units charged per unit block of a counterexample.  A block costs a
 #: few closed-form values, but the charge stays at the 3 * 21 of a 21-point

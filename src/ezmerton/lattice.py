@@ -250,27 +250,60 @@ def step_expectation(lat: Lattice, values_next: np.ndarray) -> np.ndarray:
     return lat.p_up * values_next[1:] + (1.0 - lat.p_up) * values_next[:-1]
 
 
+#: Nodes per block of whole steps (256 KB of float64) in the passes that
+#: stream over a grid: `unconditional_expectation`, the consumption transform
+#: and the solver's order check and residual.
+_BLOCK_NODES = 1 << 15
+
+
+def _step_blocks(first: int, last: int) -> list[tuple[int, int]]:
+    """(lo, hi) runs of whole steps covering first..last in order, each of at
+    most `_BLOCK_NODES` nodes or else a single step."""
+    blocks = []
+    lo = first
+    while lo <= last:
+        # steps 0..j-1 hold j(j+1)/2 nodes, at most those before lo plus a block
+        j = (math.isqrt(8 * (lo * (lo + 1) // 2 + _BLOCK_NODES) + 1) - 1) // 2
+        hi = min(max(j - 1, lo), last)
+        blocks.append((lo, hi))
+        lo = hi + 1
+    return blocks
+
+
 def unconditional_expectation(lat: Lattice, grid: AdaptedGrid) -> np.ndarray:
     """E[grid at step k] for every k.
 
     The binomial(k, 1/2) node weights are propagated forward one step at a
     time, weights_{k+1}[j] = ½(weights_k[j-1] + weights_k[j]) with the missing
-    neighbour of either end taken as 0, and then summed against the grid step
-    by step in one call.
+    neighbour of either end taken as 0, one block of steps at a time in one
+    block buffer, and each block is summed against the grid step by step in
+    one call.  The step before a block waits in a buffer of one layer, so
+    nothing of the grid's size is allocated.
     """
     grid.check_shape(lat)
-    weights = np.empty_like(grid.data)
-    weights[0] = 1.0
-    for k in range(lat.n_steps):
-        start = k * (k + 1) // 2
-        prev = weights[start:start + k + 1]
-        nxt = weights[start + k + 1:start + 2 * k + 3]
-        np.add(prev[1:], prev[:-1], out=nxt[1:-1])
-        nxt[0], nxt[-1] = prev[0], prev[-1]
-        nxt *= 0.5
-    weights *= grid.data
-    steps = np.arange(lat.n_steps + 1)
-    return np.add.reduceat(weights, steps * (steps + 1) // 2)
+    n = lat.n_steps
+    out = np.empty(n + 1)
+    weights = np.empty(max(_BLOCK_NODES, n + 1))
+    last = np.empty(n + 1)
+    for lo, hi in _step_blocks(0, n):
+        block = AdaptedGrid.span(lo, hi)
+        w = weights[:block.stop - block.start]
+        for k in range(lo, hi + 1):
+            start = k * (k + 1) // 2 - block.start
+            nxt = w[start:start + k + 1]
+            if k == 0:
+                nxt[0] = 1.0
+            else:
+                np.add(prev[1:], prev[:-1], out=nxt[1:-1])
+                nxt[0], nxt[-1] = prev[0], prev[-1]
+                nxt *= 0.5
+            prev = nxt
+        prev = last[:hi + 1]  # the block's last step, read by the next block
+        prev[...] = w[w.size - hi - 1:]
+        w *= grid.data[block]
+        steps = np.arange(lo, hi + 1)
+        out[lo:hi + 1] = np.add.reduceat(w, steps * (steps + 1) // 2 - block.start)
+    return out
 
 
 def consumption_grid(lat: Lattice) -> AdaptedGrid:
@@ -282,8 +315,10 @@ def transformed_consumption_grid(prefs: Preferences, lat: Lattice,
                                  C: AdaptedGrid) -> AdaptedGrid:
     """U = b*theta*e^{-delta t} C^{1-S} at every node of the lattice.
 
-    One vectorised `transformed_consumption` call over the packed nodes, with
-    the discount factor taken once per step and repeated over its nodes.
+    One vectorised `transformed_consumption` call per block of whole steps,
+    written into the output, with the discount factor taken once per step and
+    repeated over its nodes.  Beyond the output the transform holds one
+    block's temporaries.
 
     Raises
     ------
@@ -291,8 +326,13 @@ def transformed_consumption_grid(prefs: Preferences, lat: Lattice,
         If C does not live on the lattice.
     """
     C.check_shape(lat)
-    return AdaptedGrid.from_packed(transformed_consumption(
-        prefs, lat.times, C.data, repeats=np.arange(1, lat.n_steps + 2)))
+    out = np.empty_like(C.data)
+    times = lat.times
+    for lo, hi in _step_blocks(0, lat.n_steps):
+        block = AdaptedGrid.span(lo, hi)
+        out[block] = transformed_consumption(prefs, times[lo:hi + 1], C.data[block],
+                                             repeats=np.arange(lo + 1, hi + 2))
+    return AdaptedGrid.from_packed(out)
 
 
 @dataclass(frozen=True)

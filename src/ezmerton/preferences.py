@@ -245,7 +245,9 @@ def transformed_consumption(prefs: Preferences, t, c, repeats=None):
     t holds one time per run
     of repeats[i] consecutive entries of c (the steps of a packed lattice
     grid), so e^{-delta t} is taken once per run.  At most two arrays of c's
-    size are live at a time, plus boolean masks.
+    size are live at a time, plus boolean masks and the repeated scale;
+    `lattice.transformed_consumption_grid` passes one block of steps at a
+    time, so a lattice grid costs its output plus one block.
 
     Raises
     ------

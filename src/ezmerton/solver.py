@@ -12,15 +12,18 @@ horizon, and a backward sweep of the trapezoid step
     G_k = E_k[ G_{k+1} + dt/2 f_{k+1} ] + dt/2 f_k.
 
 That step is written once (`_trapezoid_step`), over any contiguous range of
-packed steps: the operator, `reference_integral` and the hitting-time
-defects sweep it one step at a time, since each step needs the next, while
-a gap-g pair-defect family advances every start step at once in g calls.
-A sequential sweep works in place: the carry a = G_{k+1} + dt/2 f_{k+1} sits
-in one scratch buffer of n+1 values, and the step writes ½(a[1:] + a[:-1])
-+ dt/2 f_k into a second one, so a step is a few numpy calls and allocates
-nothing; the operator and `reference_integral` then copy G_k over f_k, so G
-accumulates in the integrand's own buffer.  The neighbour mean is the exact
-one-step expectation because the lattice has p_up = ½.
+packed steps: the operator, `reference_integral`, the solve's residual and
+the hitting-time defects sweep it one step at a time, since each step needs
+the next, while a gap-g pair-defect family advances every start step at once
+in g calls.  The sequential sweep of the first three is written once too
+(`_backward_blocks`): it takes the integrand one block of whole steps at a
+time, the carry a = G_{k+1} + dt/2 f_{k+1} sits in one scratch buffer of
+n+1 values, and the step writes ½(a[1:] + a[:-1]) + dt/2 f_k into a second
+one, so a step is a few numpy calls and allocates nothing; G_k is copied
+over f_k, so G accumulates in the integrand's own buffer, the whole grid for
+the operator and `reference_integral`, one block for the residual.  The
+neighbour mean is the exact one-step expectation because the lattice has
+p_up = ½.
 `picard_solve` finds the fixed point W = F(W) of that operator.  Measured in
 the log of the ratio to a reference process Lambda^theta, F contracts in the
 sup-norm with constant |rho| when rho is in (-1, 0), so the fixed point is
@@ -52,6 +55,7 @@ truncation against the candidate optimal stream.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +72,7 @@ from .errors import (
     UnsupportedRegime,
 )
 from .lattice import (
+    _step_blocks,
     AdaptedGrid,
     Lattice,
     TailClosure,
@@ -136,39 +141,75 @@ def _trapezoid_step(a: np.ndarray, half_k: np.ndarray, out: np.ndarray | None = 
     return out
 
 
+#: A packed array formed on demand for a slice of nodes: an integrand, or
+#: the epsilon term (see `_epsilon_term`).
+_SliceFn = Callable[[slice], np.ndarray]
+
+
 def _closure_start(lat: Lattice, top: np.ndarray) -> int:
     """Lowest step of the closure layers top: n, or n-1 for a zero tail."""
     return lat.n_steps - 1 if top.size > lat.n_steps + 1 else lat.n_steps
 
 
-def _backward_accumulate(lat: Lattice, f: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """G_k = E_k[ sum of trapezoid slices of f + G_m ], one backward sweep in f.
+def _backward_blocks(lat: Lattice, top: np.ndarray, integrand: _SliceFn):
+    """G_k = E_k[ sum of trapezoid slices of f + G_m ], one backward sweep
+    from the closure layers down, one block of whole steps at a time.
 
     top holds the packed layers m..n that the tail closure sets (see
-    `_closure_start`); f is the packed integrand on steps 0..m, or on the
-    whole lattice.  G is accumulated in place: f is returned holding G on
-    steps 0..m-1 and the closure layers as far as f reaches.  The carry
-    a = G_{k+1} + half_{k+1} and one step of G live in two buffers of one
-    layer, so the sweep holds no grid beyond f.
+    `_closure_start`).  integrand(s) gives the packed integrand f on the
+    steps of the slice s as a writable array: a view of the caller's grid or
+    a new block.  The sweep scales it to half = dt/2 f in place, overwrites
+    it with G and yields (s, G on s), for blocks from step m-1 down to step
+    0; a yielded block is the caller's.  The carry a = G_{k+1} + half_{k+1}
+    and one step of G live in two buffers of one layer, so the sweep holds
+    nothing of grid size.
     """
     m = _closure_start(lat, top)
-    layer = AdaptedGrid.span(m)
-    half = f[:layer.stop]
-    np.multiply(half, 0.5 * lat.dt, out=half)
-    carry = np.add(top[:m + 1], half[layer])
-    f[layer.start:] = top[:f.size - layer.start]
+    half = 0.5 * lat.dt
+    f_m = integrand(AdaptedGrid.span(m))
+    np.multiply(f_m, half, out=f_m)
+    carry = np.add(top[:m + 1], f_m)
     g = np.empty(m)
-    for k in range(m - 1, -1, -1):
-        start = k * (k + 1) // 2
-        half_k = half[start:start + k + 1]
-        g_k = _trapezoid_step(carry[:k + 2], half_k, g[:k + 1])
-        np.add(g_k, half_k, out=carry[:k + 1])
-        half_k[...] = g_k
+    for lo, hi in reversed(_step_blocks(0, m - 1)):
+        block = AdaptedGrid.span(lo, hi)
+        f = integrand(block)
+        np.multiply(f, half, out=f)
+        for k in range(hi, lo - 1, -1):
+            start = k * (k + 1) // 2 - block.start
+            half_k = f[start:start + k + 1]
+            g_k = _trapezoid_step(carry[:k + 2], half_k, g[:k + 1])
+            np.add(g_k, half_k, out=carry[:k + 1])
+            half_k[...] = g_k
+        yield block, f
+
+
+def _backward_accumulate(lat: Lattice, f: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """`_backward_blocks` in place in f, the packed integrand on steps 0..m or
+    on the whole lattice: f is returned holding G on steps 0..m-1 and the
+    closure layers as far as f reaches."""
+    for _ in _backward_blocks(lat, top, f.__getitem__):
+        pass
+    layer = AdaptedGrid.span(_closure_start(lat, top))
+    f[layer.start:] = top[:f.size - layer.start]
     return f
 
 
+def _epsilon_term(prefs: Preferences, epsilon: float,
+                  Lambda: AdaptedGrid | None) -> _SliceFn | None:
+    """The epsilon term epsilon * Lambda^theta, formed on demand slice by
+    slice so that no grid of it is held; None unless epsilon > 0."""
+    if not epsilon > 0.0:
+        return None
+    lam = Lambda.data
+
+    def term(nodes: slice) -> np.ndarray:
+        e = np.power(lam[nodes], prefs.theta)
+        return np.multiply(e, epsilon, out=e)
+    return term
+
+
 def _tail_solution(prefs: Preferences, lat: Lattice, tail: TailClosure,
-                   u: np.ndarray, eps_term: np.ndarray | None) -> np.ndarray:
+                   u: np.ndarray, eps_term: _SliceFn | None) -> np.ndarray:
     """Layers of the W-recursion that the tail closure sets.
 
     Under proportional continuation the fixed point beyond the horizon is the
@@ -182,12 +223,12 @@ def _tail_solution(prefs: Preferences, lat: Lattice, tail: TailClosure,
         last = AdaptedGrid.span(n - 1)  # empty when n = 0
         w_last = np.power(u[last] * lat.dt / prefs.theta, prefs.theta)
         if eps_term is not None:
-            w_last += lat.dt * eps_term[last]
+            w_last += lat.dt * eps_term(last)
         return np.concatenate([w_last, np.zeros(n + 1)])
     terminal = AdaptedGrid.span(n)
     w_tail = np.power(u[terminal], prefs.theta) / tail.decay_rate**prefs.theta
     if eps_term is not None:
-        w_tail = w_tail + eps_term[terminal] / tail.decay_rate
+        w_tail = w_tail + eps_term(terminal) / tail.decay_rate
     return w_tail
 
 
@@ -250,8 +291,10 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
     target.check_shape(lat)
     if lat.n_steps < 1:
         raise InvalidParameters("order check needs a lattice of at least one step")
-    if np.any(~(target.data > 0.0)) or np.any(np.isinf(target.data)):
+    if not (target.data.min() > 0.0 and target.data.max() < math.inf):
         raise NotInClass("reference process must be strictly positive and finite")
+    # Lambda^theta is accumulated into I^Lambda in place, and the ratios take
+    # Lambda^theta anew one block at a time: the check holds one grid.
     lam_theta = np.power(target.data, prefs.theta)
     trace = unconditional_expectation(lat, AdaptedGrid.from_packed(lam_theta))
     slope = float(np.polyfit(lat.times, np.log(trace), 1)[0])
@@ -260,12 +303,13 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
             f"E[target^theta] decays at rate {-slope:.3e} <= 0; "
             "the defining integral diverges beyond any horizon"
         )
-    ref = _reference_integral(lam_theta.copy(), lat, tail)
-    before_terminal = slice(0, AdaptedGrid.span(lat.n_steps).start)
-    ratios = lam_theta[before_terminal]  # divided in place
-    np.divide(ratios, ref.data[before_terminal], out=ratios)
-    k_lower = float(np.min(ratios))
-    K_upper = float(np.max(ratios))
+    ref = _reference_integral(lam_theta, lat, tail)
+
+    def ratios(block: slice) -> np.ndarray:
+        r = np.power(target.data[block], prefs.theta)
+        return np.divide(r, ref.data[block], out=r)
+
+    k_lower, K_upper = _block_bounds(ratios, lat.n_steps - 1)
     if not (0.0 < k_lower <= K_upper < _RATIO_GUARD):
         raise NotInClass(
             f"order ratio outside (0, {_RATIO_GUARD:g}): [{k_lower}, {K_upper}]"
@@ -274,10 +318,19 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
                             target=target, reference=ref)
 
 
+def _block_bounds(values: _SliceFn, last: int) -> tuple[float, float]:
+    """(min, max) of values(s) over the blocks s of steps 0..last; a NaN in
+    any block makes both NaN, as in one reduction over all of them."""
+    smallest, largest = math.inf, -math.inf
+    for lo, hi in _step_blocks(0, last):
+        v = values(AdaptedGrid.span(lo, hi))
+        smallest, largest = np.minimum(smallest, v.min()), np.maximum(largest, v.max())
+    return float(smallest), float(largest)
+
+
 def _order_ratio_bounds(U: AdaptedGrid, Lambda: AdaptedGrid) -> tuple[float, float]:
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = U.data / Lambda.data
-    return float(np.min(r)), float(np.max(r))
+        return _block_bounds(lambda block: U.data[block] / Lambda.data[block], U.n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -304,47 +357,49 @@ def apply_recursion(prefs: Preferences, U: AdaptedGrid, W: AdaptedGrid,
         raise MissingLambda("epsilon > 0 requires a reference grid Lambda")
     if Lambda is not None:
         Lambda.check_shape(lat)
-    eps_term = epsilon * np.power(Lambda.data, prefs.theta) if epsilon > 0.0 else None
+    eps_term = _epsilon_term(prefs, epsilon, Lambda)
     top = _tail_solution(prefs, lat, tail, U.data, eps_term)
-    fw = _operator(lat, U.data, W, prefs.rho, eps_term, top)
+    # F(W) on steps 0..m: the kernel there, then one backward sweep in place,
+    # which leaves the closure's layer m on top.
+    below = slice(0, AdaptedGrid.span(_closure_start(lat, top)).stop)
+    fw = _backward_accumulate(
+        lat, _kernel_integrand(U.data, W.data, prefs.rho, eps_term)(below), top)
     if fw.size < W.data.size:  # a zero tail: fw ends at step n-1, top holds n-1 and n
         fw = np.concatenate([fw, top[lat.n_steps:]])
     return AdaptedGrid.from_packed(fw)
 
 
-def _operator(lat: Lattice, u: np.ndarray, W: AdaptedGrid, rho: float,
-              eps_term: np.ndarray | None, top: np.ndarray) -> np.ndarray:
-    """Packed F(W) on steps 0..m, m = `_closure_start`: the kernel
-    u * W^rho + eps_term on those steps, then one backward sweep in place,
-    which leaves the closure's layer m on top."""
-    below = slice(0, AdaptedGrid.span(_closure_start(lat, top)).stop)
-    f = transformed_aggregator_grid(u[below], W.data[below], rho)
-    if eps_term is not None:
-        f += eps_term[below]
-    return _backward_accumulate(lat, f, top)
+def _kernel_integrand(u: np.ndarray, w: np.ndarray, rho: float,
+                      eps_term: _SliceFn | None) -> _SliceFn:
+    """The integrand of F(w), u * w^rho + eps_term, as a new array on a
+    packed slice."""
+    def integrand(nodes: slice) -> np.ndarray:
+        f = transformed_aggregator_grid(u[nodes], w[nodes], rho)
+        if eps_term is not None:
+            f += eps_term(nodes)
+        return f
+    return integrand
 
 
-#: Nodes per chunk of the log W that `_residual` subtracts (256 KB).
-_RESIDUAL_CHUNK = 1 << 15
-
-
-def _residual(fw: np.ndarray, W: np.ndarray, solved: int) -> float:
-    """sup |log F(W) - log W| over the first `solved` packed nodes (the layers
-    below the tail closure), with F(W) clipped into [e^-700, e^700].
+def _residual(lat: Lattice, u: np.ndarray, W: np.ndarray, rho: float,
+              eps_term: _SliceFn | None, top: np.ndarray) -> float:
+    """sup |log F(W) - log W| over the layers below the tail closure top,
+    with F(W) clipped into [e^-700, e^700].
 
     The clamped map is what the solve certifies: where F(W) leaves that range
     (inf where u = inf, 0 above a block of zero consumption) the solve stores
-    the clamp.  fw is scratch and is overwritten, and log W is taken chunk by
-    chunk; NaN reads as inf.
+    the clamp.  F(W) is formed and compared one block of steps at a time in
+    one backward sweep, so the check holds nothing of grid size; NaN reads
+    as inf.
     """
-    f = fw[:solved]
-    np.clip(f, _CLAMP_LO, _CLAMP_HI, out=f)
-    np.log(f, out=f)
-    for lo in range(0, solved, _RESIDUAL_CHUNK):
-        chunk = f[lo:lo + _RESIDUAL_CHUNK]
-        chunk -= np.log(W[lo:lo + chunk.size])
-    gap = float(np.max(np.abs(f, out=f), initial=0.0))
-    return math.inf if math.isnan(gap) else gap
+    gap = 0.0
+    for block, f in _backward_blocks(lat, top, _kernel_integrand(u, W, rho, eps_term)):
+        np.clip(f, _CLAMP_LO, _CLAMP_HI, out=f)
+        np.log(f, out=f)
+        f -= np.log(W[block])
+        block_gap = float(np.max(np.abs(f, out=f)))
+        gap = max(gap, math.inf if math.isnan(block_gap) else block_gap)
+    return gap
 
 
 @dataclass
@@ -389,7 +444,7 @@ class SolveReport:
         }
 
 
-def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray | None,
+def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | None,
                  top: np.ndarray, tol: float, max_iter: int):
     """Solve W = F(W) for rho <= 0 in one backward sweep, one layer at a time.
 
@@ -429,8 +484,10 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray |
     the clamp moves are exact only up to it; clamp_events counts them.
 
     The solve holds W and buffers of one layer: c and e are formed layer by
-    layer.  So a `picard_solve` holds W plus one scratch grid (the order
-    check's Lambda^theta, or the residual's F(W)) beyond U and wealth.
+    layer, the epsilon term from Lambda.  So a `picard_solve` holds W plus
+    one block beyond U, Lambda and wealth: the order check's one grid,
+    I^Lambda, is freed before W is allocated, and the residual forms F(W)
+    one block of steps at a time.
 
     Returns (W, trace, converged, clamp_events, chi), with trace and chi as
     in `SolveReport`.  A layer that does not certify within max_iter scalar
@@ -445,7 +502,7 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray |
     with np.errstate(all="ignore"):  # a non-finite value selects the masked sweep
         carry_m = transformed_aggregator_grid(u[closure], W[closure], rho)
         if eps_term is not None:
-            carry_m += eps_term[closure]
+            carry_m += eps_term(closure)
         carry_m *= half
         carry_m += W[closure]
         sweep = _sweep(W, carry_m, u, eps_term, half, rho, tau, max_iter, masked=False)
@@ -467,7 +524,7 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: np.ndarray |
     return AdaptedGrid.from_packed(W), trace, converged, clamp_events, chi
 
 
-def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: np.ndarray | None,
+def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: _SliceFn | None,
            half: float, rho: float, tau: float, max_iter: int, masked: bool):
     """The backward sweep of `_layer_solve`: fills W on steps 0..m-1.
 
@@ -494,7 +551,7 @@ def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: np.ndarr
         a = np.add(carry[1:k + 2], carry[:k + 1], out=a_buf[:k + 1])
         np.multiply(a, _HALF, out=a)
         if eps_term is not None:
-            e = np.multiply(eps_term[nodes], half, out=e_buf[:k + 1])
+            e = np.multiply(eps_term(nodes), half, out=e_buf[:k + 1])
             np.add(a, e, out=a)
         w, t = W[nodes], t_buf[:k + 1]
         v = w  # the value the carry takes: F(W) before the clamp
@@ -641,7 +698,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
                 f"U not bounded by a multiple of Lambda: ratio range [{lo}, {hi}]"
             )
 
-    eps_term = epsilon * np.power(lam_grid.data, prefs.theta) if epsilon > 0.0 else None
+    eps_term = _epsilon_term(prefs, epsilon, lam_grid)
     top = _tail_solution(prefs, lat, tail, U.data, eps_term)
     W, trace, converged, clamp_events, chi = _layer_solve(
         lat, U.data, prefs.rho, eps_term, top, tol, max_iter)
@@ -650,8 +707,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
             f"no certified bound within tol after at most {max_iter} scalar "
             f"steps per layer (bound {trace[-1][1]:.3e})"
         )
-    residual = _residual(_operator(lat, U.data, W, prefs.rho, eps_term, top), W.data,
-                         AdaptedGrid.span(_closure_start(lat, top)).start)
+    residual = _residual(lat, U.data, W.data, prefs.rho, eps_term, top)
     ratios = [r for (_, _, r) in trace if math.isfinite(r)]
     return SolveReport(
         solution=W, iterations=max(it for it, _, _ in trace), contraction_ratios=ratios,

@@ -2,15 +2,17 @@
 plain formulas they replace.
 
 The Monte Carlo drift check holds one block of draws and one block of paths,
-whatever the number of paths; the lattice build and the consumption
-transform hold at most three grids, output included; `picard_solve` at most
-two beyond its inputs (the solution W and one scratch grid), and so the
-CLI's `picard_solve` entry at most four (wealth, U, W and the scratch grid;
-wealth, C and the transform's two while U is built).  Peaks are read with
-tracemalloc, which sees numpy's buffers.  The oracles below are the one-shot
-formulas: the whole draw at once with a `concatenate` and the column means
-of all its paths, the wealth exponent over the full grid and the masked
-`np.where` consumption transform.
+whatever the number of paths; the lattice build holds at most three grids,
+output included, and the consumption transform its output plus one block.
+`unconditional_expectation` holds nothing of grid size, `order_check` only
+the reference grid it returns, and `picard_solve` only its solution W plus
+one block, so the CLI's `picard_solve` entry holds at most three grids
+(wealth, C and U while U is built; wealth, U and W while it solves).  Peaks
+are read with tracemalloc, which sees numpy's buffers.  The oracles below are
+the one-shot formulas: the whole draw at once with a `concatenate` and the
+column means of all its paths, the wealth exponent over the full grid, the
+masked `np.where` consumption transform, the binomial weights over the full
+grid, the order ratios over the full grid and the log gap of the whole F(W).
 """
 
 import json
@@ -23,7 +25,9 @@ import pytest
 from ezmerton import cli
 from ezmerton.closed_form import ProportionalStrategy
 from ezmerton.errors import DomainError, ExperimentError
+from ezmerton.closed_form import candidate_policy
 from ezmerton.lattice import (
+    _BLOCK_NODES,
     _DRIFT_BLOCK_PATHS,
     AdaptedGrid,
     TailClosure,
@@ -31,9 +35,17 @@ from ezmerton.lattice import (
     consumption_grid,
     mc_drift_check,
     transformed_consumption_grid,
+    unconditional_expectation,
 )
-from ezmerton.preferences import Preferences
-from ezmerton.solver import picard_solve
+from ezmerton.preferences import Preferences, transformed_aggregator_grid
+from ezmerton.solver import (
+    _epsilon_term,
+    _residual,
+    _tail_solution,
+    apply_recursion,
+    order_check,
+    picard_solve,
+)
 
 #: Bytes of bookkeeping allowed on top of the array bounds (report objects,
 #: a generator, per-layer traces).
@@ -54,6 +66,10 @@ def peak_bytes(fn):
 
 def grid_bytes(n_steps: int) -> int:
     return (n_steps + 1) * (n_steps + 2) // 2 * 8
+
+
+#: Bytes of the block of whole steps that the streamed passes work in.
+BLOCK_BYTES = _BLOCK_NODES * 8
 
 
 def drift_oracle(market, strat, nu, R, n_paths, horizon, seed, n_times=21,
@@ -185,24 +201,44 @@ class TestLatticeGrids:
         _, peak = peak_bytes(lambda: build_lattice(market, policy.strategy, 0.005, n))
         assert peak <= 3 * grid_bytes(n) + SLACK
 
-    def test_consumption_transform_holds_three_grids(self, prefs, market, policy):
+    def test_consumption_transform_holds_one_grid_and_a_block(self, prefs, market,
+                                                              policy):
         n = 1000
         lat = build_lattice(market, policy.strategy, 0.005, n)
         C = consumption_grid(lat)
         _, peak = peak_bytes(lambda: transformed_consumption_grid(prefs, lat, C))
-        assert peak <= 3 * grid_bytes(n) + SLACK
+        assert peak <= grid_bytes(n) + BLOCK_BYTES + SLACK
 
 
-def test_picard_solve_holds_two_grids(prefs, market, policy):
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_picard_solve_holds_one_grid(prefs, market, policy, epsilon):
     n = 1000
     lat = build_lattice(market, policy.strategy, 0.005, n)
     U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
     tail = TailClosure.proportional(policy.strategy, prefs, market)
-    _, peak = peak_bytes(lambda: picard_solve(prefs, U, lat, tail))
-    assert peak <= 2 * grid_bytes(n) + SLACK
+    _, peak = peak_bytes(lambda: picard_solve(prefs, U, lat, tail, epsilon=epsilon,
+                                              Lambda=U if epsilon else None))
+    assert peak <= grid_bytes(n) + SLACK
 
 
-def test_cli_picard_solve_holds_four_grids(tmp_path):
+def test_order_check_holds_its_reference(prefs, market, policy):
+    n = 1000
+    lat = build_lattice(market, policy.strategy, 0.005, n)
+    U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+    tail = TailClosure.proportional(policy.strategy, prefs, market)
+    _, peak = peak_bytes(lambda: order_check(prefs, U, lat, tail))
+    assert peak <= grid_bytes(n) + SLACK
+
+
+def test_unconditional_expectation_holds_no_grid(prefs, market, policy):
+    for n in (1000, 2000):  # the bound does not grow with the lattice
+        lat = build_lattice(market, policy.strategy, 5.0 / n, n)
+        U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+        _, peak = peak_bytes(lambda: unconditional_expectation(lat, U))
+        assert peak <= SLACK, n
+
+
+def test_cli_picard_solve_holds_three_grids(tmp_path):
     n = 1000
     scn = cli.parse_scenario({
         "id": "ws",
@@ -214,4 +250,166 @@ def test_cli_picard_solve_holds_four_grids(tmp_path):
     _, peak = peak_bytes(lambda: cli.run_scenario(scn, tmp_path, quiet=True))
     summary = json.loads((tmp_path / "picard_solve_ws.json").read_text())["summary"]
     assert summary["converged"]
-    assert peak <= 4 * grid_bytes(n) + SLACK
+    assert peak <= 3 * grid_bytes(n) + SLACK
+
+
+def weights_oracle(lat, grid):
+    """E[grid at step k] from the binomial weights over the full grid."""
+    weights = np.empty_like(grid.data)
+    weights[0] = 1.0
+    for k in range(lat.n_steps):
+        start = k * (k + 1) // 2
+        prev = weights[start:start + k + 1]
+        nxt = weights[start + k + 1:start + 2 * k + 3]
+        np.add(prev[1:], prev[:-1], out=nxt[1:-1])
+        nxt[0], nxt[-1] = prev[0], prev[-1]
+        nxt *= 0.5
+    weights *= grid.data
+    steps = np.arange(lat.n_steps + 1)
+    return np.add.reduceat(weights, steps * (steps + 1) // 2)
+
+
+def backward_oracle(lat, f, top):
+    """The whole-grid backward trapezoid sweep, in place in f, below the
+    closure layers top, which it then copies over f's top layers."""
+    m = lat.n_steps - 1 if top.size > lat.n_steps + 1 else lat.n_steps
+    layer = AdaptedGrid.span(m)
+    half = f[:layer.stop]
+    half *= 0.5 * lat.dt
+    carry = top[:m + 1] + half[layer]
+    f[layer.start:] = top[:f.size - layer.start]
+    for k in range(m - 1, -1, -1):
+        half_k = half[AdaptedGrid.span(k)]
+        g = 0.5 * (carry[1:k + 2] + carry[:k + 1]) + half_k
+        carry[:k + 1] = g + half_k
+        half_k[...] = g
+    return f
+
+
+def order_oracle(prefs, target, lat, tail):
+    """(k_lower, K_upper, I^Lambda) from the ratios over the full grid."""
+    n = lat.n_steps
+    lam_theta = np.power(target.data, prefs.theta)
+    if tail.mode == "zero":
+        top = np.concatenate([lat.dt * lam_theta[AdaptedGrid.span(n - 1)], np.zeros(n + 1)])
+    else:
+        top = lam_theta[AdaptedGrid.span(n)] / tail.decay_rate
+    ref = backward_oracle(lat, lam_theta.copy(), top)
+    before_terminal = AdaptedGrid.span(n).start
+    ratios = lam_theta[:before_terminal] / ref[:before_terminal]
+    return float(np.min(ratios)), float(np.max(ratios)), ref
+
+
+def operator_oracle(prefs, U, W, lat, tail, epsilon, Lambda):
+    """(F(W) below the closure layers, the index where they start), from the
+    kernel over the whole grid at once."""
+    eps_term = _epsilon_term(prefs, epsilon, Lambda)
+    top = _tail_solution(prefs, lat, tail, U.data, eps_term)
+    m = lat.n_steps - 1 if top.size > lat.n_steps + 1 else lat.n_steps
+    below = slice(0, AdaptedGrid.span(m).stop)
+    f = transformed_aggregator_grid(U.data[below], W.data[below], prefs.rho)
+    if epsilon:
+        f += epsilon * np.power(Lambda.data[below], prefs.theta)
+    return backward_oracle(lat, f, top), AdaptedGrid.span(m).start
+
+
+def residual_oracle(prefs, U, W, lat, tail, epsilon, Lambda):
+    """sup |log F(W) - log W| below the closure, from the whole F(W) at once."""
+    fw, solved = operator_oracle(prefs, U, W, lat, tail, epsilon, Lambda)
+    f = np.clip(fw[:solved], math.exp(-700.0), math.exp(700.0))
+    with np.errstate(invalid="ignore"):
+        gap = float(np.max(np.abs(np.log(f) - np.log(W.data[:solved])), initial=0.0))
+    return math.inf if math.isnan(gap) else gap
+
+
+#: Lattice sizes that span two and sixteen blocks of whole steps.
+MULTI_BLOCK_SIZES = [300, 1000]
+#: (R, S) with R above and below 1
+STREAM_PREFS = [(2.0, 2.5), (0.5, 0.25)]
+
+
+def stream_setup(market, R, S, n, tail_mode):
+    prefs = Preferences(b=1.0, delta=0.1 if R < 1.0 else 0.03, R=R, S=S)
+    pol = candidate_policy(prefs, market)
+    lat = build_lattice(market, pol.strategy, 5.0 / n, n)
+    U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+    tail = (TailClosure.zero() if tail_mode == "zero"
+            else TailClosure.proportional(pol.strategy, prefs, market))
+    return prefs, lat, U, tail
+
+
+class TestStreamedPasses:
+    @pytest.mark.parametrize("n", MULTI_BLOCK_SIZES)
+    @pytest.mark.parametrize("R, S", STREAM_PREFS)
+    def test_unconditional_expectation_matches_full_weights(self, market, R, S, n):
+        _, lat, U, _ = stream_setup(market, R, S, n, "proportional")
+        assert grid_bytes(n) > BLOCK_BYTES
+        np.testing.assert_array_equal(unconditional_expectation(lat, U),
+                                      weights_oracle(lat, U))
+
+    @pytest.mark.parametrize("tail_mode", ["zero", "proportional"])
+    @pytest.mark.parametrize("n", MULTI_BLOCK_SIZES)
+    @pytest.mark.parametrize("R, S", STREAM_PREFS)
+    def test_certificate_matches_one_shot_order_check(self, market, R, S, n, tail_mode):
+        prefs, lat, U, tail = stream_setup(market, R, S, n, tail_mode)
+        cert = order_check(prefs, U, lat, tail)
+        k_lower, K_upper, ref = order_oracle(prefs, U, lat, tail)
+        assert (cert.k_lower, cert.K_upper) == (k_lower, K_upper)
+        np.testing.assert_array_equal(cert.reference.data, ref)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    @pytest.mark.parametrize("tail_mode", ["zero", "proportional"])
+    @pytest.mark.parametrize("n", MULTI_BLOCK_SIZES)
+    @pytest.mark.parametrize("R, S", STREAM_PREFS)
+    def test_residual_matches_whole_operator(self, market, R, S, n, tail_mode, epsilon):
+        prefs, lat, U, tail = stream_setup(market, R, S, n, tail_mode)
+        Lambda = U if epsilon else None
+        report = picard_solve(prefs, U, lat, tail, epsilon=epsilon, Lambda=Lambda)
+        assert report.residual == residual_oracle(prefs, U, report.solution, lat, tail,
+                                                  epsilon, Lambda)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    @pytest.mark.parametrize("tail_mode", ["zero", "proportional"])
+    @pytest.mark.parametrize("n", MULTI_BLOCK_SIZES)
+    def test_operator_matches_whole_grid_sweep(self, market, n, tail_mode, epsilon):
+        prefs, lat, U, tail = stream_setup(market, 2.0, 2.5, n, tail_mode)
+        W = U.scaled(7.0)
+        fw, _ = operator_oracle(prefs, U, W, lat, tail, epsilon, U)
+        np.testing.assert_array_equal(
+            apply_recursion(prefs, U, W, lat, tail, epsilon, U).data[:fw.size], fw)
+
+    @pytest.mark.parametrize("n", [40] + MULTI_BLOCK_SIZES)
+    @pytest.mark.parametrize("R, S, zeroed", [
+        (2.0, 3.5, lambda n: {n // 2: slice(0, 3)}),
+        (0.8, 0.5, lambda n: {n: slice(0, 20), n - 1: slice(0, 5)}),
+    ], ids=["u-inf", "u-zero-block"])
+    def test_clamped_residual_matches_whole_operator(self, market, R, S, zeroed, n):
+        # The cases of test_residual_measures_the_clamped_operator: C = 0 on
+        # three nodes of the middle step, or on a block at the horizon.
+        p = Preferences(b=1.0, delta=0.1 if R < 1.0 else 0.03, R=R, S=S)
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=2.0 / n, n_steps=n)
+        tail = TailClosure.proportional(pol.strategy, p, market)
+        C = consumption_grid(lat).copy()
+        for k, nodes in zeroed(n).items():
+            C.values[k][nodes] = 0.0
+        U = transformed_consumption_grid(p, lat, C)
+        lam = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        report = picard_solve(p, U, lat, tail, Lambda=lam, enforce_order=False)
+        assert report.clamp_events > 0
+        assert report.residual == residual_oracle(p, U, report.solution, lat, tail,
+                                                  0.0, None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("tail_mode", ["zero", "proportional"])
+    def test_nonfinite_gap_reads_as_inf(self, market, tail_mode, bad):
+        # A NaN, inf or zero node of W in a lower block: its log gap is NaN
+        # or inf, which the streamed residual reads as inf like the oracle.
+        n = 1000
+        prefs, lat, U, tail = stream_setup(market, 2.0, 2.5, n, tail_mode)
+        W = picard_solve(prefs, U, lat, tail).solution.copy()
+        W.values[n // 4][3] = bad
+        top = _tail_solution(prefs, lat, tail, U.data, None)
+        with np.errstate(all="ignore"):
+            gap = _residual(lat, U.data, W.data, prefs.rho, None, top)
+            assert gap == residual_oracle(prefs, U, W, lat, tail, 0.0, None) == math.inf
