@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,8 +52,6 @@ __all__ = [
     "transformed_consumption",
     "numeraire_shift",
 ]
-
-_CONSISTENCY_TOL = 1e-12
 
 
 class RegimeKind(enum.Enum):
@@ -82,8 +80,8 @@ class Regime:
 class Preferences:
     """Epstein-Zin preference parameters with derived theta and rho.
 
-    theta and rho are computed once at construction and cross-checked against
-    each other so the two parameterisations cannot drift apart.
+    theta and rho are derived from (R, S) at construction; they are not
+    arguments, so they cannot disagree with (R, S).
 
     Raises
     ------
@@ -95,8 +93,8 @@ class Preferences:
     delta: float
     R: float
     S: float
-    theta: float = None  # type: ignore[assignment]
-    rho: float = None    # type: ignore[assignment]
+    theta: float = field(init=False)
+    rho: float = field(init=False)
 
     def __post_init__(self):
         if not (self.b > 0.0):
@@ -106,17 +104,8 @@ class Preferences:
                 raise InvalidParameters(
                     f"{name} must lie in (0,1) or (1,inf), got {val}"
                 )
-        theta = (1.0 - self.R) / (1.0 - self.S)
-        rho = (self.S - self.R) / (1.0 - self.R)
-        if self.theta is None:
-            object.__setattr__(self, "theta", theta)
-        if self.rho is None:
-            object.__setattr__(self, "rho", rho)
-        # Cross-check the stored pair against the (R, S) parameterisation.
-        if abs(self.theta - theta) > _CONSISTENCY_TOL * max(1.0, abs(theta)):
-            raise InvalidParameters("stored theta inconsistent with (R, S)")
-        if abs(self.rho - rho) > _CONSISTENCY_TOL * max(1.0, abs(rho)):
-            raise InvalidParameters("stored rho inconsistent with (R, S)")
+        object.__setattr__(self, "theta", (1.0 - self.R) / (1.0 - self.S))
+        object.__setattr__(self, "rho", (self.S - self.R) / (1.0 - self.R))
         residual = (1.0 - self.S) + self.rho * (1.0 - self.R) - (1.0 - self.R)
         if abs(residual) > 1e-10 * max(1.0, abs(1.0 - self.R)):
             raise InvalidParameters("exponent identity 1-S+rho(1-R)=1-R violated")
@@ -137,16 +126,12 @@ class Market:
     r: float
     mu: float
     sigma: float
-    sharpe: float = None  # type: ignore[assignment]
+    sharpe: float = field(init=False)
 
     def __post_init__(self):
         if not (self.sigma > 0.0):
             raise InvalidParameters(f"sigma must be positive, got {self.sigma}")
-        sharpe = (self.mu - self.r) / self.sigma
-        if self.sharpe is None:
-            object.__setattr__(self, "sharpe", sharpe)
-        elif abs(self.sharpe - sharpe) > _CONSISTENCY_TOL * max(1.0, abs(sharpe)):
-            raise InvalidParameters("stored sharpe inconsistent with (r, mu, sigma)")
+        object.__setattr__(self, "sharpe", (self.mu - self.r) / self.sigma)
 
 
 def classify_regime(prefs: Preferences) -> Regime:

@@ -32,12 +32,14 @@ iterate F.  It uses that the trapezoid step is implicit only in its own
 layer: W_k = A_k + e_k + c_k W_k^rho, with c = dt/2 u, e = dt/2 eps
 Lambda^theta and A_k = E_k[W_{k+1} + c_{k+1} W_{k+1}^rho + e_{k+1}].  For
 every rho <= 0 the scalar map T(W) = A + e + c W^rho is antitone, so each
-node has one root and any two consecutive iterates of T bracket it.
-`_layer_solve` iterates T node by node in a single backward sweep, stops each
-layer once its bracket is narrow enough, and adds the layer widths up into a
-certified bound on the distance to the lattice fixed point.  At rho = 0
-(additive utility) T does not depend on W, and its second iterate is exact.
-A zero tail solves its last step exactly, W_{n-1} = (u_{n-1} dt/theta)^theta
+node has one root, and any W and T(W) bracket it.  `_layer_solve` solves
+each layer in a single backward sweep by Newton's method from below, in the
+unknown W/s with s = max(A + e, c^theta), whose root lies in [1, 2] however
+large or small the layer's values are.  It stops each layer once its bracket
+is narrow enough, and adds the layer widths up into a certified bound on the
+distance to the lattice fixed point.  At rho = 0 (additive utility) T does
+not depend on W, and the first Newton step is exact.  A zero tail solves its
+last step exactly, W_{n-1} = (u_{n-1} dt/theta)^theta
 (W' = -u W^rho with the driver frozen and W(T) = 0), and the kernel is not
 evaluated on the layers a tail closure sets.
 
@@ -410,13 +412,17 @@ class SolveReport:
     returned solution under one more operator application, over the layers
     below the tail closure and with F(W*) clipped into the clamp's range
     [e^-700, e^700] (see `_residual`).  The trace has one entry per solved
-    lattice layer, top layer first: (scalar steps the layer took, certified
-    log-space bound over that layer and every layer above it, the layer's
-    largest ratio of successive bracket widths).  So trace[-1][1] is the
-    certified bound over steps 0..n-1, iterations is the largest number of
-    scalar steps any layer took, contraction_ratios lists the finite width
-    ratios, chi is the largest of them (0.0 if there is none), and
-    clamp_events counts the solved nodes the clamp moved.
+    lattice layer, top layer first: (scalar steps the layer took, its start
+    at x = 1 and each Newton step, certified log-space bound over that layer
+    and every layer above it, the layer's largest ratio of successive bracket
+    widths).  So trace[-1][1] is the certified bound over steps 0..n-1,
+    iterations is the largest number of scalar steps any layer took,
+    contraction_ratios lists the finite width ratios, chi is the largest of
+    them (0.0 if there is none), and clamp_events counts the solved nodes the
+    clamp moved.  Newton converges quadratically, so a width ratio is about
+    the width it divides, times a constant: it falls with the layer's error,
+    far below |rho|.  converged is True on every report `picard_solve`
+    returns, since a solve that does not certify raises `NotConverged`.
     """
 
     solution: AdaptedGrid
@@ -455,11 +461,11 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | N
 
     with c = dt/2 u, e = dt/2 eps_term, A_k = E_k[carry_{k+1}] and
     carry = W + c W^rho + e.  T is antitone (constant at rho = 0), so it has
-    one root, and an iterate x and its image T(x) lie on either side of it.  Each layer
-    iterates T from x = a (a lower bound of the root, as c W^rho >= 0), stops
-    once the bracket (x, T(x)) has a relative width r_k >= max |T(x) - x|/x
-    of at most tau = tol/(2m), keeps W_k = x and passes the carry
-    x + c x^rho + e up to the next layer.
+    one root, and an iterate x and its image T(x) lie on either side of it.
+    Each layer takes Newton steps on W - T(W) from below (see
+    `_newton_layer`), stops once the bracket (x, T(x)) has a relative width
+    r_k >= max |T(x) - x|/x of at most tau = tol/(2m), keeps W_k = x and
+    passes the carry x + c x^rho + e up to the next layer.
 
     The certificate.  Let Wt be the root for the computed a, and alpha_k a
     nodewise bound on |A_k - A*_k|; alpha_{m-1} = 0, as the closure layers
@@ -483,6 +489,11 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | N
     The rounding of each operation (a few ulps) is not counted, and nodes
     the clamp moves are exact only up to it; clamp_events counts them.
 
+    The sweep runs unclamped first.  If it leaves a value outside
+    [e^-700, e^700], or NaN, which a node with u = inf or a = c = 0 gives,
+    one range check over the swept layers finds it and the sweep runs again,
+    clamping each layer (see `_sweep`).
+
     The solve holds W and buffers of one layer: c and e are formed layer by
     layer, the epsilon term from Lambda.  So a `picard_solve` holds W plus
     one block beyond U, Lambda and wealth: the order check's one grid,
@@ -499,16 +510,18 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | N
     half = 0.5 * lat.dt
     closure = AdaptedGrid.span(m)
     tau = tol / (2 * m) if m else tol
-    with np.errstate(all="ignore"):  # a non-finite value selects the masked sweep
+    with np.errstate(all="ignore"):  # a value out of range selects the clamped sweep
         carry_m = transformed_aggregator_grid(u[closure], W[closure], rho)
         if eps_term is not None:
             carry_m += eps_term(closure)
         carry_m *= half
         carry_m += W[closure]
-        sweep = _sweep(W, carry_m, u, eps_term, half, rho, tau, max_iter, masked=False)
-        if sweep is None:
-            sweep = _sweep(W, carry_m, u, eps_term, half, rho, tau, max_iter, masked=True)
-    layers, clamp_events = sweep
+        layers, clamp_events = _sweep(W, carry_m, u, eps_term, half, rho, tau, max_iter,
+                                      clamp=False)
+        swept = W[AdaptedGrid.span(m - len(layers)).start:closure.start]
+        if swept.size and not (_CLAMP_LO <= swept.min() and swept.max() <= _CLAMP_HI):
+            layers, clamp_events = _sweep(W, carry_m, u, eps_term, half, rho, tau,
+                                          max_iter, clamp=True)
     trace: list[tuple[int, float, float]] = []
     s = 0.0
     for widths in layers:
@@ -525,24 +538,23 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | N
 
 
 def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: _SliceFn | None,
-           half: float, rho: float, tau: float, max_iter: int, masked: bool):
+           half: float, rho: float, tau: float, max_iter: int, clamp: bool):
     """The backward sweep of `_layer_solve`: fills W on steps 0..m-1.
 
     carry_m is the closure layer's carry.  Each layer forms its own
-    c = half u and e = half eps_term in buffers of n values.  Returns
-    (layers, clamp events) with each layer's bracket widths, one a scalar
-    step, ending at the first layer that does not certify.  The fast sweep
-    iterates in the unknown x/a in preallocated buffers; it returns None when
-    a width is not finite or a value leaves [e^-700, e^700].  The masked
-    sweep then keeps the kernel's conventions (u = 0 gives 0, u = inf gives
-    inf, as in `transformed_aggregator_grid`) and clamps each layer as the
-    operator clamps F(W): a clamped node's W is e^-+700, its kernel is taken
-    there, and its carry holds the unclamped F(W) = a + c W^rho.
+    c = half u and e = half eps_term in buffers of n values and solves its
+    nodes with `_newton_layer`.  Returns (layers, clamp events) with each
+    layer's bracket widths, one a scalar step, ending at the first layer that
+    does not certify.  With clamp set, each layer is clamped as the operator
+    clamps F(W): a node's W outside [e^-700, e^700] is set to the nearer
+    end, its kernel is taken there by the kernel's conventions (u = 0 gives
+    0, u = inf gives inf, as in `transformed_aggregator_grid`), and its
+    carry holds the unclamped F(W) = a + c W^rho.
     """
     m = carry_m.size - 1
     carry = carry_m.copy()
-    a_buf, c_buf, e_buf, t_buf, ch_buf, x_buf, y_buf = (np.empty(m) for _ in range(7))
-    half, rho_1, rho_0 = np.array(half), np.array(rho - 1.0), np.array(rho)
+    a_buf, c_buf, e_buf, t_buf, b_buf, x_buf, d_buf, q_buf = (np.empty(m) for _ in range(8))
+    half, rho_0, rho_1 = np.array(half), np.array(rho), np.array(rho - 1.0)
     layers: list[list[float]] = []
     clamp_events = 0
     for k in range(m - 1, -1, -1):
@@ -554,86 +566,76 @@ def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: _SliceFn
             e = np.multiply(eps_term(nodes), half, out=e_buf[:k + 1])
             np.add(a, e, out=a)
         w, t = W[nodes], t_buf[:k + 1]
+        widths = _newton_layer(a, c, rho_0, rho_1, tau, max_iter, w, t, b_buf[:k + 1],
+                               x_buf[:k + 1], d_buf[:k + 1], q_buf[:k + 1])
         v = w  # the value the carry takes: F(W) before the clamp
-        if masked:
-            widths = _masked_layer(a, c, np.power(c, 1.0 / (1.0 - rho)), rho, tau,
-                                   max_iter, w, t)
+        if clamp:
             outside = (w < _CLAMP_LO) | (w > _CLAMP_HI)
             if outside.any():
                 clamp_events += int(np.count_nonzero(outside))
                 np.clip(w, _CLAMP_LO, _CLAMP_HI, out=w)
                 t[...] = transformed_aggregator_grid(c, w, rho)
                 v = np.where(outside, a + t, w)
-        else:
-            ch = np.power(a, rho_1, out=ch_buf[:k + 1])
-            np.multiply(ch, c, out=ch)
-            widths = _scaled_layer(a, ch, rho_0, tau, max_iter, w, t,
-                                   x_buf[:k + 1], y_buf[:k + 1])
-            if widths is None:
-                return None
         layers.append(widths)
         if not widths[-1] <= tau:
-            return layers, clamp_events
+            break
         np.add(v, t, out=carry[:k + 1])
         if eps_term is not None:
             np.add(carry[:k + 1], e, out=carry[:k + 1])
-    solved = W[:m * (m + 1) // 2]
-    if not masked and m and not (_CLAMP_LO <= solved.min() and solved.max() <= _CLAMP_HI):
-        return None
     return layers, clamp_events
 
 
-def _scaled_layer(a, ch, rho, tau, max_iter, w, t, x, y):
-    """One layer of the fast sweep; writes w = a x and t = c w^rho.
+def _newton_layer(a, c, rho, rho_1, tau, max_iter, w, t, beta, x_buf, d_buf, q):
+    """The root of W = a + c W^rho at each node of a layer; writes w = W and
+    t = c W^rho, and returns the bracket widths, one a scalar step.
 
-    In x = W/a the map is x <- 1 + ch x^rho with ch = c a^(rho-1), started
-    at x = 1; the bracket width of a step is max |x_new - x|, at least the
-    relative width the certificate takes.  Returns the widths, one a step,
-    or None when the first is not finite.  It runs once per layer and step,
-    so it calls the ufuncs and their reductions directly, with 0-d operands.
+    In x = W/s with s = max(a, c^theta), theta = 1/(1 - rho), the map reads
+    x = alpha + beta x^rho with alpha = a/s and beta = c s^(rho-1), both in
+    [0, 1] and one of them 1, so the root lies in [1, 2] and x >= 1 makes
+    the width max |T(x) - x| at least the relative width.  Where
+    max c a^(rho-1) <= 1, s = a and alpha = 1 at every node, at no extra
+    power.  A node with s = 0 (a = c = 0) or s = inf (a = inf or u = inf)
+    gets alpha = 1 and beta = 0, so W = s there, for the clamp to set.
+
+    Newton's steps on g(x) = x - alpha - beta x^rho start at x = 1, where
+    g <= 0.  g is increasing and, for rho < 0, concave, so the iterates rise
+    to the root without passing it: x is the lower end of the bracket
+    (x, T(x)), and each step squares the relative error, up to a constant.
+    At rho = 0 T does not depend on x, so the first step is exact.  It runs
+    once per layer and step, so it calls the ufuncs and their reductions
+    directly, with 0-d operands (rho and rho_1 = rho - 1), into the buffers
+    beta, x_buf, d_buf and q.
     """
-    widths = [float(np.maximum.reduce(ch))]  # of the first bracket (1, T(1)) = (1, 1 + ch)
-    if not widths[0] < math.inf:
-        return None
-    np.add(ch, _ONE, out=y)
+    np.power(a, rho_1, out=beta)
+    np.multiply(beta, c, out=beta)
+    d = beta  # T(1) - 1 when s = a
+    widths = [float(np.maximum.reduce(beta))]
+    if widths[0] <= 1.0:
+        s, alpha = a, _ONE
+    else:
+        c_theta = np.power(c, 1.0 / (1.0 - rho))
+        s = np.maximum(a, c_theta)
+        alpha = a / s
+        np.divide(c_theta, s, out=beta)
+        np.power(beta, 1.0 - rho, out=beta)
+        edge = (s == 0.0) | (s == math.inf)
+        alpha[edge], beta[edge] = 1.0, 0.0
+        d = alpha + beta - 1.0
+        widths[0] = float(np.maximum.reduce(np.absolute(d, out=q)))
+    x, p = _ONE, beta  # x = 1 and p = beta x^rho
     while widths[-1] > tau and len(widths) < max_iter:
-        x, y = y, x
-        np.power(x, rho, out=y)
-        np.multiply(y, ch, out=y)
-        np.add(y, _ONE, out=y)
-        np.subtract(y, x, out=t)
-        widths.append(float(np.maximum.reduce(np.absolute(t, out=t))))
-    if len(widths) == 1:  # no step taken: the iterate is x = 1
-        x.fill(1.0)
-    np.multiply(a, x, out=w)
-    np.subtract(y, _ONE, out=t)  # c (a x)^rho = a ch x^rho = a (T(x) - 1)
-    np.multiply(t, a, out=t)
-    return widths
-
-
-def _masked_layer(a, c, c_theta, rho, tau, max_iter, w, t):
-    """One layer of the masked sweep; writes w and t = c w^rho by the kernel.
-
-    It starts from max(a, c^theta), a lower bound of the root (W = c W^rho
-    at a = 0 gives W = c^theta), and measures each bracket against its lower
-    end; equal ends (0 and 0, or inf and inf) have width 0.  A node stops
-    once its own bracket is narrow enough: at a = 0 the start is the root,
-    where T has slope |rho|, and iterating on would only grow its rounding.
-    Returns the widths, one a step.
-    """
-    x = np.maximum(a, c_theta)
-    widths = []
-    for _ in range(max_iter):
-        kernel = transformed_aggregator_grid(c, x, rho)
-        y = a + kernel
-        gap = np.abs(y - x) / np.minimum(x, y)
-        gap[x == y] = 0.0
-        widths.append(float(np.max(gap)))
-        if widths[-1] <= tau:
-            break
-        x = np.where(gap <= tau, x, y)
-    w[...] = x
-    t[...] = transformed_aggregator_grid(c, x, rho)
+        np.divide(p, x, out=q)
+        np.multiply(q, rho, out=q)
+        np.subtract(_ONE, q, out=q)  # g'(x) = 1 - rho beta x^(rho-1)
+        np.divide(d, q, out=q)
+        x = np.add(x, q, out=x_buf)
+        p = np.power(x, rho, out=t)
+        np.multiply(p, beta, out=p)
+        d = np.add(p, alpha, out=d_buf)
+        np.subtract(d, x, out=d)  # T(x) - x, >= 0 up to rounding
+        widths.append(float(np.maximum.reduce(np.absolute(d, out=q))))
+    np.multiply(x, s, out=w)
+    np.multiply(p, s, out=t)
     return widths
 
 
@@ -645,15 +647,16 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
 
     Lambda defaults to U itself; it sets the epsilon term and the order
     certificate.  For every supported rho <= 0 one backward sweep solves each
-    layer's implicit trapezoid step node by node: the scalar map
-    T(W) = A + e + c W^rho is antitone, so two consecutive iterates bracket
-    the node's root.  A layer stops once its bracket is at most tol/(2m) wide
-    relative to a lower bound of the root (m solved layers), and the layer
-    widths add up to the certified bound trace[-1][1] <= tol on the
-    log-space sup-norm distance to the lattice fixed point over steps
-    0..n-1 (see `_layer_solve`).  max_iter caps the scalar steps of each
-    layer; iterations is the most that a layer took.  At rho = 0 T does not
-    depend on W, so its second iterate is exact and the bound is 0.
+    layer's implicit trapezoid step node by node, by Newton's method from
+    below: the scalar map T(W) = A + e + c W^rho is antitone, so an iterate
+    and its image bracket the node's root.  A layer stops once its bracket
+    is at most tol/(2m) wide relative to a lower bound of the root (m solved
+    layers), and the layer widths add up to the certified bound
+    trace[-1][1] <= tol on the log-space sup-norm distance to the lattice
+    fixed point over steps 0..n-1 (see `_layer_solve`).  max_iter caps the
+    scalar steps of each layer, its start included; iterations is the most
+    that a layer took.  At rho = 0 T does not depend on W, so the first
+    Newton step is exact and the bound is 0.
 
     Raises
     ------

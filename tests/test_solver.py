@@ -614,6 +614,9 @@ class TestBracket:
         p, pol, _, report = solve_candidate(market, R, S, 0.05, 100)
         assert report.converged
         assert report.trace[-1][1] <= 1e-8
+        # Newton's error falls quadratically: every layer certifies within
+        # three scalar steps here, where iterating T itself takes four.
+        assert report.iterations <= 3
         v0 = report.utility_at_zero(p)
         assert v0 == pytest.approx(self.SPLIT_VALUES[(R, S)], rel=1e-8)
         assert v0 == pytest.approx(pol.value(1.0), rel=1e-4)
@@ -712,16 +715,18 @@ class TestBracket:
         assert report.clamp_events > 0
         assert math.isfinite(report.residual) and report.residual <= 1e-8
 
-    def test_no_false_certificate_where_the_layer_map_expands(self, market):
+    @pytest.mark.parametrize("scale", [1e4, 1e12])
+    def test_no_false_certificate_where_the_layer_map_expands(self, market, scale):
         # U scaled up on one layer until q = |rho| (W* - A - e)/W* > 1 there:
-        # the scalar map no longer contracts near the root.  The solve must
-        # refuse, or return a grid that the independent residual confirms.
+        # the scalar map no longer contracts near the root, and its iterates
+        # would settle into a 2-cycle around it.  Newton's steps from below
+        # reach the root all the same.
         p = Preferences(b=1.0, delta=0.03, R=2.0, S=5.0)
         pol = candidate_policy(p, market)
         lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=40)
         tail = TailClosure.proportional(pol.strategy, p, market)
         U = transformed_consumption_grid(p, lat, consumption_grid(lat))
-        k0, scale = 20, 1e4
+        k0 = 20
         scaled = U.copy()
         scaled.values[k0][:] *= scale
         # The layers above k0 do not see the scaling, so A on layer k0 comes
@@ -738,12 +743,30 @@ class TestBracket:
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         q = abs(p.rho) * (lo - a) / lo
         assert np.min(q) > 1.0
-        try:
-            report = picard_solve(p, scaled, lat, tail, Lambda=U)
-        except NotConverged:
-            return
-        assert report.residual <= 1e-8
+        report = picard_solve(p, scaled, lat, tail, Lambda=U)
+        np.testing.assert_allclose(report.solution.values[k0], lo, rtol=1e-8)
         assert report.trace[-1][1] <= 1e-8
+        assert report.residual <= 1e-8
+
+    @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
+    @pytest.mark.parametrize("k0", [1, 20, 38])
+    @pytest.mark.parametrize("scale", [1e-6, 1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("S", [2.5, 3.5, 5.0, 8.0],
+                             ids=["rho-0.5", "rho-1.5", "rho-3", "rho-6"])
+    def test_solves_under_a_rescaled_layer(self, market, S, scale, k0, tail_mode):
+        # U rescaled on one step, down or far up: the layer's scale-free
+        # unknown keeps its root in [1, 2] whatever the scale, so the solve
+        # certifies and the independent residual confirms it.
+        p = Preferences(b=1.0, delta=0.03, R=2.0, S=S)
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=40)
+        tail = candidate_tail(p, pol, market, tail_mode)
+        U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        scaled = U.copy()
+        scaled.values[k0][:] *= scale
+        report = picard_solve(p, scaled, lat, tail, Lambda=U)
+        assert report.trace[-1][1] <= 1e-8
+        assert report.residual <= 1e-8
 
     @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
     def test_regime_sweep(self, market, tail_mode):
