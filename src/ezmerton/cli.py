@@ -10,13 +10,14 @@ validate  check a scenario file against the schema and print its digest
 Exit codes: 0 success, 2 parse/validation error, 3 numeric failure, 4 I/O
 error.  Errors are emitted as one JSON object on stderr; a validation error
 names the offending field.  Every number, experiment params included, must be
-finite: JSON's NaN and Infinity are rejected at validation, as is a params key
-the experiment does not declare (`list --json`).  Sizes (lattice nodes, grid
-points and cells, Monte Carlo draws, counterexample unit blocks) are
-checked against ELEMENT_BUDGET before anything is allocated.  The Monte Carlo
-check then holds one block of paths whatever its size, so its n_paths charge
-bounds its time, and a lattice solve at most three float64 grids of its
-charged nodes (wealth, U and the solution W plus one block).
+finite: JSON's NaN and Infinity are rejected at validation, as is a key the
+schema below does not declare and a params key the experiment does not
+declare (`list --json`).  Sizes (lattice nodes, grid points and cells, Monte
+Carlo draws, counterexample unit blocks) are checked against ELEMENT_BUDGET
+before anything is allocated.  The Monte Carlo check then holds one block of
+paths whatever its size, so its n_paths charge bounds its time, and a lattice
+solve at most three float64 grids of its charged nodes (wealth, U and the
+solution W plus one block).
 
 Scenario schema (version 1)::
 
@@ -67,6 +68,12 @@ __all__ = ["Scenario", "RunManifest", "CatalogEntry", "parse_scenario",
 _SCHEMA_VERSION = 1
 _LATTICE_DEFAULTS = {"dt": 0.01, "n_steps": 500, "tail": "proportional"}
 _SOLVER_DEFAULTS = {"epsilon": 0.0, "tol": 1e-8, "max_iter": 200}
+#: The keys a scenario ("") and each of its objects may hold.
+_FIELDS = {"": ("schema_version", "id", "preferences", "market", "lattice", "solver",
+                "experiment", "seed"),
+           "preferences": ("b", "delta", "R", "S"), "market": ("r", "mu", "sigma"),
+           "lattice": tuple(_LATTICE_DEFAULTS), "solver": tuple(_SOLVER_DEFAULTS),
+           "experiment": ("name", "params")}
 
 #: Most elements one scenario may ask for, checked before anything is
 #: allocated: lattice nodes, grid points, grid-search cells, Monte Carlo draws
@@ -140,6 +147,15 @@ def _within_budget(elements, field: str) -> None:
              f"asks for more than the budget of {ELEMENT_BUDGET} elements", field)
 
 
+def _declared_keys(raw: dict) -> None:
+    """Reject a key the schema does not declare, top level first."""
+    for obj, declared in _FIELDS.items():
+        keys = raw.get(obj) if obj else raw
+        for key in keys if isinstance(keys, dict) else ():
+            _require(key in declared, f"not a field of {obj or 'the scenario'}; "
+                     f"declared: {list(declared)}", f"{obj}.{key}" if obj else str(key))
+
+
 def _num(raw: dict, field_prefix: str, key: str, lo=None, hi=None,
          integer: bool = False):
     field = f"{field_prefix}.{key}"
@@ -158,6 +174,7 @@ def parse_scenario(raw: dict) -> Scenario:
     Raises ValidationError naming the offending field.
     """
     _require(isinstance(raw, dict), "scenario must be a JSON object", "$")
+    _declared_keys(raw)
     version = raw.get("schema_version", _SCHEMA_VERSION)
     _require(version == _SCHEMA_VERSION,
              f"unsupported schema_version {version}", "schema_version")
@@ -324,12 +341,16 @@ def _param_grid(params: dict, key: str, default: dict) -> np.ndarray:
 def _T_grid(params: dict) -> list:
     """Counterexample horizons; the largest sets the number of unit blocks.
 
-    The slope fit needs two distinct horizons and the tail closure the last
-    four unit blocks.
+    Every rule of `experiments._counterexample` is checked here: the slope
+    fit needs 8 positive integer horizons, two of them distinct, and the
+    tail closure the last four unit blocks.
     """
     field = "experiment.params.T_grid"
     T_grid = _param_list(params, "T_grid", list(range(10, 101, 10)))
     _within_budget(max(T_grid, default=0) * _VALUES_PER_BLOCK, field)
+    _require(len(T_grid) >= 8, "needs at least 8 horizons", field)
+    _require(all(T > 0 and T == int(T) for T in T_grid),
+             "horizons must be positive integers", field)
     _require(len(set(T_grid)) >= 2, "needs at least two distinct horizons", field)
     _require(max(T_grid) >= 4, "needs a largest horizon of at least 4", field)
     return T_grid

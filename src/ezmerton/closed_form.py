@@ -325,7 +325,16 @@ def exponential_stream_utility(prefs: Preferences, a: float, gamma: float,
     Serves as the oracle for `deterministic_utility` on single-segment
     streams: it applies the exponent theta to each factor separately instead
     of integrating a segment.
+
+    Raises
+    ------
+    InvalidParameters
+        If a < 0, as for a `PiecewiseExponentialStream` amplitude.
+    DivergentIntegral
+        If delta + gamma(1-S) <= 0, or a = 0 with S > 1.
     """
+    if a < 0.0:
+        raise InvalidParameters(f"amplitude a must be non-negative, got {a}")
     if a == 0.0:
         if prefs.S > 1.0:
             raise DivergentIntegral("zero stream is not evaluable for S > 1")
@@ -356,7 +365,6 @@ class LabeledRoot:
 @dataclass(frozen=True)
 class RootReport:
     roots: tuple[LabeledRoot, ...]
-    regime_note: str
 
 
 def difference_form_roots(prefs: Preferences, market: Market,
@@ -374,24 +382,21 @@ def difference_form_roots(prefs: Preferences, market: Market,
     theta = prefs.theta
     roots: list[LabeledRoot] = []
     if 0.0 < theta <= 1.0:
-        note = f"theta={theta:.6g} in (0,1]: finite root iff H>0 (H={H:.6g})"
         if H > 0.0:
             roots.append(LabeledRoot((prefs.b * theta / H) ** theta, "finite"))
     elif theta > 1.0:
-        note = f"theta={theta:.6g} > 1: zero always; finite and infinite iff H>0 (H={H:.6g})"
         roots.append(LabeledRoot(0.0, "zero"))
         if H > 0.0:
             roots.append(LabeledRoot((prefs.b * theta / H) ** theta, "finite"))
             roots.append(LabeledRoot(math.inf, "infinite"))
     else:
-        note = f"theta={theta:.6g} < 0: zero always; finite and infinite iff H<0 (H={H:.6g})"
         roots.append(LabeledRoot(0.0, "zero"))
         if H < 0.0:
             roots.append(
                 LabeledRoot((prefs.b * abs(theta) / abs(H)) ** theta, "finite")
             )
             roots.append(LabeledRoot(math.inf, "infinite"))
-    return RootReport(roots=tuple(roots), regime_note=note)
+    return RootReport(roots=tuple(roots))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,9 @@ DIVERGENCE_THRESHOLD = solver.DIVERGENCE_THRESHOLD
 #: 1/n leaves the float range after 1024 levels.
 MAX_DIVERGENCE_LEVELS = 1000
 
+#: Relative tolerance of the supersolution falsifier in `verification_check`.
+_CHECK_TOL = 1e-5
+
 
 def _frac(t: np.ndarray) -> np.ndarray:
     return t - np.floor(t)
@@ -423,14 +426,10 @@ def policy_grid_search(prefs: Preferences, market: Market, pi_grid,
 class AversionReport:
     """Two Jensen gaps: across states (risk) and across time (temporal)."""
 
-    y_values: tuple[float, float]
     expected_y_power: float
     risk_risky_value: float
     risk_certain_value: float
     risk_gap: float
-    temporal_levels: tuple[float, float]
-    temporal_switch_time: float
-    temporal_average: float
     temporal_stream_value: float
     temporal_average_value: float
     temporal_gap: float
@@ -468,6 +467,8 @@ def aversion_demos(prefs: Preferences,
     ------
     UnsupportedRegime
         If theta <= 0 or delta <= 0 (the undiscounted levels need delta > 0).
+    InvalidParameters
+        If a level in y_values or temporal_levels is negative.
     """
     if prefs.theta <= 0.0 or prefs.delta <= 0.0:
         raise UnsupportedRegime("demos need theta > 0 and delta > 0")
@@ -485,14 +486,10 @@ def aversion_demos(prefs: Preferences,
     j_stream = deterministic_utility(prefs, stream, 0.0)
     j_avg = exponential_stream_utility(prefs, avg, 0.0, 0.0)
     return AversionReport(
-        y_values=(y1, y2),
         expected_y_power=ey_power,
         risk_risky_value=j_y,
         risk_certain_value=j_mean,
         risk_gap=j_mean - j_y,
-        temporal_levels=(c1, c2),
-        temporal_switch_time=t0,
-        temporal_average=avg,
         temporal_stream_value=j_stream,
         temporal_average_value=j_avg,
         temporal_gap=j_avg - j_stream,
@@ -651,15 +648,14 @@ class VerificationReport:
 
 def verification_check(prefs: Preferences, market: Market, epsilon: float,
                        n_strategies: int, seed: int, n_samples: int = 10_000,
-                       dt: float = 0.01, n_steps: int = 200,
-                       check_tol: float = 1e-5) -> VerificationReport:
+                       dt: float = 0.01, n_steps: int = 200) -> VerificationReport:
     """Check the candidate value function against perturbed optimality identities.
 
     Works in the shifted accounting units where delta = 0.  Samples random
     (x, y, c, pi) points for the three identities, then builds random
     constant-proportional lattice strategies and verifies that the perturbed
-    candidate value V(X + eps*Y) passes the supersolution falsifier for the
-    consumption C + eta*eps*Y.
+    candidate value V(X + eps*Y) passes the supersolution falsifier (at
+    relative tolerance `_CHECK_TOL`) for the consumption C + eta*eps*Y.
 
     Raises
     ------
@@ -742,7 +738,7 @@ def verification_check(prefs: Preferences, market: Market, epsilon: float,
         report = solver.check_solution(
             AdaptedGrid.from_packed(vhat(x + epsilon * y)),
             AdaptedGrid.from_packed(xi_s * x + eta * epsilon * y), lat, prefs0,
-            tol=check_tol, space="V",
+            tol=_CHECK_TOL, space="V",
         )
         verdicts.append({
             "pi": pi_s, "xi": xi_s,

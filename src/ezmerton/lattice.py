@@ -5,18 +5,16 @@ variance s^2*dt, where
 
     m = r + pi*(mu - r) - xi - pi^2 sigma^2 / 2,      s = |pi| * sigma.
 
-The lattice matches both moments exactly with equal probabilities:
-
-    p_up = 1/2,   up = exp(m dt + s sqrt(dt)),   down = exp(m dt - s sqrt(dt)),
-
-so there is no O(dt) drift bias to pollute fixed-point accuracy.  Wealth
-recombines: the node (k, j) with j up-moves has wealth
+The lattice matches both moments exactly with equal probabilities: each
+step moves log-wealth by m dt + s sqrt(dt) or m dt - s sqrt(dt), each with
+probability 1/2, so there is no O(dt) drift bias to pollute fixed-point
+accuracy.  Wealth recombines: the node (k, j) with j up-moves has wealth
 x0 * exp(m k dt + s sqrt(dt) (2j - k)).
 
-Every sweep over the lattice relies on p_up = 1/2: a one-step expectation is
-the neighbour mean ½(next[j+1] + next[j]), which rounds exactly like
-p next[j+1] + (1-p) next[j] because halving is exact away from subnormals.
-`Lattice` rejects any other p_up.
+Every sweep over the lattice relies on the probability 1/2: a one-step
+expectation is the neighbour mean ½(next[j+1] + next[j]), which rounds
+exactly like ½next[j+1] + ½next[j] because halving is exact away from
+subnormals.
 
 `AdaptedGrid` stores one value per node and is the discrete stand-in for an
 adapted process (consumption, utility, reference processes).  Its storage is
@@ -149,31 +147,16 @@ class AdaptedGrid:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Recombining binomial wealth lattice (immutable after build).
-
-    Raises
-    ------
-    InvalidParameters
-        If p_up is not 1/2, which every sweep over the lattice assumes.
-    """
+    """Recombining binomial wealth lattice (immutable after build), with
+    up-move probability 1/2."""
 
     dt: float
     n_steps: int
     x0: float
-    up: float
-    down: float
-    p_up: float
     wealth: AdaptedGrid
     log_drift: float   # m, per unit time
     log_vol: float     # s, per sqrt(unit time)
-    market: Market
     strategy: ProportionalStrategy
-
-    def __post_init__(self):
-        if self.p_up != 0.5:
-            raise InvalidParameters(
-                f"the lattice sweeps assume p_up = 1/2, got {self.p_up}"
-            )
 
     @property
     def times(self) -> np.ndarray:
@@ -182,6 +165,13 @@ class Lattice:
     @property
     def horizon(self) -> float:
         return self.n_steps * self.dt
+
+
+def _log_moments(market: Market, strat: ProportionalStrategy) -> tuple[float, float]:
+    """(m, s): drift per unit time and volatility of log-wealth under strat."""
+    m = (market.r + strat.pi * (market.mu - market.r) - strat.xi
+         - strat.pi**2 * market.sigma**2 / 2.0)
+    return m, abs(strat.pi) * market.sigma
 
 
 def build_lattice(market: Market, strat: ProportionalStrategy, dt: float,
@@ -201,12 +191,8 @@ def build_lattice(market: Market, strat: ProportionalStrategy, dt: float,
         raise InvalidParameters(f"n_steps must be >= 0, got {n_steps}")
     if not (x0 > 0.0):
         raise InvalidParameters(f"x0 must be positive, got {x0}")
-    m = (market.r + strat.pi * (market.mu - market.r) - strat.xi
-         - strat.pi**2 * market.sigma**2 / 2.0)
-    s = abs(strat.pi) * market.sigma
+    m, s = _log_moments(market, strat)
     sqdt = math.sqrt(dt)
-    up = math.exp(m * dt + s * sqdt)
-    down = math.exp(m * dt - s * sqdt)
     # log(wealth / x0) = m k dt + s sqrt(dt) (2j - k) at node (k, j), built in
     # the output with two grids of scratch.  Packed index i = k(k+1)/2 + j
     # gives 2j - k = 2i - k(k+2), exact in floating point.
@@ -223,9 +209,8 @@ def build_lattice(market: Market, strat: ProportionalStrategy, dt: float,
     np.exp(wealth, out=wealth)
     wealth *= x0
     return Lattice(
-        dt=dt, n_steps=n_steps, x0=x0, up=up, down=down, p_up=0.5,
-        wealth=AdaptedGrid.from_packed(wealth), log_drift=m, log_vol=s,
-        market=market, strategy=strat,
+        dt=dt, n_steps=n_steps, x0=x0, wealth=AdaptedGrid.from_packed(wealth),
+        log_drift=m, log_vol=s, strategy=strat,
     )
 
 
@@ -239,7 +224,7 @@ def candidate_lattice(prefs: Preferences, market: Market, dt: float,
 def step_expectation(lat: Lattice, values_next: np.ndarray) -> np.ndarray:
     """One-step conditional expectation: maps step-(k+1) values to step k.
 
-    E[. | node (k, j)] = p_up * next[j+1] + (1 - p_up) * next[j].
+    E[. | node (k, j)] = ½ next[j+1] + ½ next[j].
     """
     values_next = np.asarray(values_next, dtype=float)
     n = len(values_next)
@@ -247,7 +232,7 @@ def step_expectation(lat: Lattice, values_next: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a step layer of length 2..{lat.n_steps + 1}, got {n}"
         )
-    return lat.p_up * values_next[1:] + (1.0 - lat.p_up) * values_next[:-1]
+    return 0.5 * values_next[1:] + 0.5 * values_next[:-1]
 
 
 #: Nodes per block of whole steps (256 KB of float64) in the passes that
@@ -413,9 +398,7 @@ def mc_drift_check(market: Market, strat: ProportionalStrategy, nu: float,
     """
     if n_paths < 1000:
         raise InvalidParameters("n_paths must be at least 1000")
-    m = (market.r + strat.pi * (market.mu - market.r) - strat.xi
-         - strat.pi**2 * market.sigma**2 / 2.0)
-    s = abs(strat.pi) * market.sigma
+    m, s = _log_moments(market, strat)
     times = np.linspace(0.0, horizon, n_times)
     if not np.dot(times, times) > 0.0:  # polyfit scales by this norm
         raise ExperimentError(f"horizon {horizon} is too short to fit a slope")

@@ -22,8 +22,8 @@ n+1 values, and the step writes ½(a[1:] + a[:-1]) + dt/2 f_k into a second
 one, so a step is a few numpy calls and allocates nothing; G_k is copied
 over f_k, so G accumulates in the integrand's own buffer, the whole grid for
 the operator and `reference_integral`, one block for the residual.  The
-neighbour mean is the exact one-step expectation because the lattice has
-p_up = ½.
+neighbour mean is the exact one-step expectation because the lattice moves
+up with probability ½.
 `picard_solve` finds the fixed point W = F(W) of that operator.  Measured in
 the log of the ratio to a reference process Lambda^theta, F contracts in the
 sup-norm with constant |rho| when rho is in (-1, 0), so the fixed point is
@@ -107,6 +107,8 @@ __all__ = [
 
 #: Desk-scale proxy for +/- infinity in divergence classifications.
 DIVERGENCE_THRESHOLD = 1e6
+#: Most violations `compare` reports.
+_MAX_VIOLATIONS = 20
 
 _LOG_CLAMP = 700.0
 _CLAMP_LO, _CLAMP_HI = math.exp(-_LOG_CLAMP), math.exp(_LOG_CLAMP)
@@ -122,11 +124,13 @@ _HALF.flags.writeable = _ONE.flags.writeable = False
 # The backward trapezoid step
 # ---------------------------------------------------------------------------
 
-def _trapezoid_step(a: np.ndarray, half_k: np.ndarray, out: np.ndarray | None = None,
+def _trapezoid_step(a: np.ndarray, half_k: np.ndarray | None,
+                    out: np.ndarray | None = None,
                     straddles: np.ndarray | None = None) -> np.ndarray:
-    """E_k[a] + half_k with a = G_{k+1} + half_{k+1}, written into out if given.
+    """E_k[a] + half_k with a = G_{k+1} + half_{k+1}, written into out if given;
+    E_k[a] alone if half_k is None.
 
-    The lattice has p_up = 1/2, so E_k[a] is the neighbour mean
+    The lattice moves up with probability 1/2, so E_k[a] is the neighbour mean
     ½(a[j+1] + a[j]); it rounds exactly like ½a[j+1] + ½a[j], since halving is
     exact away from subnormals.  Leading axes of a are batch axes.  a may hold
     a contiguous range of packed steps: averaging across it also pairs the
@@ -139,7 +143,8 @@ def _trapezoid_step(a: np.ndarray, half_k: np.ndarray, out: np.ndarray | None = 
     else:
         out = np.delete(a[..., 1:] + a[..., :-1], straddles, axis=-1)
     np.multiply(out, _HALF, out=out)
-    np.add(out, half_k, out=out)
+    if half_k is not None:
+        np.add(out, half_k, out=out)
     return out
 
 
@@ -263,16 +268,15 @@ def _reference_integral(lam_theta: np.ndarray, lat: Lattice,
 
 @dataclass(frozen=True)
 class OrderCertificate:
-    """Nodewise bounds k_lower * reference <= target^theta <= K_upper * reference.
+    """Nodewise bounds k_lower * reference <= Lambda^theta <= K_upper * reference.
 
-    target is the reference process Lambda, reference is I^Lambda; the bounds
-    are taken over steps 0..n-1 (the terminal layer is excluded because the
-    truncation dominates it).
+    Lambda is the checked reference process and reference is I^Lambda; the
+    bounds are taken over steps 0..n-1 (the terminal layer is excluded
+    because the truncation dominates it).
     """
 
     k_lower: float
     K_upper: float
-    target: AdaptedGrid
     reference: AdaptedGrid
 
 
@@ -316,8 +320,7 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
         raise NotInClass(
             f"order ratio outside (0, {_RATIO_GUARD:g}): [{k_lower}, {K_upper}]"
         )
-    return OrderCertificate(k_lower=k_lower, K_upper=K_upper,
-                            target=target, reference=ref)
+    return OrderCertificate(k_lower=k_lower, K_upper=K_upper, reference=ref)
 
 
 def _block_bounds(values: _SliceFn, last: int) -> tuple[float, float]:
@@ -426,13 +429,22 @@ class SolveReport:
     """
 
     solution: AdaptedGrid
-    iterations: int
-    contraction_ratios: list[float]
     converged: bool
     residual: float
     trace: list[tuple[int, float, float]]
-    chi: float
     clamp_events: int
+
+    @property
+    def iterations(self) -> int:
+        return max(steps for steps, _, _ in self.trace)
+
+    @property
+    def contraction_ratios(self) -> list[float]:
+        return [ratio for _, _, ratio in self.trace if math.isfinite(ratio)]
+
+    @property
+    def chi(self) -> float:
+        return max(self.contraction_ratios, default=0.0)
 
     def utility_at_zero(self, prefs: Preferences) -> float:
         """Time-0 utility V_0 = W_0 / (1-R)."""
@@ -445,7 +457,6 @@ class SolveReport:
             "residual": self.residual,
             "chi": self.chi,
             "clamp_events": self.clamp_events,
-            "contraction_ratios": self.contraction_ratios,
             "w0": float(self.solution.data[0]),
         }
 
@@ -500,9 +511,10 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | N
     I^Lambda, is freed before W is allocated, and the residual forms F(W)
     one block of steps at a time.
 
-    Returns (W, trace, converged, clamp_events, chi), with trace and chi as
-    in `SolveReport`.  A layer that does not certify within max_iter scalar
-    steps ends the sweep unconverged.
+    Returns (W, trace, clamp_events), with trace as in `SolveReport`.  A
+    layer that does not certify within max_iter scalar steps, or whose width
+    stops shrinking (at the float spacing of x, when tau is below it), ends
+    the sweep and raises `NotConverged` naming the layer, its width and tau.
     """
     m = _closure_start(lat, top)
     W = np.empty(AdaptedGrid.span(lat.n_steps).stop)
@@ -531,10 +543,15 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | N
                       max(ratios, default=math.nan)))
     if not trace:  # no layer below the closure
         trace.append((0, 0.0, math.nan))
-    converged = (len(layers) == m and all(widths[-1] <= tau for widths in layers)
-                 and trace[-1][1] <= tol)
-    chi = max((ratio for _, _, ratio in trace if math.isfinite(ratio)), default=0.0)
-    return AdaptedGrid.from_packed(W), trace, converged, clamp_events, chi
+    if layers and not layers[-1][-1] <= tau:  # the sweep ended at this layer
+        widths = layers[-1]
+        why = "max_iter reached" if len(widths) >= max_iter else "its width stopped shrinking"
+        raise NotConverged(
+            f"layer {m - len(layers)} not certified after {len(widths)} scalar steps "
+            f"({why}): bracket width {widths[-1]:.3e} > tau = tol/(2m) = {tau:.3e}")
+    if not trace[-1][1] <= tol:  # every layer certified, which bounds it for tol <= 1
+        raise NotConverged(f"certified bound {trace[-1][1]:.3e} exceeds tol {tol:.3e}")
+    return AdaptedGrid.from_packed(W), trace, clamp_events
 
 
 def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: _SliceFn | None,
@@ -560,11 +577,9 @@ def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: _SliceFn
     for k in range(m - 1, -1, -1):
         nodes = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
         c = np.multiply(u[nodes], half, out=c_buf[:k + 1])
-        a = np.add(carry[1:k + 2], carry[:k + 1], out=a_buf[:k + 1])
-        np.multiply(a, _HALF, out=a)
-        if eps_term is not None:
-            e = np.multiply(eps_term(nodes), half, out=e_buf[:k + 1])
-            np.add(a, e, out=a)
+        e = None if eps_term is None else np.multiply(eps_term(nodes), half,
+                                                      out=e_buf[:k + 1])
+        a = _trapezoid_step(carry[:k + 2], e, a_buf[:k + 1])  # A_k + e
         w, t = W[nodes], t_buf[:k + 1]
         widths = _newton_layer(a, c, rho_0, rho_1, tau, max_iter, w, t, b_buf[:k + 1],
                                x_buf[:k + 1], d_buf[:k + 1], q_buf[:k + 1])
@@ -580,7 +595,7 @@ def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: _SliceFn
         if not widths[-1] <= tau:
             break
         np.add(v, t, out=carry[:k + 1])
-        if eps_term is not None:
+        if e is not None:
             np.add(carry[:k + 1], e, out=carry[:k + 1])
     return layers, clamp_events
 
@@ -623,7 +638,8 @@ def _newton_layer(a, c, rho, rho_1, tau, max_iter, w, t, beta, x_buf, d_buf, q):
         d = alpha + beta - 1.0
         widths[0] = float(np.maximum.reduce(np.absolute(d, out=q)))
     x, p = _ONE, beta  # x = 1 and p = beta x^rho
-    while widths[-1] > tau and len(widths) < max_iter:
+    while (widths[-1] > tau and len(widths) < max_iter
+           and (len(widths) < 2 or widths[-1] < widths[-2])):
         np.divide(p, x, out=q)
         np.multiply(q, rho, out=q)
         np.subtract(_ONE, q, out=q)  # g'(x) = 1 - rho beta x^(rho-1)
@@ -703,20 +719,11 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
 
     eps_term = _epsilon_term(prefs, epsilon, lam_grid)
     top = _tail_solution(prefs, lat, tail, U.data, eps_term)
-    W, trace, converged, clamp_events, chi = _layer_solve(
-        lat, U.data, prefs.rho, eps_term, top, tol, max_iter)
-    if not converged:
-        raise NotConverged(
-            f"no certified bound within tol after at most {max_iter} scalar "
-            f"steps per layer (bound {trace[-1][1]:.3e})"
-        )
+    W, trace, clamp_events = _layer_solve(lat, U.data, prefs.rho, eps_term, top,
+                                          tol, max_iter)
     residual = _residual(lat, U.data, W.data, prefs.rho, eps_term, top)
-    ratios = [r for (_, _, r) in trace if math.isfinite(r)]
-    return SolveReport(
-        solution=W, iterations=max(it for it, _, _ in trace), contraction_ratios=ratios,
-        converged=converged, residual=residual, trace=trace, chi=chi,
-        clamp_events=clamp_events,
-    )
+    return SolveReport(solution=W, converged=True, residual=residual, trace=trace,
+                       clamp_events=clamp_events)
 
 
 # ---------------------------------------------------------------------------
@@ -825,9 +832,6 @@ class ResidualReport:
     defect_max: float
     tol_abs: float
     family_bounds: dict[str, tuple[float, float]]
-    worst_negative: tuple[str, int, int] | None
-    worst_positive: tuple[str, int, int] | None
-    terminal_expectation_trace: np.ndarray
     trace_ok: bool
     trace_slope: float
 
@@ -939,18 +943,10 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
         defects = _hitting_defect(lat, V, half, np.array(mults) * sigma_T)
         families += [(f"hitting_band_{mult:g}sigma", d)
                      for mult, d in zip(mults, defects)]
-    family_bounds: dict[str, tuple[float, float]] = {}
-    defect_min, defect_max = math.inf, -math.inf
-    worst_neg = worst_pos = None
-    for label, d in families:
-        imin, imax = int(np.argmin(d)), int(np.argmax(d))
-        family_bounds[label] = (float(d[imin]), float(d[imax]))
-        if d[imin] < defect_min:
-            defect_min = float(d[imin])
-            worst_neg = (label, *AdaptedGrid.node(imin))
-        if d[imax] > defect_max:
-            defect_max = float(d[imax])
-            worst_pos = (label, *AdaptedGrid.node(imax))
+    family_bounds = {label: (float(d.min()), float(d.max())) for label, d in families}
+    lows, highs = zip(*family_bounds.values())
+    # a running min/max from +-inf: a NaN family bound is passed over
+    defect_min, defect_max = min(math.inf, *lows), max(-math.inf, *highs)
 
     trace = unconditional_expectation(lat, grid)
     abs_trace = np.abs(trace) + 1e-300
@@ -984,9 +980,6 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
         defect_max=defect_max,
         tol_abs=tol_abs,
         family_bounds=family_bounds,
-        worst_negative=worst_neg,
-        worst_positive=worst_pos,
-        terminal_expectation_trace=trace,
         trace_ok=trace_ok,
         trace_slope=trace_slope,
     )
@@ -998,11 +991,11 @@ class ComparisonVerdict:
     violations: list[tuple[int, int, float, float]]
 
 
-def compare(v_sub: AdaptedGrid, v_super: AdaptedGrid,
-            max_violations: int = 20) -> ComparisonVerdict:
+def compare(v_sub: AdaptedGrid, v_super: AdaptedGrid) -> ComparisonVerdict:
     """Nodewise ordering verdict: is v_sub <= v_super everywhere?
 
-    Violations are reported with their (step, node) coordinates.
+    The first `_MAX_VIOLATIONS` violations are reported with their
+    (step, node) coordinates.
 
     Raises
     ------
@@ -1012,6 +1005,6 @@ def compare(v_sub: AdaptedGrid, v_super: AdaptedGrid,
     if v_sub.n_steps != v_super.n_steps:
         raise DimensionMismatch("grids must share a lattice")
     a, b = v_sub.data, v_super.data
-    bad = np.flatnonzero(a > b)[: max(0, max_violations)]
+    bad = np.flatnonzero(a > b)[:_MAX_VIOLATIONS]
     violations = [(*AdaptedGrid.node(int(i)), float(a[i]), float(b[i])) for i in bad]
     return ComparisonVerdict(ordered=len(violations) == 0, violations=violations)

@@ -166,6 +166,10 @@ class TestRun:
         v0 = payload["summary"]["utility_at_zero"]
         closed = payload["summary"]["closed_form_value"]
         assert v0 == pytest.approx(closed, rel=1e-2)
+        # the per-layer ratios are in the CSV, not repeated in the summary
+        assert sorted(payload["summary"]) == [
+            "chi", "clamp_events", "closed_form_value", "converged", "iterations",
+            "residual", "utility_at_zero", "w0"]
 
     def test_zero_tail_summary_is_standard_json(self, tmp_path):
         # The residual once read Infinity for every zero-tail solve, which
@@ -313,9 +317,15 @@ class TestMainEntry:
             # a one-node lattice has a single time: no slope to fit
             ({"name": "picard_solve", "params": {}}, {"lattice": {"n_steps": 0}}),
             ({"name": "verification_check", "params": {}}, {"lattice": {"n_steps": 0}}),
+            # a negative level: at R = 2 its utility is real but the risk gap
+            # negative, at R = 1/2 it is complex
+            ({"name": "aversion_demos", "params": {"y_values": [-1, 2]}}, {}),
+            ({"name": "aversion_demos", "params": {"y_values": [-1, 2]}},
+             {"preferences": {"b": 1.0, "delta": 0.03, "R": 0.5, "S": 0.8}}),
         ],
         ids=["horizon-tiny", "horizon-huge", "xi-zero", "xi-negative",
-             "picard-one-node", "verification-one-node"],
+             "picard-one-node", "verification-one-node", "y_values-negative",
+             "y_values-negative-R-below-1"],
     )
     def test_failing_params_exit_3(self, tmp_path, capsys, experiment, overrides):
         path = write_scenario(tmp_path, base_scenario(experiment=experiment, **overrides))
@@ -323,6 +333,24 @@ class TestMainEntry:
                      str(tmp_path / "out"), "--quiet"])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "numeric"
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"solver": {"max_itr": 5}}, "solver.max_itr"),
+        ({"lattice": {"tial": "zero"}}, "lattice.tial"),
+        ({"preferences": {"b": 1.0, "delta": 0.03, "R": 2.0, "S": 2.5, "rho": -0.5}},
+         "preferences.rho"),
+        ({"market": {"r": 0.02, "mu": 0.07, "sigma": 0.2, "lambda": 0.25}},
+         "market.lambda"),
+        ({"experiment": {"name": "candidate_policy", "param": {}}}, "experiment.param"),
+        ({"sede": 7}, "sede"),
+    ], ids=["solver", "lattice", "preferences", "market", "experiment", "top-level"])
+    def test_undeclared_key_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                     overrides, field):
+        # A misspelt key once passed validation and ran with the defaults.
+        path = write_scenario(tmp_path, base_scenario(**overrides))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["code"], err["field"]) == ("validation", field)
 
     def test_io_exit_code(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "missing.json")])
@@ -371,11 +399,14 @@ def test_no_warning_escapes_the_cli(tmp_path, subprocess_env, name):
 
 
 @pytest.mark.parametrize("name", ["crra_counterexample", "ezsdu_counterexample"])
-@pytest.mark.parametrize("T_grid", [[1, 2, 3, 1, 2, 3, 1, 2], [4] * 8],
-                         ids=["largest-below-4", "one-horizon"])
+@pytest.mark.parametrize("T_grid", [[1, 2, 3, 1, 2, 3, 1, 2], [4] * 8, [2, 4, 6],
+                                    [2, 4, 6.5, 8, 10, 12, 14, 16]],
+                         ids=["largest-below-4", "one-horizon", "fewer-than-8",
+                              "non-integer"])
 def test_degenerate_T_grid_exits_2_with_one_error_line(tmp_path, subprocess_env,
                                                        name, T_grid):
-    # These grids once raised IndexError (exit 1) or printed a RankWarning.
+    # These grids once raised IndexError (exit 1), printed a RankWarning or,
+    # the last two, reached the library's own check (exit 3).
     proc = run_module(tmp_path, subprocess_env, base_scenario(
         experiment={"name": name, "params": {"T_grid": T_grid}}))
     assert proc.returncode == 2

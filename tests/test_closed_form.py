@@ -192,6 +192,18 @@ class TestDeterministicUtility:
         with pytest.raises(DivergentIntegral):
             exponential_stream_utility(p, 1.0, 0.02, 0.0)
 
+    @pytest.mark.parametrize("p", [
+        Preferences(b=1.0, delta=0.03, R=2.0, S=2.5),
+        Preferences(b=1.0, delta=0.03, R=0.5, S=0.8),
+    ], ids=["R>1", "R<1"])
+    def test_negative_level_rejected(self, p):
+        # As a stream amplitude: a negative level gave a real utility at
+        # R = 2 and a complex one at R = 1/2.
+        with pytest.raises(InvalidParameters, match="non-negative"):
+            PiecewiseExponentialStream.exponential(-1.0, 0.0)
+        with pytest.raises(InvalidParameters, match="non-negative"):
+            exponential_stream_utility(p, -1.0, 0.0, 0.0)
+
 
 class TestDeterministicUtilityExact:
     """The per-segment sum against independent references, at tolerances

@@ -43,3 +43,43 @@ def test_package_reexports_resolve_and_are_declared():
         mod = importlib.import_module(f"ezmerton.{module}")
         assert getattr(ezmerton, name) is getattr(mod, name)
         assert name in mod.__all__, f"{module}.{name} is re-exported but not in __all__"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+#: Scripts outside the package that import it: the benchmark harness, which
+#: this suite does not run, and the demos.
+SCRIPTS = sorted(p.relative_to(ROOT).as_posix()
+                 for d in ("perfbench", "demos") for p in (ROOT / d).glob("*.py"))
+
+
+def _package_imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) for every `from ezmerton... import name` anywhere in the
+    file, and (module, None) for every `import ezmerton...`."""
+    pairs = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module \
+                and node.module.split(".")[0] == "ezmerton":
+            pairs += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            pairs += [(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "ezmerton"]
+    return pairs
+
+
+def test_scripts_are_found():
+    assert "perfbench/workloads.py" in SCRIPTS and "demos/02_lattice_solver.py" in SCRIPTS
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_imports_resolve(script):
+    # Static: the scripts are parsed, not run, so a name deleted from the
+    # package fails here rather than when the benchmark or a demo runs.
+    missing = []
+    for module, name in _package_imports(ROOT / script):
+        mod = importlib.import_module(module)
+        if name is not None and not hasattr(mod, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError:
+                missing.append(f"{module}.{name}")
+    assert missing == []

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import subprocess
 import sys
@@ -49,13 +48,6 @@ class TestBuildLattice:
                                   + lat.log_vol * sqdt * (2.0 * j - k))
             np.testing.assert_array_equal(w, ref)
 
-    @pytest.mark.parametrize("p_up", [0.0, 0.4, 0.5 + 1e-16, 0.6, math.nan])
-    def test_p_up_other_than_half_rejected(self, market, policy, p_up):
-        # Every sweep computes E_k as the neighbour mean, which needs p = 1/2.
-        lat = build_lattice(market, policy.strategy, dt=0.1, n_steps=3)
-        with pytest.raises(InvalidParameters, match="p_up"):
-            dataclasses.replace(lat, p_up=p_up)
-
     def test_invalid_step(self, market, policy):
         with pytest.raises(InvalidStep):
             build_lattice(market, policy.strategy, dt=0.0, n_steps=10)
@@ -69,17 +61,19 @@ class TestBuildLattice:
         m = (market.r + policy.pi_hat * (market.mu - market.r) - policy.eta
              - policy.pi_hat**2 * market.sigma**2 / 2.0)
         s = policy.pi_hat * market.sigma
-        log_up, log_dn = math.log(lat.up), math.log(lat.down)
-        mean = lat.p_up * log_up + (1 - lat.p_up) * log_dn
-        var = (lat.p_up * log_up**2 + (1 - lat.p_up) * log_dn**2) - mean**2
+        # the two step-1 nodes, each reached with probability 1/2
+        log_dn, log_up = np.log(lat.wealth.values[1] / lat.x0)
+        mean = 0.5 * log_up + 0.5 * log_dn
+        var = (0.5 * log_up**2 + 0.5 * log_dn**2) - mean**2
         assert abs(mean - m * 0.01) <= 1e-12
         assert abs(var - s**2 * 0.01) <= 1e-12
 
     def test_recombination(self, market, policy):
         lat = build_lattice(market, policy.strategy, dt=0.05, n_steps=30)
+        down, up = lat.wealth.values[1] / lat.x0
         for k in (1, 7, 30):
             j = np.arange(k + 1)
-            direct = lat.x0 * lat.up**j * lat.down ** (k - j)
+            direct = lat.x0 * up**j * down ** (k - j)
             np.testing.assert_allclose(lat.wealth.values[k], direct, rtol=1e-11)
         assert all(np.all(w > 0.0) for w in lat.wealth.values)
 
@@ -92,9 +86,9 @@ class TestBuildLattice:
         n_paths = 100_000
         m, s = lat.log_drift, lat.log_vol
         log_x1 = (m * 1.0 + s * np.sqrt(1.0) * rng.standard_normal(n_paths))
-        lat_mean = n * (lat.p_up * math.log(lat.up)
-                        + (1 - lat.p_up) * math.log(lat.down))
-        lat_var = n * lat.p_up * (1 - lat.p_up) * (math.log(lat.up) - math.log(lat.down))**2
+        log_dn, log_up = np.log(lat.wealth.values[1] / lat.x0)
+        lat_mean = n * (0.5 * log_up + 0.5 * log_dn)
+        lat_var = n * 0.25 * (log_up - log_dn)**2
         se_mean = log_x1.std(ddof=1) / math.sqrt(n_paths)
         assert abs(log_x1.mean() - lat_mean) <= 3 * se_mean
         sample_var = log_x1.var(ddof=1)
@@ -149,7 +143,7 @@ class TestStepExpectation:
         for _ in range(1000):
             vals = step_expectation(lat, vals)
         direct = float(
-            binom.pmf(np.arange(1001), 1000, lat.p_up) @ terminal
+            binom.pmf(np.arange(1001), 1000, 0.5) @ terminal
         )
         assert vals[0] == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
@@ -209,7 +203,7 @@ class TestPackedReductions:
     def test_unconditional_expectation_matches_binomial_pmf(self, market, policy, rng):
         lat = build_lattice(market, policy.strategy, dt=0.005, n_steps=1000)
         grid = AdaptedGrid([rng.uniform(0.5, 2.0, k + 1) for k in range(1001)])
-        ref = [binom.pmf(np.arange(k + 1), k, lat.p_up) @ v
+        ref = [binom.pmf(np.arange(k + 1), k, 0.5) @ v
                for k, v in enumerate(grid.values)]
         np.testing.assert_allclose(unconditional_expectation(lat, grid), ref,
                                    rtol=1e-12)
