@@ -16,8 +16,8 @@ declare (`list --json`).  Sizes (lattice nodes, grid points and cells, Monte
 Carlo draws, counterexample unit blocks) are checked against ELEMENT_BUDGET
 before anything is allocated.  The Monte Carlo check then holds one block of
 paths whatever its size, so its n_paths charge bounds its time, and a lattice
-solve at most three float64 grids of its charged nodes (wealth, U and the
-solution W plus one block).
+solve at most two float64 grids of its charged nodes plus one block (C and U
+while U is built; U and the solution W while it solves).
 
 Scenario schema (version 1)::
 
@@ -80,9 +80,9 @@ _FIELDS = {"": ("schema_version", "id", "preferences", "market", "lattice", "sol
 #: and counterexample unit blocks.  Ten million float64 values are 80 MB.  In
 #: bytes, `mc_drift_check` holds one 1.3 MB block of draws and one 1.4 MB
 #: block of paths whatever n_paths is, so its charge of 21 * n_paths bounds
-#: its time, not its memory; `picard_solve` holds at most three float64 grids
-#: of its charged nodes (wealth, C and U while U is built; wealth, U and the
-#: solution W plus one block while it solves), at most 240 MB at the budget.
+#: its time, not its memory; `picard_solve` holds at most two float64 grids
+#: of its charged nodes (C and U while U is built; U and the solution W plus
+#: one block while it solves), at most 160 MB at the budget.
 ELEMENT_BUDGET = 10_000_000
 #: Budget units charged per unit block of a counterexample.  A block costs a
 #: few closed-form values, but the charge stays at the 3 * 21 of a 21-point

@@ -9,7 +9,9 @@ The lattice matches both moments exactly with equal probabilities: each
 step moves log-wealth by m dt + s sqrt(dt) or m dt - s sqrt(dt), each with
 probability 1/2, so there is no O(dt) drift bias to pollute fixed-point
 accuracy.  Wealth recombines: the node (k, j) with j up-moves has wealth
-x0 * exp(m k dt + s sqrt(dt) (2j - k)).
+x0 * exp(m k dt + s sqrt(dt) (2j - k)).  A `Lattice` stores only dt, the
+number of steps, x0, (m, s) and the strategy; `Lattice.wealth` forms the
+wealth grid on each read, so a caller that needs it twice holds it.
 
 Every sweep over the lattice relies on the probability 1/2: a one-step
 expectation is the neighbour mean ½(next[j+1] + next[j]), which rounds
@@ -148,12 +150,15 @@ class AdaptedGrid:
 @dataclass(frozen=True)
 class Lattice:
     """Recombining binomial wealth lattice (immutable after build), with
-    up-move probability 1/2."""
+    up-move probability 1/2.
+
+    The lattice stores no grid: `wealth` is formed on each read, so a caller
+    that reads it twice should hold it.
+    """
 
     dt: float
     n_steps: int
     x0: float
-    wealth: AdaptedGrid
     log_drift: float   # m, per unit time
     log_vol: float     # s, per sqrt(unit time)
     strategy: ProportionalStrategy
@@ -165,6 +170,34 @@ class Lattice:
     @property
     def horizon(self) -> float:
         return self.n_steps * self.dt
+
+    @property
+    def wealth(self) -> AdaptedGrid:
+        """Node wealth x0 * exp(m k dt + s sqrt(dt) (2j - k)), a new grid.
+
+        The exponent is built in the output one block of whole steps at a
+        time, with the block's steps k and one block of scratch.  Packed
+        index i = k(k+1)/2 + j gives 2j - k = 2i - k(k+2), exact in floating
+        point.
+        """
+        out = np.empty(AdaptedGrid.span(self.n_steps).stop)
+        scale = self.log_vol * math.sqrt(self.dt)
+        for lo, hi in _step_blocks(0, self.n_steps):
+            block = AdaptedGrid.span(lo, hi)
+            logw = out[block]
+            k = np.repeat(np.arange(lo, hi + 1, dtype=float), np.arange(lo + 1, hi + 2))
+            logw[...] = np.arange(block.start, block.stop, dtype=float)
+            logw *= 2.0
+            scratch = k + 2.0
+            scratch *= k
+            logw -= scratch
+            logw *= scale
+            np.multiply(k, self.log_drift, out=scratch)
+            scratch *= self.dt
+            logw += scratch
+            np.exp(logw, out=logw)
+            logw *= self.x0
+        return AdaptedGrid.from_packed(out)
 
 
 def _log_moments(market: Market, strat: ProportionalStrategy) -> tuple[float, float]:
@@ -192,26 +225,8 @@ def build_lattice(market: Market, strat: ProportionalStrategy, dt: float,
     if not (x0 > 0.0):
         raise InvalidParameters(f"x0 must be positive, got {x0}")
     m, s = _log_moments(market, strat)
-    sqdt = math.sqrt(dt)
-    # log(wealth / x0) = m k dt + s sqrt(dt) (2j - k) at node (k, j), built in
-    # the output with two grids of scratch.  Packed index i = k(k+1)/2 + j
-    # gives 2j - k = 2i - k(k+2), exact in floating point.
-    k = AdaptedGrid.per_node(np.arange(n_steps + 1, dtype=float))
-    wealth = np.arange(k.size, dtype=float)
-    wealth *= 2.0
-    scratch = k + 2.0
-    scratch *= k
-    wealth -= scratch
-    wealth *= s * sqdt
-    np.multiply(k, m, out=scratch)
-    scratch *= dt
-    wealth += scratch
-    np.exp(wealth, out=wealth)
-    wealth *= x0
-    return Lattice(
-        dt=dt, n_steps=n_steps, x0=x0, wealth=AdaptedGrid.from_packed(wealth),
-        log_drift=m, log_vol=s, strategy=strat,
-    )
+    return Lattice(dt=dt, n_steps=n_steps, x0=x0, log_drift=m, log_vol=s,
+                   strategy=strat)
 
 
 def candidate_lattice(prefs: Preferences, market: Market, dt: float,
@@ -236,8 +251,8 @@ def step_expectation(lat: Lattice, values_next: np.ndarray) -> np.ndarray:
 
 
 #: Nodes per block of whole steps (256 KB of float64) in the passes that
-#: stream over a grid: `unconditional_expectation`, the consumption transform
-#: and the solver's order check and residual.
+#: stream over a grid: `Lattice.wealth`, `unconditional_expectation`, the
+#: consumption transform and the solver's order check and residual.
 _BLOCK_NODES = 1 << 15
 
 
@@ -292,8 +307,11 @@ def unconditional_expectation(lat: Lattice, grid: AdaptedGrid) -> np.ndarray:
 
 
 def consumption_grid(lat: Lattice) -> AdaptedGrid:
-    """On-lattice consumption C = xi * X under the bound strategy."""
-    return AdaptedGrid.from_packed(lat.strategy.xi * lat.wealth.data)
+    """On-lattice consumption C = xi * X under the bound strategy, scaled in
+    place in the one grid that reading the wealth forms."""
+    C = lat.wealth
+    C.data *= lat.strategy.xi
+    return C
 
 
 def transformed_consumption_grid(prefs: Preferences, lat: Lattice,

@@ -507,9 +507,9 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | N
 
     The solve holds W and buffers of one layer: c and e are formed layer by
     layer, the epsilon term from Lambda.  So a `picard_solve` holds W plus
-    one block beyond U, Lambda and wealth: the order check's one grid,
-    I^Lambda, is freed before W is allocated, and the residual forms F(W)
-    one block of steps at a time.
+    one block beyond U and Lambda: the order check's one grid, I^Lambda, is
+    freed before W is allocated, and the residual forms F(W) one block of
+    steps at a time.
 
     Returns (W, trace, clamp_events), with trace as in `SolveReport`.  A
     layer that does not certify within max_iter scalar steps, or whose width
@@ -917,7 +917,9 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
         If the lattice has a single node (n_steps = 0): no trace slope can be
         fitted to one time.
     SignDomainViolation
-        If the grid leaves its sign domain.
+        If the grid leaves its sign domain or holds a NaN or infinite node.
+        Only the grid is checked: a companion U may be inf where C = 0 and
+        S > 1.
     """
     grid.check_shape(lat)
     companion.check_shape(lat)
@@ -925,6 +927,11 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
         raise InvalidParameters("check_solution needs a lattice of at least one step")
     if space not in ("W", "V"):
         raise InvalidParameters(f"space must be 'W' or 'V', got {space!r}")
+    finite = np.isfinite(grid.data)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        k, j = AdaptedGrid.node(i)
+        raise SignDomainViolation(f"grid holds {grid.data[i]} at node ({k}, {j})")
     domain = ValueSign.NON_NEGATIVE if space == "W" else prefs.value_sign
     outside = grid.data < 0.0 if domain is ValueSign.NON_NEGATIVE else grid.data > 0.0
     if np.any(outside):

@@ -422,6 +422,20 @@ class TestCheckSolution:
                 check_solution(AdaptedGrid.from_packed(bad), companion, lat, p,
                                tol=1e-6, space=space)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_node_is_rejected(self, prefs, setup, bad):
+        # A NaN node would otherwise pass the sign check and give defect_min
+        # = inf and defect_max = -inf; the message names the node.
+        lat, tail, U = setup
+        W = picard_solve(prefs, U, lat, tail).solution
+        for grid, companion, space in ((W, U, "W"),
+                                       (W.scaled(1.0 / (1.0 - prefs.R)),
+                                        consumption_grid(lat), "V")):
+            grid = grid.copy()
+            grid.values[40][3] = bad
+            with pytest.raises(SignDomainViolation, match=r"node \(40, 3\)"):
+                check_solution(grid, companion, lat, prefs, tol=1e-6, space=space)
+
     def test_zero_grid_lies_in_both_sign_domains(self, prefs, setup):
         lat, tail, U = setup
         zero = AdaptedGrid.from_packed(np.zeros(U.data.size))

@@ -2,12 +2,14 @@
 plain formulas they replace.
 
 The Monte Carlo drift check holds one block of draws and one block of paths,
-whatever the number of paths; the lattice build holds at most three grids,
-output included, and the consumption transform its output plus one block.
+whatever the number of paths.  The lattice build holds nothing of grid size:
+the lattice stores no wealth grid, and each read of `Lattice.wealth` forms
+one in its output one block of steps at a time, so `consumption_grid` holds
+its output plus one block, and so does the consumption transform.
 `unconditional_expectation` holds nothing of grid size, `order_check` only
 the reference grid it returns, and `picard_solve` only its solution W plus
-one block, so the CLI's `picard_solve` entry holds at most three grids
-(wealth, C and U while U is built; wealth, U and W while it solves).  Peaks
+one block, so the CLI's `picard_solve` entry holds at most two grids plus
+one block (C and U while U is built; U and W while it solves).  Peaks
 are read with tracemalloc, which sees numpy's buffers.  The oracles below are
 the one-shot formulas: the whole draw at once with a `concatenate` and the
 column means of all its paths, the wealth exponent over the full grid, the
@@ -169,6 +171,7 @@ class TestDriftCheck:
             assert peak <= 2 * block + SLACK, n_paths
 
 
+#: Lattice sizes of one, two, four and 63 blocks of whole steps.
 LATTICE_SIZES = [0, 1, 100, 333, 500, 2000]
 #: (R, S): S above and below 1, theta of either sign of 1 - S
 CONSUMPTION_PREFS = [(2.0, 2.5), (0.5, 0.25), (2.0, 0.5), (0.7, 1.8)]
@@ -196,10 +199,16 @@ class TestLatticeGrids:
         with pytest.raises(DomainError):
             transformed_consumption_grid(prefs, lat, C)
 
-    def test_build_holds_three_grids(self, market, policy):
+    def test_build_holds_no_grid(self, market, policy):
+        for n in (1000, 2000):  # the bound does not grow with the lattice
+            _, peak = peak_bytes(lambda: build_lattice(market, policy.strategy, 5.0 / n, n))
+            assert peak <= SLACK, n
+
+    def test_consumption_grid_holds_one_grid_and_a_block(self, market, policy):
         n = 1000
-        _, peak = peak_bytes(lambda: build_lattice(market, policy.strategy, 0.005, n))
-        assert peak <= 3 * grid_bytes(n) + SLACK
+        lat = build_lattice(market, policy.strategy, 0.005, n)
+        _, peak = peak_bytes(lambda: consumption_grid(lat))
+        assert peak <= grid_bytes(n) + BLOCK_BYTES + SLACK
 
     def test_consumption_transform_holds_one_grid_and_a_block(self, prefs, market,
                                                               policy):
@@ -238,7 +247,7 @@ def test_unconditional_expectation_holds_no_grid(prefs, market, policy):
         assert peak <= SLACK, n
 
 
-def test_cli_picard_solve_holds_three_grids(tmp_path):
+def test_cli_picard_solve_holds_two_grids(tmp_path):
     n = 1000
     scn = cli.parse_scenario({
         "id": "ws",
@@ -250,7 +259,7 @@ def test_cli_picard_solve_holds_three_grids(tmp_path):
     _, peak = peak_bytes(lambda: cli.run_scenario(scn, tmp_path, quiet=True))
     summary = json.loads((tmp_path / "picard_solve_ws.json").read_text())["summary"]
     assert summary["converged"]
-    assert peak <= 3 * grid_bytes(n) + SLACK
+    assert peak <= 2 * grid_bytes(n) + BLOCK_BYTES + SLACK
 
 
 def weights_oracle(lat, grid):
