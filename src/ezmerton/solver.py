@@ -12,12 +12,12 @@ horizon, and a backward sweep of the trapezoid step
     G_k = E_k[ G_{k+1} + dt/2 f_{k+1} ] + dt/2 f_k.
 
 That step is written once (`_trapezoid_step`), over any contiguous range of
-packed steps: the operator, `reference_integral`, the solve's residual and
-the hitting-time defects sweep it one step at a time, since each step needs
-the next, while a gap-g pair-defect family advances every start step at once
-in g calls.  The sequential sweep of the first three is written once too
-(`_backward_blocks`): it takes the integrand one block of whole steps at a
-time, the carry a = G_{k+1} + dt/2 f_{k+1} sits in one scratch buffer of
+packed steps: the operator, `reference_integral` and the solve's residual
+sweep it one step at a time, since each step needs the next, while a gap-g
+pair-defect family advances every start step at once in g calls, masking
+out the pairs that straddle two steps.  The sequential sweep is written once
+too (`_backward_blocks`): it takes the integrand one block of whole steps at
+a time, the carry a = G_{k+1} + dt/2 f_{k+1} sits in one scratch buffer of
 n+1 values, and the step writes ½(a[1:] + a[:-1]) + dt/2 f_k into a second
 one, so a step is a few numpy calls and allocates nothing; G_k is copied
 over f_k, so G accumulates in the integrand's own buffer, the whole grid for
@@ -49,9 +49,10 @@ must satisfy Lambda^theta comparable to I^Lambda_t = E_t[integral Lambda^theta]
 above by it when an epsilon-perturbation is used).
 
 `check_solution` is a residual falsifier for the sub/supersolution
-inequalities over a sampled family of step pairs and hitting times, and
-`generalized_utility` evaluates arbitrary consumption grids by monotone
-truncation against the candidate optimal stream.
+inequalities over a sampled family of step pairs and hitting times (summed
+forward over the nodes a killed walk reaches), and `generalized_utility`
+evaluates arbitrary consumption grids by monotone truncation against the
+candidate optimal stream.
 """
 
 from __future__ import annotations
@@ -125,23 +126,16 @@ _HALF.flags.writeable = _ONE.flags.writeable = False
 # ---------------------------------------------------------------------------
 
 def _trapezoid_step(a: np.ndarray, half_k: np.ndarray | None,
-                    out: np.ndarray | None = None,
-                    straddles: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None) -> np.ndarray:
     """E_k[a] + half_k with a = G_{k+1} + half_{k+1}, written into out if given;
     E_k[a] alone if half_k is None.
 
     The lattice moves up with probability 1/2, so E_k[a] is the neighbour mean
     ½(a[j+1] + a[j]); it rounds exactly like ½a[j+1] + ½a[j], since halving is
-    exact away from subnormals.  Leading axes of a are batch axes.  a may hold
-    a contiguous range of packed steps: averaging across it also pairs the
-    last node of each step with the first of the next, and the indices of
-    those pairs are passed as `straddles` and dropped (into a new array).  A
-    single step into out is three numpy calls and allocates nothing.
+    exact away from subnormals.  Leading axes of a are batch axes.  A single
+    step into out is three numpy calls and allocates nothing.
     """
-    if straddles is None:
-        out = np.add(a[..., 1:], a[..., :-1], out=out)
-    else:
-        out = np.delete(a[..., 1:] + a[..., :-1], straddles, axis=-1)
+    out = np.add(a[..., 1:], a[..., :-1], out=out)
     np.multiply(out, _HALF, out=out)
     if half_k is not None:
         np.add(out, half_k, out=out)
@@ -862,42 +856,62 @@ def _pair_defects(lat: Lattice, V: np.ndarray, half: np.ndarray,
     """Packed defects V_k - E_k[V_{k+gap} + trapezoid(f)] for every start k.
 
     All start steps advance together: gap trapezoid steps over the packed
-    range of steps, with half = dt/2 * f.
+    range of steps, with half = dt/2 * f.  One mask of the node pairs within
+    a step drops the pairs that straddle two steps from each of them.
     """
     n = lat.n_steps
+    within = np.diff(AdaptedGrid.per_node(np.arange(n + 1))) == 0  # i, i+1 on one step
     acc = V[AdaptedGrid.span(gap, n)]
     for lo in range(gap - 1, -1, -1):
-        hi = n - gap + lo
-        straddles = np.cumsum(np.arange(lo + 2, hi + 2)) - 1 if hi > lo else None
-        acc = _trapezoid_step(acc + half[AdaptedGrid.span(lo + 1, hi + 1)],
-                              half[AdaptedGrid.span(lo, hi)], straddles=straddles)
+        ahead = AdaptedGrid.span(lo + 1, n - gap + lo + 1)
+        acc = _trapezoid_step(acc + half[ahead], None)[within[ahead.start:ahead.stop - 1]]
+        acc += half[AdaptedGrid.span(lo, n - gap + lo)]
     return V[AdaptedGrid.span(0, n - gap)] - acc
 
 
-def _hitting_defect(lat: Lattice, V: np.ndarray, half: np.ndarray,
-                    band) -> np.ndarray:
-    """Defect at step 0 for the first exit of log-wealth from +/- band.
+def _reach_masses(n: int, bounds: np.ndarray) -> np.ndarray:
+    """r[k, b, c + d], the chance that the walk d = 2j - k from 0 reaches
+    (k, d), stopped at step n or at its first d^2 >= bounds[b] (reached too).
 
-    band may be an array of bands: they share one backward sweep, and the
-    result has one row per band.  The sweep keeps the stopped value G_k and
-    the carry G_k + half_k in two scratch buffers with one row per band.
+    It stays within |d| <= L + 1, L^2 < bound <= (L + 1)^2, so the strip
+    |d| <= c = L + 2 of the widest band holds it, with end columns at 0, and
+    a step is one product with ½ on the nodes that go on and one shifted add.
+    """
+    c = math.isqrt(math.ceil(bounds.max()) - 1) + 2
+    d = np.arange(-c, c + 1)
+    half_alive = np.where(d * d < bounds[:, None], 0.5, 0.0)
+    r = np.zeros((n + 1, bounds.size, 2 * c + 1))
+    r[0, :, c] = 1.0
+    moving = np.empty_like(half_alive)
+    for k in range(n):
+        np.multiply(r[k], half_alive, out=moving)
+        np.add(moving[:, :-2], moving[:, 2:], out=r[k + 1, :, 1:-1])
+    return r
+
+
+def _hitting_defect(lat: Lattice, V: np.ndarray, half: np.ndarray,
+                    mults) -> np.ndarray:
+    """Defects at step 0 for the first exit of log-wealth from the bands
+    +/- mult * s sqrt(T), one per multiple in mults.
+
+    Log-wealth lies (2j - k) s sqrt(dt) from its drift, so the walk
+    d = 2j - k stops at step n or once d^2 >= mult^2 n, exactly.  The stopped
+    expectation E[V_tau + trapezoid(f) up to tau] sums over the nodes it
+    reaches, by their `_reach_masses`: V where it stops, half = dt/2 f where
+    it goes on and, past step 0, half for the step in.  Unreached nodes are
+    left out, so an infinite f there gives no 0 * inf.
     """
     n = lat.n_steps
-    steps = AdaptedGrid.per_node(np.arange(n + 1))
-    logw = np.log(lat.wealth.data / lat.x0) - lat.log_drift * steps * lat.dt
-    stopped = np.abs(logw) >= np.asarray(band)[..., None]
-    shape = stopped.shape[:-1] + (n + 1,)
-    top = AdaptedGrid.span(n)
-    acc = np.broadcast_to(V[top], shape)
-    carry = np.add(acc, half[top])
-    scratch = np.empty(shape)
-    for k in range(n - 1, -1, -1):
-        start, stop = k * (k + 1) // 2, (k + 1) * (k + 2) // 2
-        half_k = half[start:stop]
-        acc = _trapezoid_step(carry[..., :k + 2], half_k, scratch[..., :k + 1])
-        np.copyto(acc, V[start:stop], where=stopped[..., start:stop])
-        np.add(acc, half_k, out=carry[..., :k + 1])
-    return V[:1] - acc
+    bounds = np.square(np.asarray(mults, dtype=float)) * n
+    r = _reach_masses(n, bounds)
+    g = np.empty(bounds.size)
+    for b, bound in enumerate(bounds):
+        k, p = np.nonzero(r[:, b])  # the reached nodes, step by step
+        d = p - r.shape[-1] // 2
+        nodes = k * (k + 1) // 2 + (k + d) // 2
+        mass, h = r[k, b, p], half[nodes]
+        g[b] = mass @ np.where((d * d >= bound) | (k == n), V[nodes], h) + mass[1:] @ h[1:]
+    return V[0] - g
 
 
 def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
@@ -909,7 +923,10 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     transformed consumption U.  space "V": grid is a utility process in the
     preference sign domain and companion the consumption grid C.
 
-    The tolerance is relative: defects are compared against tol * sup|grid|.
+    The families are step pairs at gaps 1, 5 and 25 and, for s > 0, the
+    first exits of log-wealth from the 1- and 2-sigma bands, where a node
+    with |2j - k| on a band stops.  The tolerance is relative: defects are
+    compared against tol * sup|grid|.
 
     Raises
     ------
@@ -940,16 +957,12 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     half = _aggregator_values(grid, companion, lat, prefs, space)
     half *= 0.5 * lat.dt
     V = grid.data
-    families: list[tuple[str, np.ndarray]] = []
-    for gap in (1, 5, 25):
-        if gap <= lat.n_steps:
-            families.append((f"pairs_gap_{gap}", _pair_defects(lat, V, half, gap)))
-    sigma_T = lat.log_vol * math.sqrt(max(lat.horizon, lat.dt))
-    if sigma_T > 0.0:
+    families = [(f"pairs_gap_{gap}", _pair_defects(lat, V, half, gap))
+                for gap in (1, 5, 25) if gap <= lat.n_steps]
+    if lat.log_vol > 0.0:
         mults = (1.0, 2.0)
-        defects = _hitting_defect(lat, V, half, np.array(mults) * sigma_T)
         families += [(f"hitting_band_{mult:g}sigma", d)
-                     for mult, d in zip(mults, defects)]
+                     for mult, d in zip(mults, _hitting_defect(lat, V, half, mults))]
     family_bounds = {label: (float(d.min()), float(d.max())) for label, d in families}
     lows, highs = zip(*family_bounds.values())
     # a running min/max from +-inf: a NaN family bound is passed over
@@ -959,28 +972,15 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     abs_trace = np.abs(trace) + 1e-300
     late = min(len(trace) // 2, len(trace) - 2)  # the later half, two times at least
     trace_slope = float(np.polyfit(lat.times[late:], np.log(abs_trace[late:]), 1)[0])
-    exploding = (trace_slope > 1e-9
-                 and abs_trace[-1] > 10.0 * max(abs_trace[0], 1e-12))
-    trace_ok = not exploding
+    trace_ok = not (trace_slope > 1e-9  # exploding
+                    and abs_trace[-1] > 10.0 * max(abs_trace[0], 1e-12))
 
-    scale = max(grid.sup_abs(), 1e-12)
-    tol_abs = tol * scale
-    sub_ineq = defect_max <= tol_abs
-    sup_ineq = defect_min >= -tol_abs
-    if domain is ValueSign.NON_NEGATIVE:
-        sub_ok = sub_ineq and trace_ok
-        sup_ok = sup_ineq
-    else:
-        sub_ok = sub_ineq
-        sup_ok = sup_ineq and trace_ok
-    if sub_ok and sup_ok:
-        classification = "solution"
-    elif sup_ok:
-        classification = "supersolution"
-    elif sub_ok:
-        classification = "subsolution"
-    else:
-        classification = "neither"
+    tol_abs = tol * max(grid.sup_abs(), 1e-12)
+    nonneg = domain is ValueSign.NON_NEGATIVE
+    sub_ok = defect_max <= tol_abs and (trace_ok or not nonneg)
+    sup_ok = defect_min >= -tol_abs and (trace_ok or nonneg)
+    classification = ("solution" if sub_ok and sup_ok else "supersolution" if sup_ok
+                      else "subsolution" if sub_ok else "neither")
     return ResidualReport(
         classification=classification,
         defect_min=defect_min,

@@ -34,6 +34,7 @@ from ezmerton.preferences import transformed_aggregator_grid
 from ezmerton.solver import (
     _hitting_defect,
     _pair_defects,
+    _reach_masses,
     apply_recursion,
     check_solution,
     compare,
@@ -336,32 +337,34 @@ class TestPackedSweepMatchesPerStepReference:
                                       np.concatenate(ref))
 
     @staticmethod
-    def per_band_hitting(lat, V, f, band):
-        dt = lat.dt
-        acc = V[lat.n_steps]
-        for k in range(lat.n_steps - 1, -1, -1):
-            logw = np.log(lat.wealth.values[k] / lat.x0) - lat.log_drift * k * dt
+    def per_band_hitting(lat, V, f, mult):
+        """The stopped expectation by its definition: a backward loop that
+        stops at the nodes with (2j - k)^2 >= mult^2 n."""
+        dt, n = lat.dt, lat.n_steps
+        acc = V[n]
+        for k in range(n - 1, -1, -1):
+            d = 2 * np.arange(k + 1) - k
             interior = step_expectation(lat, acc + 0.5 * dt * f[k + 1]) + 0.5 * dt * f[k]
-            acc = np.where(np.abs(logw) >= band, V[k], interior)
+            acc = np.where(d * d >= mult**2 * n, V[k], interior)
         return V[0] - acc
 
     def test_hitting_defect(self, grids):
         lat, _, W, f = grids
-        band = lat.log_vol * math.sqrt(lat.horizon)
         half = 0.5 * lat.dt * np.concatenate(f)
-        np.testing.assert_array_equal(_hitting_defect(lat, W.data, half, band),
-                                      self.per_band_hitting(lat, W.values, f, band))
+        np.testing.assert_allclose(_hitting_defect(lat, W.data, half, [1.0]),
+                                   self.per_band_hitting(lat, W.values, f, 1.0),
+                                   rtol=1e-12, atol=0.0)
 
     def test_hitting_defect_two_bands_share_one_sweep(self, grids):
-        # The bands check_solution uses: one row per band, each equal to the
-        # per-band loop.
+        # The bands check_solution uses: one value per band, each equal to
+        # the per-band loop.
         lat, _, W, f = grids
-        bands = np.array([1.0, 2.0]) * lat.log_vol * math.sqrt(lat.horizon)
         half = 0.5 * lat.dt * np.concatenate(f)
-        rows = _hitting_defect(lat, W.data, half, bands)
-        assert rows.shape == (2, 1)
-        for row, band in zip(rows, bands):
-            np.testing.assert_array_equal(row, self.per_band_hitting(lat, W.values, f, band))
+        rows = _hitting_defect(lat, W.data, half, [1.0, 2.0])
+        assert rows.shape == (2,)
+        for row, mult in zip(rows, [1.0, 2.0]):
+            np.testing.assert_allclose(row, self.per_band_hitting(lat, W.values, f, mult),
+                                       rtol=1e-12, atol=0.0)
 
     def test_kernel_fast_path_matches_boundary_path(self, prefs, grids):
         # Interior inputs take the one-pass branch; a single boundary node
@@ -371,6 +374,52 @@ class TestPackedSweepMatchesPerStepReference:
         u = np.append(U.data, 0.0)
         masked = transformed_aggregator_grid(u, np.append(W.data, 1.0), prefs.rho)
         np.testing.assert_array_equal(fast, masked[:-1])
+
+
+class TestHittingMasses:
+    """The killed walk's reach masses and the exact stopping rule."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 49, 50])
+    def test_masses_are_killed_path_counts(self, n):
+        # Up to step 50 a mass is a path count over 2^k, which a float holds
+        # exactly, so the forward propagation must give it bit for bit.
+        mults = [1.0, 2.0]
+        r = _reach_masses(n, np.square(mults) * n)
+        c = r.shape[-1] // 2
+        for b, mult in enumerate(mults):
+            counts = {0: 1}  # paths reaching d = 2j - k at step k, not stopped before
+            for k in range(n + 1):
+                expected = np.zeros(r.shape[-1])
+                for d, count in counts.items():
+                    expected[c + d] = count / 2**k
+                np.testing.assert_array_equal(r[k, b], expected)
+                ahead: dict[int, int] = {}
+                for d, count in counts.items():
+                    if d * d < mult**2 * n:
+                        for e in (d - 1, d + 1):
+                            ahead[e] = ahead.get(e, 0) + count
+                counts = ahead
+
+    def test_node_on_the_band_stops(self, market, policy):
+        # n = 100: the nodes (10, 0) and (10, 10) have |2j - k| = sqrt(n),
+        # so the 1-sigma walk stops there and the 2-sigma walk goes on.
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=100)
+        V, half = np.zeros(AdaptedGrid.span(100).stop), np.zeros(AdaptedGrid.span(100).stop)
+        V[[AdaptedGrid.span(10).start, AdaptedGrid.span(10).stop - 1]] = 1.0
+        assert _hitting_defect(lat, V, half, [1.0, 2.0]).tolist() == [-2.0**-9, 0.0]
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_matches_exact_rule_loop(self, market, policy, rng, n):
+        # n = 60 is TestPackedSweepMatchesPerStepReference's; n = 100 puts
+        # nodes on both bands, and n = 200 is the verification lattice.
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=n)
+        V = AdaptedGrid([rng.uniform(0.5, 2.0, k + 1) for k in range(n + 1)])
+        f = [rng.uniform(0.5, 2.0, k + 1) for k in range(n + 1)]
+        half = 0.5 * lat.dt * np.concatenate(f)
+        for row, mult in zip(_hitting_defect(lat, V.data, half, [1.0, 2.0]), [1.0, 2.0]):
+            np.testing.assert_allclose(
+                row, TestPackedSweepMatchesPerStepReference.per_band_hitting(
+                    lat, V.values, f, mult), rtol=1e-12, atol=0.0)
 
 
 class TestCheckSolution:
@@ -442,6 +491,22 @@ class TestCheckSolution:
         check_solution(zero, U, lat, prefs, tol=1e-6, space="W")  # non-negative
         check_solution(zero, consumption_grid(lat), lat, prefs, tol=1e-6,
                        space="V")  # non-positive for R > 1
+
+    def test_infinite_aggregator_gives_infinite_hitting_bounds(self, prefs, setup):
+        # W = 0 makes the kernel u * 0^rho infinite wherever u > 0, and C = 0
+        # on the lowest node of every step sets u = inf there (S > 1): every
+        # stopped expectation is infinite, and no node a band's walk never
+        # reaches may turn it into NaN through 0 * inf.
+        lat, tail, _ = setup
+        C = consumption_grid(lat)
+        steps = np.arange(lat.n_steps + 1)
+        C.data[steps * (steps + 1) // 2] = 0.0
+        U = transformed_consumption_grid(prefs, lat, C)
+        assert np.isinf(U.data).any()
+        zero = AdaptedGrid.from_packed(np.zeros(U.data.size))
+        report = check_solution(zero, U, lat, prefs, tol=1e-6, space="W")
+        for band in ("1sigma", "2sigma"):
+            assert report.family_bounds[f"hitting_band_{band}"] == (-math.inf, -math.inf)
 
     def test_comparison_of_scaled_pair(self, prefs, setup):
         lat, tail, U = setup

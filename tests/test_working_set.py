@@ -7,9 +7,10 @@ the lattice stores no wealth grid, and each read of `Lattice.wealth` forms
 one in its output one block of steps at a time, so `consumption_grid` holds
 its output plus one block, and so does the consumption transform.
 `unconditional_expectation` holds nothing of grid size, `order_check` only
-the reference grid it returns, and `picard_solve` only its solution W plus
-one block, so the CLI's `picard_solve` entry holds at most two grids plus
-one block (C and U while U is built; U and W while it solves).  Peaks
+the reference grid it returns, `check_solution` at most nine grids, and
+`picard_solve` only its solution W plus one block, so the CLI's
+`picard_solve` entry holds at most two grids plus one block (C and U while
+U is built; U and W while it solves).  Peaks
 are read with tracemalloc, which sees numpy's buffers.  The oracles below are
 the one-shot formulas: the whole draw at once with a `concatenate` and the
 column means of all its paths, the wealth exponent over the full grid, the
@@ -45,6 +46,7 @@ from ezmerton.solver import (
     _residual,
     _tail_solution,
     apply_recursion,
+    check_solution,
     order_check,
     picard_solve,
 )
@@ -237,6 +239,19 @@ def test_order_check_holds_its_reference(prefs, market, policy):
     tail = TailClosure.proportional(policy.strategy, prefs, market)
     _, peak = peak_bytes(lambda: order_check(prefs, U, lat, tail))
     assert peak <= grid_bytes(n) + SLACK
+
+
+def test_check_solution_holds_nine_grids(prefs, market, policy):
+    # The hitting families' reach masses fill a strip of O(sqrt(n)) nodes
+    # per step: O(n sqrt(n)) values against a grid's O(n^2).
+    for n in (200, 1000):
+        lat = build_lattice(market, policy.strategy, 5.0 / n, n)
+        U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+        W = picard_solve(prefs, U, lat, TailClosure.proportional(policy.strategy, prefs,
+                                                                 market)).solution
+        report, peak = peak_bytes(lambda: check_solution(W, U, lat, prefs, 1e-6, "W"))
+        assert report.classification == "solution"
+        assert peak <= 9 * grid_bytes(n) + SLACK, n
 
 
 def test_unconditional_expectation_holds_no_grid(prefs, market, policy):
