@@ -5,19 +5,20 @@ Subcommands
 run       execute the scenario's experiment, write <name>_<id>.csv/.json plus a
           run manifest; identical (scenario, seed) produce byte-identical CSVs
 list      print the experiment catalog (sorted; --json for machine use)
-validate  check a scenario file against the schema and print its digest
+validate  apply every rule `run` applies to a scenario and print its digest
 
 Exit codes: 0 success, 2 parse/validation error, 3 numeric failure, 4 I/O
 error.  Errors are emitted as one JSON object on stderr; a validation error
-names the offending field.  Every number, experiment params included, must be
-finite: JSON's NaN and Infinity are rejected at validation, as is a key the
-schema below does not declare and a params key the experiment does not
-declare (`list --json`).  Sizes (lattice nodes, grid points and cells, Monte
-Carlo draws, counterexample unit blocks) are checked against ELEMENT_BUDGET
-before anything is allocated.  The Monte Carlo check then holds one block of
-paths whatever its size, so its n_paths charge bounds its time, and a lattice
-solve at most two float64 grids of its charged nodes plus one block (C and U
-while U is built; U and the solution W while it solves).
+names the offending field.  Each field is declared once, as a `Param`: the
+scenario's objects in the table `_SCHEMA`, each experiment's params (`list
+--json`) and cross-field rule in its `@_entry`.  `parse_scenario` checks the
+scenario against them, so `validate` applies every rule `run` does: undeclared
+keys, value ranges, finiteness (JSON's NaN and Infinity are rejected) and
+ELEMENT_BUDGET on sizes (lattice nodes, grid points and cells, Monte Carlo
+draws, counterexample unit blocks), all before anything is allocated.  The
+Monte Carlo check then holds one block of paths whatever its size, so its
+n_paths charge bounds its time, and a lattice solve at most two float64 grids
+of its charged nodes plus one block (C and U while U is built; U and W after).
 
 Scenario schema (version 1)::
 
@@ -66,14 +67,6 @@ __all__ = ["Scenario", "RunManifest", "CatalogEntry", "parse_scenario",
            "canonical_dict", "scenario_digest", "run_scenario", "catalog", "main"]
 
 _SCHEMA_VERSION = 1
-_LATTICE_DEFAULTS = {"dt": 0.01, "n_steps": 500, "tail": "proportional"}
-_SOLVER_DEFAULTS = {"epsilon": 0.0, "tol": 1e-8, "max_iter": 200}
-#: The keys a scenario ("") and each of its objects may hold.
-_FIELDS = {"": ("schema_version", "id", "preferences", "market", "lattice", "solver",
-                "experiment", "seed"),
-           "preferences": ("b", "delta", "R", "S"), "market": ("r", "mu", "sigma"),
-           "lattice": tuple(_LATTICE_DEFAULTS), "solver": tuple(_SOLVER_DEFAULTS),
-           "experiment": ("name", "params")}
 
 #: Most elements one scenario may ask for, checked before anything is
 #: allocated: lattice nodes, grid points, grid-search cells, Monte Carlo draws
@@ -91,6 +84,51 @@ ELEMENT_BUDGET = 10_000_000
 _VALUES_PER_BLOCK = 3 * 21
 #: Default consumption-fraction grid of the sweep and the grid search.
 _XI_GRID = {"start": 0.005, "stop": 0.2, "step": 0.005}
+#: The default of a field that must be given.
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One scenario field.  kind is "number" (finite float), "integer",
+    "list" (non-empty, of finite numbers, kept as given), "grid" (such a list
+    or a start/stop/step object, as an array) or "choice" (one of `choices`).
+    A default (or given null) of None leaves the model's value to the adapter.
+    A number is >= lo, <= hi, > gt and != ne where set; a list holds `length`
+    values; charge(value) counts against ELEMENT_BUDGET."""
+
+    kind: str = "number"
+    default: object = _REQUIRED
+    lo: float | None = None
+    hi: float | None = None
+    gt: float | None = None
+    ne: float | None = None
+    length: int | None = None
+    choices: tuple = ()
+    charge: Callable | None = None
+
+
+def _nodes(n_steps: int) -> int:
+    return (n_steps + 1) * (n_steps + 2) // 2
+
+
+#: The fields of each object of a scenario, in the order they are checked.
+_SCHEMA = {
+    "preferences": {"b": Param(gt=0), "delta": Param(), "R": Param(gt=0, ne=1),
+                    "S": Param(gt=0, ne=1)},
+    "market": {"r": Param(), "mu": Param(), "sigma": Param(gt=0)},
+    "lattice": {"dt": Param(default=0.01, gt=0),
+                "n_steps": Param("integer", 500, lo=0, charge=_nodes),
+                "tail": Param("choice", "proportional", choices=("proportional", "zero"))},
+    "solver": {"epsilon": Param(default=0.0, lo=0), "tol": Param(default=1e-8, gt=0),
+               "max_iter": Param("integer", 200, lo=1)},
+}
+_SCENARIO_KEYS = ("schema_version", "id", *_SCHEMA, "experiment", "seed")
+#: A start/stop/step grid object.
+_GRID = {"start": Param(), "stop": Param(), "step": Param(ne=0)}
+#: A number that defaults to a value of the model.
+_MODEL = Param(default=None)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -100,8 +138,11 @@ class Scenario:
     lattice_cfg: dict
     solver_cfg: dict
     experiment: str
+    #: The experiment params as given; the digest hashes these.
     params: dict
     seed: int
+    #: Every declared param of the experiment, checked, with defaults filled.
+    resolved: dict
 
 
 @dataclass(frozen=True)
@@ -147,34 +188,74 @@ def _within_budget(elements, field: str) -> None:
              f"asks for more than the budget of {ELEMENT_BUDGET} elements", field)
 
 
-def _declared_keys(raw: dict) -> None:
-    """Reject a key the schema does not declare, top level first."""
-    for obj, declared in _FIELDS.items():
-        keys = raw.get(obj) if obj else raw
-        for key in keys if isinstance(keys, dict) else ():
-            _require(key in declared, f"not a field of {obj or 'the scenario'}; "
-                     f"declared: {list(declared)}", f"{obj}.{key}" if obj else str(key))
+def _declared(raw: dict, declared, where: str) -> None:
+    """Reject a key of raw, the object at `where`, that is not declared."""
+    for key in raw:
+        _require(key in declared, f"not a field of {where or 'the scenario'}; "
+                 f"declared: {list(declared)}", f"{where}.{key}" if where else str(key))
 
 
-def _num(raw: dict, field_prefix: str, key: str, lo=None, hi=None,
-         integer: bool = False):
-    field = f"{field_prefix}.{key}"
-    _require(key in raw, "missing required field", field)
-    val = _number(raw[key], field, integer)
-    if lo is not None:
-        _require(val >= lo, f"must be >= {lo}", field)
-    if hi is not None:
-        _require(val <= hi, f"must be <= {hi}", field)
+def _section(raw, fields: dict[str, Param], where: str) -> dict:
+    """The object raw at `where`, resolved against its declared fields: an
+    undeclared key is rejected, then each value checked in declaration order."""
+    _require(isinstance(raw, dict), "must be an object", where)
+    _declared(raw, fields, where)
+    return {key: _value(raw.get(key, spec.default), spec, f"{where}.{key}")
+            for key, spec in fields.items()}
+
+
+def _value(val, spec: Param, field: str):
+    """val checked against its declaration `spec`."""
+    if val is None and spec.default is None:
+        return None
+    _require(val is not _REQUIRED, "missing required field", field)
+    if spec.kind == "choice":
+        _require(val in spec.choices, f"must be one of {list(spec.choices)}", field)
+        return val
+    if spec.kind == "grid":
+        return _grid(val, field)
+    if spec.kind == "list":
+        return _numbers(val, field, spec.length)
+    val = _number(val, field, spec.kind == "integer")
+    _require(spec.gt is None or val > spec.gt, f"must be > {spec.gt}", field)
+    _require(spec.ne is None or val != spec.ne, f"must be != {spec.ne}", field)
+    _require(spec.lo is None or val >= spec.lo, f"must be >= {spec.lo}", field)
+    _require(spec.hi is None or val <= spec.hi, f"must be <= {spec.hi}", field)
+    if spec.charge is not None:
+        _within_budget(spec.charge(val), field)
     return val
+
+
+def _numbers(vals, field: str, length: int | None = None) -> list:
+    """A non-empty list (or tuple) of finite numbers, values kept as given."""
+    _require(isinstance(vals, (list, tuple)) and len(vals) > 0,
+             "must be a non-empty list of numbers", field)
+    for i, v in enumerate(vals):
+        _number(v, f"{field}[{i}]")
+    _require(length is None or len(vals) == length, f"must hold {length} numbers", field)
+    return list(vals)
+
+
+def _grid(spec, field: str) -> np.ndarray:
+    """A list of numbers, or a start/stop/step object, as an array of points."""
+    if not isinstance(spec, dict):
+        return np.asarray(_numbers(spec, field), dtype=float)
+    ends = _section(spec, _GRID, field)
+    # counted in floats, which may overflow to inf; a count <= 0 is no point
+    count = (ends["stop"] - ends["start"]) / ends["step"]
+    _require(count > 0, "empty grid", field)
+    _within_budget(count, field)
+    return np.arange(ends["start"], ends["stop"], ends["step"])
 
 
 def parse_scenario(raw: dict) -> Scenario:
     """Validate a raw scenario dict and build the typed Scenario.
 
+    Checks every rule `run` depends on, the entry's cross-field rule last.
     Raises ValidationError naming the offending field.
     """
     _require(isinstance(raw, dict), "scenario must be a JSON object", "$")
-    _declared_keys(raw)
+    _declared(raw, _SCENARIO_KEYS, "")
     version = raw.get("schema_version", _SCHEMA_VERSION)
     _require(version == _SCHEMA_VERSION,
              f"unsupported schema_version {version}", "schema_version")
@@ -182,71 +263,33 @@ def parse_scenario(raw: dict) -> Scenario:
              "must be a non-empty string", "id")
     _require(all(ch.isalnum() or ch in "-_." for ch in raw["id"]),
              "may contain only alphanumerics, '-', '_', '.'", "id")
-
-    prefs_raw = raw.get("preferences")
-    _require(isinstance(prefs_raw, dict), "missing preferences object", "preferences")
-    b = _num(prefs_raw, "preferences", "b")
-    delta = _num(prefs_raw, "preferences", "delta")
-    R = _num(prefs_raw, "preferences", "R")
-    S = _num(prefs_raw, "preferences", "S")
-    _require(b > 0.0, "must be > 0", "preferences.b")
-    _require(R > 0.0 and R != 1.0, "must be positive and != 1", "preferences.R")
-    _require(S > 0.0 and S != 1.0, "must be positive and != 1", "preferences.S")
-
-    market_raw = raw.get("market")
-    _require(isinstance(market_raw, dict), "missing market object", "market")
-    r = _num(market_raw, "market", "r")
-    mu = _num(market_raw, "market", "mu")
-    sigma = _num(market_raw, "market", "sigma")
-    _require(sigma > 0.0, "must be > 0", "market.sigma")
-
-    _require(isinstance(raw.get("lattice", {}), dict), "must be an object", "lattice")
-    lat_raw = {**_LATTICE_DEFAULTS, **raw.get("lattice", {})}
-    dt = _num(lat_raw, "lattice", "dt")
-    _require(dt > 0.0, "must be > 0", "lattice.dt")
-    n_steps = _num(lat_raw, "lattice", "n_steps", lo=0, integer=True)
-    _within_budget((n_steps + 1) * (n_steps + 2) // 2, "lattice.n_steps")
-    tail = lat_raw.get("tail", "proportional")
-    _require(tail in ("proportional", "zero"),
-             "must be 'proportional' or 'zero'", "lattice.tail")
-
-    _require(isinstance(raw.get("solver", {}), dict), "must be an object", "solver")
-    sol_raw = {**_SOLVER_DEFAULTS, **raw.get("solver", {})}
-    epsilon = _num(sol_raw, "solver", "epsilon", lo=0.0)
-    tol = _num(sol_raw, "solver", "tol")
-    _require(tol > 0.0, "must be > 0", "solver.tol")
-    max_iter = _num(sol_raw, "solver", "max_iter", lo=1, integer=True)
+    sections = {obj: _section(raw.get(obj, {}), fields, obj)
+                for obj, fields in _SCHEMA.items()}
 
     exp_raw = raw.get("experiment")
     _require(isinstance(exp_raw, dict), "missing experiment object", "experiment")
+    _declared(exp_raw, ("name", "params"), "experiment")
     name = exp_raw.get("name")
     _require(isinstance(name, str) and name in _REGISTRY,
              f"unknown experiment; known: {sorted(_REGISTRY)}", "experiment.name")
+    entry = _REGISTRY[name]
     params = exp_raw.get("params", {})
-    _require(isinstance(params, dict), "params must be an object", "experiment.params")
-    declared = _REGISTRY[name].parameters
-    for key in params:
-        _require(key in declared, f"not a parameter of {name}; declared: {list(declared)}",
-                 f"experiment.params.{key}")
+    resolved = _section(params, entry.parameters, "experiment.params")
 
     seed = raw.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
              "must be a non-negative integer", "seed")
 
     try:
-        preferences = Preferences(b=b, delta=delta, R=R, S=S)
+        preferences = Preferences(**sections["preferences"])
     except InvalidParameters as exc:
         raise ValidationError(f"preferences: {exc}", field="preferences") from exc
-    return Scenario(
-        id=raw["id"],
-        preferences=preferences,
-        market=Market(r=r, mu=mu, sigma=sigma),
-        lattice_cfg={"dt": dt, "n_steps": n_steps, "tail": tail},
-        solver_cfg={"epsilon": epsilon, "tol": tol, "max_iter": max_iter},
-        experiment=name,
-        params=params,
-        seed=seed,
-    )
+    scn = Scenario(id=raw["id"], preferences=preferences, market=Market(**sections["market"]),
+                   lattice_cfg=sections["lattice"], solver_cfg=sections["solver"],
+                   experiment=name, params=params, seed=seed, resolved=resolved)
+    if entry.rule is not None:
+        entry.rule(scn, resolved)
+    return scn
 
 
 def canonical_dict(scn: Scenario) -> dict:
@@ -278,93 +321,63 @@ def scenario_digest(scn: Scenario) -> str:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A runnable experiment; `run` validates its params, returns (rows, summary)."""
+    """A runnable experiment: its declared params, the cross-field rule that
+    `parse_scenario` applies to them, and `run(scn, params)`, which returns
+    (rows, summary)."""
 
     name: str
     description: str
-    parameters: tuple[str, ...]
-    run: Callable[[Scenario], tuple[list, dict]]
+    parameters: dict[str, Param]
+    rule: Callable[[Scenario, dict], None] | None
+    run: Callable[[Scenario, dict], tuple[list, dict]]
 
 
 _REGISTRY: dict[str, CatalogEntry] = {}
 
 
-def _entry(name: str, description: str, parameters: tuple[str, ...] = ()):
+def _entry(name: str, description: str, parameters: dict[str, Param] | None = None,
+           rule: Callable[[Scenario, dict], None] | None = None):
     """Register the decorated adapter as `name`.  Adapters reach the library
     through module attributes (`solver.`, `experiments.`) at call time, so
     wrappers installed on those attributes see the calls."""
     def register(run):
-        _REGISTRY[name] = CatalogEntry(name, description, parameters, run)
+        _REGISTRY[name] = CatalogEntry(name, description, parameters or {}, rule, run)
         return run
     return register
 
 
-def _param(params: dict, key: str, default, integer: bool = False, lo=None, hi=None):
-    """Numeric experiment parameter `key` in [lo, hi], or default when absent."""
-    if key not in params:
-        return default
-    return _num(params, "experiment.params", key, lo, hi, integer)
-
-
-def _param_list(params: dict, key: str, default, length: int | None = None) -> list:
-    """List-of-numbers experiment parameter `key` (values kept as given), or
-    default when it is absent."""
-    field = f"experiment.params.{key}"
-    vals = params.get(key, default)
-    _require(isinstance(vals, list), "must be a list of numbers", field)
-    for i, v in enumerate(vals):
-        _number(v, f"{field}[{i}]")
-    if length is not None:
-        _require(len(vals) == length, f"must hold {length} numbers", field)
-    return vals
-
-
-def _param_grid(params: dict, key: str, default: dict) -> np.ndarray:
-    """Grid experiment parameter `key`, a list of numbers or a start/stop/step
-    object, or default when it is absent."""
-    field = f"experiment.params.{key}"
-    spec = params.get(key, default)
-    if isinstance(spec, dict):
-        for k in ("start", "stop", "step"):
-            _require(k in spec, "grid object needs start/stop/step", field)
-            _number(spec[k], f"{field}.{k}")
-        _require(spec["step"] != 0, "step must be non-zero", f"{field}.step")
-        # the float count, not its ceiling: it may overflow to inf
-        _within_budget((spec["stop"] - spec["start"]) / spec["step"], field)
-        arr = np.arange(spec["start"], spec["stop"], spec["step"])
-    else:
-        arr = np.asarray(_param_list(params, key, default), dtype=float)
-    _require(arr.size > 0, "empty grid", field)
-    return arr
-
-
-def _T_grid(params: dict) -> list:
-    """Counterexample horizons; the largest sets the number of unit blocks.
-
-    Every rule of `experiments._counterexample` is checked here: the slope
-    fit needs 8 positive integer horizons, two of them distinct, and the
-    tail closure the last four unit blocks.
-    """
-    field = "experiment.params.T_grid"
-    T_grid = _param_list(params, "T_grid", list(range(10, 101, 10)))
-    _within_budget(max(T_grid, default=0) * _VALUES_PER_BLOCK, field)
+def _T_grid_rule(scn: Scenario, p: dict) -> None:
+    """Every rule of `experiments._counterexample` on its horizons: the slope
+    fit needs 8 positive integer horizons, two of them distinct, and the tail
+    closure the last four unit blocks.  The largest sets the unit blocks."""
+    T_grid, field = p["T_grid"], "experiment.params.T_grid"
+    _within_budget(max(T_grid) * _VALUES_PER_BLOCK, field)
     _require(len(T_grid) >= 8, "needs at least 8 horizons", field)
     _require(all(T > 0 and T == int(T) for T in T_grid),
              "horizons must be positive integers", field)
     _require(len(set(T_grid)) >= 2, "needs at least two distinct horizons", field)
     _require(max(T_grid) >= 4, "needs a largest horizon of at least 4", field)
-    return T_grid
 
 
-def _candidate_strategy(scn: Scenario):
+def _verification_steps(scn: Scenario) -> int:
+    return min(scn.lattice_cfg["n_steps"], 200)  # the verification lattices' cap
+
+
+def _candidate_strategy(scn: Scenario, p: dict):
     policy = closed_form.candidate_policy(scn.preferences, scn.market)
-    pi = _param(scn.params, "pi", policy.pi_hat)
-    xi = _param(scn.params, "xi", policy.eta)
+    pi = policy.pi_hat if p["pi"] is None else p["pi"]
+    xi = policy.eta if p["xi"] is None else p["xi"]
     return closed_form.ProportionalStrategy(pi=float(pi), xi=float(xi))
 
 
+#: The (pi, xi) of a proportional strategy; the candidate's by default.
+_STRATEGY = {"pi": _MODEL, "xi": _MODEL}
+_COUNTEREXAMPLE = {"T_grid": Param("list", tuple(range(10, 101, 10)))}
+_LEVELS = Param("list", (0.5, 1.5), length=2)
+
+
 @_entry("candidate_policy", "closed-form candidate policy (pi_hat, eta) and value")
-def _run_candidate_policy(scn: Scenario):
+def _run_candidate_policy(scn: Scenario, p: dict):
     policy = closed_form.candidate_policy(scn.preferences, scn.market)
     row = {
         "pi_hat": policy.pi_hat,
@@ -378,10 +391,10 @@ def _run_candidate_policy(scn: Scenario):
 
 @_entry("picard_solve",
         "lattice fixed-point solve of the utility recursion for a proportional strategy",
-        ("pi", "xi"))
-def _run_picard_solve(scn: Scenario):
+        _STRATEGY)
+def _run_picard_solve(scn: Scenario, p: dict):
     prefs, market = scn.preferences, scn.market
-    strat = _candidate_strategy(scn)
+    strat = _candidate_strategy(scn, p)
     lat = build_lattice(market, strat, scn.lattice_cfg["dt"],
                         scn.lattice_cfg["n_steps"])
     if scn.lattice_cfg["tail"] == "proportional":
@@ -411,18 +424,16 @@ def _run_picard_solve(scn: Scenario):
 
 @_entry("mc_drift_check",
         "Monte Carlo check of the decay rate of e^{-nu t} X_t^{1-R}",
-        ("pi", "xi", "nu", "n_paths", "horizon"))
-def _run_mc_drift_check(scn: Scenario):
-    prefs, params = scn.preferences, scn.params
-    strat = _candidate_strategy(scn)
-    nu = _param(params, "nu", prefs.delta * prefs.theta)
-    n_paths = _param(params, "n_paths", 100_000, integer=True)
-    # one normal draw per path and time step, at the 21 times of the fit
-    _within_budget(n_paths * 21, "experiment.params.n_paths")
-    horizon = _param(params, "horizon", 5.0)
-    _require(horizon > 0.0, "must be > 0", "experiment.params.horizon")
-    report = mc_drift_check(scn.market, strat, nu, prefs.R, n_paths=n_paths,
-                            horizon=horizon, seed=scn.seed)
+        # one normal draw per path and time step, at the 21 times of the fit
+        {**_STRATEGY, "nu": _MODEL,
+         "n_paths": Param("integer", 100_000, charge=lambda n: n * 21),
+         "horizon": Param(default=5.0, gt=0)})
+def _run_mc_drift_check(scn: Scenario, p: dict):
+    prefs = scn.preferences
+    strat = _candidate_strategy(scn, p)
+    nu = prefs.delta * prefs.theta if p["nu"] is None else p["nu"]
+    report = mc_drift_check(scn.market, strat, nu, prefs.R, n_paths=p["n_paths"],
+                            horizon=p["horizon"], seed=scn.seed)
     rows = [{"t": t, "log_mean": lm}
             for t, lm in zip(report.times, report.log_means)]
     summary = {"slope": report.slope, "stderr": report.stderr,
@@ -433,29 +444,29 @@ def _run_mc_drift_check(scn: Scenario):
 
 @_entry("crra_counterexample",
         "additive-utility stream where the difference form has divergent positive and negative parts",
-        ("T_grid",))
-def _run_crra_counterexample(scn: Scenario):
+        _COUNTEREXAMPLE, _T_grid_rule)
+def _run_crra_counterexample(scn: Scenario, p: dict):
     rep = experiments.crra_counterexample(scn.preferences.delta, scn.preferences.R,
-                                          _T_grid(scn.params))
+                                          p["T_grid"])
     return rep.rows(), rep.summary()
 
 
 @_entry("ezsdu_counterexample",
         "recursive-utility stream where the difference form has divergent positive and negative parts",
-        ("T_grid",))
-def _run_ezsdu_counterexample(scn: Scenario):
-    rep = experiments.ezsdu_counterexample(scn.preferences, _T_grid(scn.params))
+        _COUNTEREXAMPLE, _T_grid_rule)
+def _run_ezsdu_counterexample(scn: Scenario, p: dict):
+    rep = experiments.ezsdu_counterexample(scn.preferences, p["T_grid"])
     return rep.rows(), rep.summary()
 
 
 @_entry("transversality_sweep",
         "consumption-fraction sweep of decay rates, evaluability, transversality and admitted bubbles",
-        ("nu", "xi_grid"))
-def _run_transversality_sweep(scn: Scenario):
-    prefs, params = scn.preferences, scn.params
-    nu = _param(params, "nu", prefs.delta)
+        {"nu": _MODEL, "xi_grid": Param("grid", _XI_GRID)})
+def _run_transversality_sweep(scn: Scenario, p: dict):
+    prefs = scn.preferences
+    nu = prefs.delta if p["nu"] is None else p["nu"]
     cells = experiments.transversality_sweep(prefs.delta, prefs.R, scn.market, nu,
-                                             _param_grid(params, "xi_grid", _XI_GRID))
+                                             p["xi_grid"])
     rows = [c.as_row() for c in cells]
     summary = {
         "n_cells": len(cells),
@@ -468,69 +479,52 @@ def _run_transversality_sweep(scn: Scenario):
 
 @_entry("policy_grid_search",
         "brute-force argmax of the proportional-strategy value over a (pi, xi) grid",
-        ("pi_grid", "xi_grid"))
-def _run_policy_grid_search(scn: Scenario):
-    pi_grid = _param_grid(scn.params, "pi_grid", {"start": 0.0, "stop": 1.5, "step": 0.005})
-    xi_grid = _param_grid(scn.params, "xi_grid", _XI_GRID)
-    _within_budget(pi_grid.size * xi_grid.size, "experiment.params.xi_grid")
-    rep = experiments.policy_grid_search(scn.preferences, scn.market, pi_grid, xi_grid)
+        {"pi_grid": Param("grid", {"start": 0.0, "stop": 1.5, "step": 0.005}),
+         "xi_grid": Param("grid", _XI_GRID)},
+        lambda scn, p: _within_budget(p["pi_grid"].size * p["xi_grid"].size,
+                                      "experiment.params.xi_grid"))
+def _run_policy_grid_search(scn: Scenario, p: dict):
+    rep = experiments.policy_grid_search(scn.preferences, scn.market,
+                                         p["pi_grid"], p["xi_grid"])
     return list(rep.rows()), rep.summary()
 
 
 @_entry("aversion_demos",
         "Jensen gaps separating risk aversion (R) from temporal variance aversion (S)",
-        ("y_values", "temporal_levels", "temporal_switch_time"))
-def _run_aversion_demos(scn: Scenario):
-    params = scn.params
+        {"y_values": _LEVELS, "temporal_levels": _LEVELS,
+         "temporal_switch_time": Param(default=1.0)})
+def _run_aversion_demos(scn: Scenario, p: dict):
     rep = experiments.aversion_demos(
-        scn.preferences,
-        y_values=tuple(_param_list(params, "y_values", [0.5, 1.5], length=2)),
-        temporal_levels=tuple(
-            _param_list(params, "temporal_levels", [0.5, 1.5], length=2)),
-        temporal_switch_time=_param(params, "temporal_switch_time", 1.0),
-    )
+        scn.preferences, y_values=tuple(p["y_values"]),
+        temporal_levels=tuple(p["temporal_levels"]),
+        temporal_switch_time=p["temporal_switch_time"])
     return rep.rows(), rep.summary()
 
 
 @_entry("wellposed_divergence",
         "eta <= 0 probes: value supremum explodes (R<1) or upper bounds collapse (R>1)",
-        ("probe_offsets", "n_levels"))
-def _run_wellposed_divergence(scn: Scenario):
-    params = scn.params
-    offsets = None
-    if params.get("probe_offsets") is not None:
-        offsets = _param_list(params, "probe_offsets", None)
-        _require(len(offsets) > 0, "must not be empty", "experiment.params.probe_offsets")
+        {"probe_offsets": Param("list", None),
+         "n_levels": Param("integer", 13, lo=1, hi=experiments.MAX_DIVERGENCE_LEVELS)})
+def _run_wellposed_divergence(scn: Scenario, p: dict):
     rep = experiments.wellposed_divergence(
         scn.preferences, scn.market,
-        probe_offsets=offsets,
-        n_levels=_param(params, "n_levels", 13, integer=True, lo=1,
-                        hi=experiments.MAX_DIVERGENCE_LEVELS),
-    )
+        probe_offsets=p["probe_offsets"], n_levels=p["n_levels"])
     return rep.rows(), rep.summary()
 
 
 @_entry("verification_check",
         "perturbed optimality identities for the candidate policy plus lattice supersolution checks",
-        ("epsilon", "n_strategies", "n_samples"))
-def _run_verification_check(scn: Scenario):
-    params = scn.params
-    n_samples = _param(params, "n_samples", 10_000, integer=True, lo=1)
-    _within_budget(n_samples, "experiment.params.n_samples")
-    n_steps = min(scn.lattice_cfg["n_steps"], 200)
-    n_strategies = _param(params, "n_strategies", 5, integer=True, lo=0)
-    # one lattice and one residual check per strategy
-    _within_budget(n_strategies * (n_steps + 1) * (n_steps + 2) // 2,
-                   "experiment.params.n_strategies")
+        {"epsilon": Param(default=0.1),
+         "n_strategies": Param("integer", 5, lo=0),
+         "n_samples": Param("integer", 10_000, lo=1, charge=lambda n: n)},
+        # one lattice and one residual check per strategy
+        lambda scn, p: _within_budget(p["n_strategies"] * _nodes(_verification_steps(scn)),
+                                      "experiment.params.n_strategies"))
+def _run_verification_check(scn: Scenario, p: dict):
     rep = experiments.verification_check(
-        scn.preferences, scn.market,
-        epsilon=_param(params, "epsilon", 0.1),
-        n_strategies=n_strategies,
-        seed=scn.seed,
-        n_samples=n_samples,
-        dt=scn.lattice_cfg["dt"],
-        n_steps=n_steps,
-    )
+        scn.preferences, scn.market, epsilon=p["epsilon"],
+        n_strategies=p["n_strategies"], seed=scn.seed, n_samples=p["n_samples"],
+        dt=scn.lattice_cfg["dt"], n_steps=_verification_steps(scn))
     return rep.rows(), rep.summary()
 
 
@@ -570,7 +564,7 @@ def run_scenario(scn: Scenario, out_dir: Path, quiet: bool = False) -> RunManife
     """Execute a validated scenario and write its artifacts."""
     started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows, summary = _REGISTRY[scn.experiment].run(scn)
+    rows, summary = _REGISTRY[scn.experiment].run(scn, scn.resolved)
     base = f"{scn.experiment}_{scn.id}"
     csv_path = out_dir / f"{base}.csv"
     json_path = out_dir / f"{base}.json"
@@ -668,9 +662,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         run_scenario(scn, Path(args.out_dir), quiet=args.quiet)
-    except ValidationError as exc:
-        print(_error_json("validation", exc), file=sys.stderr)
-        return 2
     except EzmertonError as exc:
         print(_error_json("numeric", exc), file=sys.stderr)
         return 3

@@ -661,6 +661,10 @@ def verification_check(prefs: Preferences, market: Market, epsilon: float,
     ------
     UnsupportedRegime / IllPosed
         Propagated from the candidate policy when theta or eta disqualify.
+    ExperimentError
+        If an identity value is not finite (an epsilon so large that the
+        perturbed wealth's powers overflow), or the Sharpe ratio is not
+        positive.
     """
     if epsilon <= 0.0:
         raise InvalidParameters("epsilon must be positive")
@@ -703,22 +707,22 @@ def verification_check(prefs: Preferences, market: Market, epsilon: float,
     y = np.exp(rng.uniform(math.log(0.2), math.log(5.0), n_samples))
     c = rng.uniform(0.0, 3.0 * eta * x)
     pi = rng.uniform(-1.0, 2.0, n_samples)
-    a1 = A1(c, x, y)
-    a2 = A2(pi, x, y)
-    a3 = A3(x, y)
+    c0, pi0 = eta, lam / (sig * R)  # the optimum at x = y = 1
+    # in numpy floats, where an overflow reads inf instead of raising
+    with np.errstate(all="ignore"):
+        a1, a2, a3 = A1(c, x, y), A2(pi, x, y), A3(x, y)
+        one = np.float64(1.0)
+        opt = [float(A1(c0, one, one)), float(A2(pi0, one, one)), float(A3(one, one))]
+    if not all(np.isfinite(a).all() for a in (a1, a2, a3, opt)):
+        raise ExperimentError(
+            f"an optimality identity is not finite at epsilon = {epsilon}")
     order1 = np.argsort(a1)[::-1][:5]
     worst = [
         HJBSample(x=float(x[i]), y=float(y[i]), c=float(c[i]), pi=float(pi[i]),
                   A1=float(a1[i]), A2=float(a2[i]), A3=float(a3[i]))
         for i in order1
     ]
-    x0, y0 = 1.0, 1.0
-    at_opt = HJBSample(
-        x=x0, y=y0, c=eta * x0, pi=lam / (sig * R),
-        A1=float(A1(eta * x0, x0, y0)),
-        A2=float(A2(lam / (sig * R), x0, y0)),
-        A3=float(A3(x0, y0)),
-    )
+    at_opt = HJBSample(x=1.0, y=1.0, c=c0, pi=pi0, A1=opt[0], A2=opt[1], A3=opt[2])
 
     if market0.sharpe <= 0.0:
         raise ExperimentError(

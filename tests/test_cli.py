@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -59,6 +60,101 @@ RERUN_VARIANTS = {
 }
 
 
+#: A grid whose point count overflows, and one whose count is negative.
+OVERFLOWING_GRID = {"name": "transversality_sweep",
+                    "params": {"xi_grid": {"start": -10**308, "stop": 10**308,
+                                           "step": 1e-300}}}
+NEGATIVE_GRID = {"name": "policy_grid_search",
+                 "params": {"pi_grid": {"start": 0, "stop": 1, "step": -1e-300}}}
+#: An epsilon at which the verification identities overflow.
+HUGE_EPSILON = {"name": "verification_check",
+                "params": {"epsilon": 1e200, "n_strategies": 1, "n_samples": 10}}
+
+#: Malformed scenarios as overrides of `base_scenario`, with the field their
+#: exit-2 error names.
+EXIT_2_CASES = [
+    ({"lattice": [1, 2]}, "lattice"),
+    ({"experiment": {"name": "mc_drift_check", "params": {"pi": "abc"}}},
+     "experiment.params.pi"),
+    ({"experiment": {"name": "crra_counterexample",
+                     "params": {"T_grid": "abc"}}},
+     "experiment.params.T_grid"),
+    ({"preferences": {"b": 1.0, "delta": float("nan"), "R": 2.0, "S": 2.5}},
+     "preferences.delta"),
+    ({"preferences": {"b": 1.0, "delta": 0.03, "R": float("inf"), "S": 2.5}},
+     "preferences.R"),
+    # Sizes over ELEMENT_BUDGET.  Each would otherwise fail on its own
+    # (an allocation numpy refuses, or an error before any large array),
+    # so no case allocates even if its check is missing.
+    ({"lattice": {"n_steps": 10**7}}, "lattice.n_steps"),
+    ({"experiment": {"name": "transversality_sweep",
+                     "params": {"xi_grid": {"start": 0, "stop": 1,
+                                            "step": 1e-13}}}},
+     "experiment.params.xi_grid"),
+    ({"experiment": {"name": "mc_drift_check", "params": {"n_paths": 10**10}}},
+     "experiment.params.n_paths"),
+    ({"experiment": {"name": "crra_counterexample",
+                     "params": {"T_grid": [10**9]}}},
+     "experiment.params.T_grid"),
+    ({"experiment": {"name": "policy_grid_search",
+                     "params": {"pi_grid": {"start": 0, "stop": 1, "step": 1e-4},
+                                "xi_grid": {"start": -1, "stop": 1,
+                                            "step": 2e-4}}}},
+     "experiment.params.xi_grid"),
+    ({"experiment": {"name": "verification_check",
+                     "params": {"n_samples": 10**8, "epsilon": -1.0}}},
+     "experiment.params.n_samples"),
+    ({"experiment": {"name": "verification_check",
+                     "params": {"n_strategies": 10**7, "epsilon": -1.0}}},
+     "experiment.params.n_strategies"),
+    # params the entry does not declare, or out of range
+    ({"experiment": {"name": "picard_solve", "params": {"bogus": 1}}},
+     "experiment.params.bogus"),
+    ({"preferences": ILL_POSED,
+      "experiment": {"name": "wellposed_divergence", "params": {"n_levels": 0}}},
+     "experiment.params.n_levels"),
+    ({"preferences": ILL_POSED,
+      "experiment": {"name": "wellposed_divergence", "params": {"n_levels": -3}}},
+     "experiment.params.n_levels"),
+    ({"preferences": ILL_POSED,
+      "experiment": {"name": "wellposed_divergence",
+                     "params": {"n_levels": 1100}}},
+     "experiment.params.n_levels"),
+    ({"preferences": ILL_POSED_R_BELOW_1,
+      "experiment": {"name": "wellposed_divergence",
+                     "params": {"probe_offsets": []}}},
+     "experiment.params.probe_offsets"),
+    ({"experiment": {"name": "verification_check", "params": {"n_samples": 0}}},
+     "experiment.params.n_samples"),
+    ({"experiment": {"name": "verification_check", "params": {"n_samples": -5}}},
+     "experiment.params.n_samples"),
+    ({"experiment": {"name": "verification_check",
+                     "params": {"n_strategies": -1}}},
+     "experiment.params.n_strategies"),
+    ({"experiment": {"name": "mc_drift_check", "params": {"horizon": 0}}},
+     "experiment.params.horizon"),
+    ({"experiment": {"name": "mc_drift_check", "params": {"horizon": -1}}},
+     "experiment.params.horizon"),
+    ({"experiment": {"name": "aversion_demos", "params": {"y_values": [0.5, 1, 1.5]}}},
+     "experiment.params.y_values"),
+    ({"experiment": OVERFLOWING_GRID}, "experiment.params.xi_grid"),
+    ({"experiment": NEGATIVE_GRID}, "experiment.params.pi_grid"),
+]
+EXIT_2_IDS = ["lattice-list", "param-pi-string", "param-T_grid-string",
+              "delta-nan", "R-infinity", "budget-n_steps", "budget-xi_grid-step",
+              "budget-n_paths", "budget-T_grid", "budget-grid-cells",
+              "budget-n_samples", "budget-n_strategies", "undeclared-param",
+              "n_levels-0", "n_levels-negative", "n_levels-1100",
+              "probe_offsets-empty", "n_samples-0", "n_samples-negative",
+              "n_strategies-negative", "horizon-0", "horizon-negative",
+              "y_values-three", "grid-count-overflow", "grid-count-negative"]
+
+#: Counterexample horizons that fail one of the slope fit's rules.
+DEGENERATE_T_GRIDS = {"largest-below-4": [1, 2, 3, 1, 2, 3, 1, 2], "one-horizon": [4] * 8,
+                      "fewer-than-8": [2, 4, 6], "non-integer": [2, 4, 6.5, 8, 10, 12, 14, 16]}
+COUNTEREXAMPLES = ["crra_counterexample", "ezsdu_counterexample"]
+
+
 def write_scenario(tmp_path, raw, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -90,6 +186,15 @@ class TestParsing:
             (lambda r: r.update(experiment={"name": "nope"}), "experiment.name"),
             (lambda r: r.update(id=""), "id"),
             (lambda r: r.update(schema_version=99), "schema_version"),
+            (lambda r: r.update(lattice={"tail": "exact"}), "lattice.tail"),
+            (lambda r: r.update(experiment={"name": "transversality_sweep", "params": {
+                "xi_grid": {"start": 0.01, "stop": 0.1, "step": 0.01, "num": 9}}}),
+             "experiment.params.xi_grid.num"),
+            (lambda r: r.update(experiment={"name": "transversality_sweep", "params": {
+                "xi_grid": {"start": 0.01, "stop": 0.1}}}),
+             "experiment.params.xi_grid.step"),
+            (lambda r: r.update(experiment={"name": "picard_solve", "params": {"xi": 0}},
+                                lattice={"n_steps": None}), "lattice.n_steps"),
         ],
     )
     def test_validation_errors_name_the_field(self, mutate, field):
@@ -98,6 +203,14 @@ class TestParsing:
         with pytest.raises(ValidationError) as err:
             parse_scenario(raw)
         assert err.value.field == field
+
+    def test_null_takes_the_model_value_where_that_is_the_default(self):
+        # pi, xi and nu default to the model's pi_hat, eta and discount rate
+        params = {"pi": None, "xi": None, "nu": None}
+        raw = base_scenario(experiment={"name": "mc_drift_check", "params": params})
+        scn = parse_scenario(raw)
+        assert scn.params == params
+        assert scn.resolved == {**params, "n_paths": 100_000, "horizon": 5.0}
 
     def test_canonical_round_trip_idempotent(self):
         scn = parse_scenario(base_scenario())
@@ -217,80 +330,7 @@ class TestMainEntry:
         assert code == 3
         assert json.loads(captured.err)["error"]["code"] == "numeric"
 
-    @pytest.mark.parametrize(
-        "overrides, field",
-        [
-            ({"lattice": [1, 2]}, "lattice"),
-            ({"experiment": {"name": "mc_drift_check", "params": {"pi": "abc"}}},
-             "experiment.params.pi"),
-            ({"experiment": {"name": "crra_counterexample",
-                             "params": {"T_grid": "abc"}}},
-             "experiment.params.T_grid"),
-            ({"preferences": {"b": 1.0, "delta": float("nan"), "R": 2.0, "S": 2.5}},
-             "preferences.delta"),
-            ({"preferences": {"b": 1.0, "delta": 0.03, "R": float("inf"), "S": 2.5}},
-             "preferences.R"),
-            # Sizes over ELEMENT_BUDGET.  Each would otherwise fail on its own
-            # (an allocation numpy refuses, or an error before any large array),
-            # so no case allocates even if its check is missing.
-            ({"lattice": {"n_steps": 10**7}}, "lattice.n_steps"),
-            ({"experiment": {"name": "transversality_sweep",
-                             "params": {"xi_grid": {"start": 0, "stop": 1,
-                                                    "step": 1e-13}}}},
-             "experiment.params.xi_grid"),
-            ({"experiment": {"name": "mc_drift_check", "params": {"n_paths": 10**10}}},
-             "experiment.params.n_paths"),
-            ({"experiment": {"name": "crra_counterexample",
-                             "params": {"T_grid": [10**9]}}},
-             "experiment.params.T_grid"),
-            ({"experiment": {"name": "policy_grid_search",
-                             "params": {"pi_grid": {"start": 0, "stop": 1, "step": 1e-4},
-                                        "xi_grid": {"start": -1, "stop": 1,
-                                                    "step": 2e-4}}}},
-             "experiment.params.xi_grid"),
-            ({"experiment": {"name": "verification_check",
-                             "params": {"n_samples": 10**8, "epsilon": -1.0}}},
-             "experiment.params.n_samples"),
-            ({"experiment": {"name": "verification_check",
-                             "params": {"n_strategies": 10**7, "epsilon": -1.0}}},
-             "experiment.params.n_strategies"),
-            # params the entry does not declare, or out of range
-            ({"experiment": {"name": "picard_solve", "params": {"bogus": 1}}},
-             "experiment.params.bogus"),
-            ({"preferences": ILL_POSED,
-              "experiment": {"name": "wellposed_divergence", "params": {"n_levels": 0}}},
-             "experiment.params.n_levels"),
-            ({"preferences": ILL_POSED,
-              "experiment": {"name": "wellposed_divergence", "params": {"n_levels": -3}}},
-             "experiment.params.n_levels"),
-            ({"preferences": ILL_POSED,
-              "experiment": {"name": "wellposed_divergence",
-                             "params": {"n_levels": 1100}}},
-             "experiment.params.n_levels"),
-            ({"preferences": ILL_POSED_R_BELOW_1,
-              "experiment": {"name": "wellposed_divergence",
-                             "params": {"probe_offsets": []}}},
-             "experiment.params.probe_offsets"),
-            ({"experiment": {"name": "verification_check", "params": {"n_samples": 0}}},
-             "experiment.params.n_samples"),
-            ({"experiment": {"name": "verification_check", "params": {"n_samples": -5}}},
-             "experiment.params.n_samples"),
-            ({"experiment": {"name": "verification_check",
-                             "params": {"n_strategies": -1}}},
-             "experiment.params.n_strategies"),
-            ({"experiment": {"name": "mc_drift_check", "params": {"horizon": 0}}},
-             "experiment.params.horizon"),
-            ({"experiment": {"name": "mc_drift_check", "params": {"horizon": -1}}},
-             "experiment.params.horizon"),
-        ],
-        ids=["lattice-list", "param-pi-string", "param-T_grid-string",
-             "delta-nan", "R-infinity", "budget-n_steps", "budget-xi_grid-step",
-             "budget-n_paths", "budget-T_grid", "budget-grid-cells",
-             "budget-n_samples", "budget-n_strategies", "undeclared-param",
-             "n_levels-0", "n_levels-negative", "n_levels-1100",
-             "probe_offsets-empty", "n_samples-0", "n_samples-negative",
-             "n_strategies-negative", "horizon-0", "horizon-negative"],
-    )
+    @pytest.mark.parametrize("overrides, field", EXIT_2_CASES, ids=EXIT_2_IDS)
     def test_malformed_input_exits_2_naming_the_field(self, tmp_path, capsys,
                                                       overrides, field):
         # json.dumps writes NaN/Infinity tokens, which json.load accepts
@@ -322,10 +362,12 @@ class TestMainEntry:
             ({"name": "aversion_demos", "params": {"y_values": [-1, 2]}}, {}),
             ({"name": "aversion_demos", "params": {"y_values": [-1, 2]}},
              {"preferences": {"b": 1.0, "delta": 0.03, "R": 0.5, "S": 0.8}}),
+            # the perturbed wealth's powers overflow: the identities are not finite
+            (HUGE_EPSILON, {}),
         ],
         ids=["horizon-tiny", "horizon-huge", "xi-zero", "xi-negative",
              "picard-one-node", "verification-one-node", "y_values-negative",
-             "y_values-negative-R-below-1"],
+             "y_values-negative-R-below-1", "epsilon-huge"],
     )
     def test_failing_params_exit_3(self, tmp_path, capsys, experiment, overrides):
         path = write_scenario(tmp_path, base_scenario(experiment=experiment, **overrides))
@@ -398,11 +440,8 @@ def test_no_warning_escapes_the_cli(tmp_path, subprocess_env, name):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-@pytest.mark.parametrize("name", ["crra_counterexample", "ezsdu_counterexample"])
-@pytest.mark.parametrize("T_grid", [[1, 2, 3, 1, 2, 3, 1, 2], [4] * 8, [2, 4, 6],
-                                    [2, 4, 6.5, 8, 10, 12, 14, 16]],
-                         ids=["largest-below-4", "one-horizon", "fewer-than-8",
-                              "non-integer"])
+@pytest.mark.parametrize("name", COUNTEREXAMPLES)
+@pytest.mark.parametrize("T_grid", DEGENERATE_T_GRIDS.values(), ids=list(DEGENERATE_T_GRIDS))
 def test_degenerate_T_grid_exits_2_with_one_error_line(tmp_path, subprocess_env,
                                                        name, T_grid):
     # These grids once raised IndexError (exit 1), printed a RankWarning or,
@@ -413,6 +452,25 @@ def test_degenerate_T_grid_exits_2_with_one_error_line(tmp_path, subprocess_env,
     (line,) = proc.stderr.splitlines()
     error = json.loads(line)["error"]
     assert (error["code"], error["field"]) == ("validation", "experiment.params.T_grid")
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    EXIT_2_CASES + [({"experiment": {"name": name, "params": {"T_grid": T_grid}}},
+                     "experiment.params.T_grid")
+                    for T_grid in DEGENERATE_T_GRIDS.values() for name in COUNTEREXAMPLES],
+    ids=EXIT_2_IDS + [f"T_grid-{grid}-{name}" for grid in DEGENERATE_T_GRIDS
+                      for name in COUNTEREXAMPLES])
+def test_validate_agrees_with_run(tmp_path, capsys, overrides, field):
+    # validate once checked only which params a scenario held, so it accepted
+    # values (T_grid [2, 4, 6], n_levels 0, a budget) that run then refused.
+    path = write_scenario(tmp_path, base_scenario(**overrides))
+    out_dir = tmp_path / "out"
+    for argv in (["validate"], ["run", "--out-dir", str(out_dir), "--quiet"]):
+        code = main([argv[0], "--scenario", str(path), *argv[1:]])
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (code, error["code"], error["field"]) == (2, "validation", field)
+    assert not out_dir.exists()
 
 
 def test_consumption_overflow_exits_3_with_one_error_line(tmp_path, subprocess_env):
@@ -432,6 +490,20 @@ def test_consumption_overflow_exits_3_with_one_error_line(tmp_path, subprocess_e
         assert proc.returncode == 3
         (line,) = proc.stderr.splitlines()
         assert json.loads(line)["error"]["code"] == "numeric"
+
+
+@pytest.mark.parametrize("experiment, code", [
+    (OVERFLOWING_GRID, 2), (NEGATIVE_GRID, 2), (HUGE_EPSILON, 3),
+], ids=["grid-count-overflow", "grid-count-negative", "epsilon-huge"])
+def test_former_tracebacks_exit_with_one_error_line(tmp_path, subprocess_env,
+                                                    experiment, code):
+    # These once exited 1 with a traceback: an OverflowError in the grid's
+    # integer count, numpy's ValueError from np.arange after a negative count
+    # passed the budget, and numpy warnings then an OverflowError in A2.
+    proc = run_module(tmp_path, subprocess_env, base_scenario(experiment=experiment))
+    assert proc.returncode == code
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["code"] == ("validation" if code == 2 else "numeric")
 
 
 @pytest.mark.parametrize(
@@ -470,3 +542,57 @@ class TestCatalog:
     def test_catalog_entries_documented(self):
         for entry in catalog():
             assert entry.description
+
+    def test_list_json_names_each_entry_parameters_in_order(self, capsys):
+        assert main(["list", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {e["name"]: e["parameters"] for e in payload} == {
+            "aversion_demos": ["y_values", "temporal_levels", "temporal_switch_time"],
+            "candidate_policy": [],
+            "crra_counterexample": ["T_grid"],
+            "ezsdu_counterexample": ["T_grid"],
+            "mc_drift_check": ["pi", "xi", "nu", "n_paths", "horizon"],
+            "picard_solve": ["pi", "xi"],
+            "policy_grid_search": ["pi_grid", "xi_grid"],
+            "transversality_sweep": ["nu", "xi_grid"],
+            "verification_check": ["epsilon", "n_strategies", "n_samples"],
+            "wellposed_divergence": ["probe_offsets", "n_levels"],
+        }
+
+
+def test_null_probe_offsets_run_at_the_default_offsets(tmp_path, capsys):
+    # A null takes the default, as an absent key does; [] is exit 2.
+    outputs = []
+    for key, params in (("absent", {}), ("null", {"probe_offsets": None})):
+        path = write_scenario(tmp_path, base_scenario(
+            preferences=ILL_POSED_R_BELOW_1,
+            experiment={"name": "wellposed_divergence", "params": params}), f"{key}.json")
+        assert main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / key),
+                     "--quiet"]) == 0
+        out = tmp_path / key / "wellposed_divergence_p1m1"
+        outputs.append((out.with_suffix(".csv").read_bytes(),
+                        json.loads(out.with_suffix(".json").read_text())["summary"]))
+    assert outputs[0] == outputs[1]
+
+
+def test_policy_grid_search_default_grids(tmp_path):
+    # pi in 0, 0.005, ..., 1.495 and xi in 0.005, ..., 0.195: the np.arange of
+    # the default start/stop/step objects, which spelt out give the same bytes.
+    spelt = {"pi_grid": {"start": 0.0, "stop": 1.5, "step": 0.005},
+             "xi_grid": {"start": 0.005, "stop": 0.2, "step": 0.005}}
+    texts = []
+    for key, params in (("default", {}), ("spelt", spelt)):
+        run_scenario(parse_scenario(base_scenario(
+            id=key, experiment={"name": "policy_grid_search", "params": params})),
+            tmp_path, quiet=True)
+        texts.append((tmp_path / f"policy_grid_search_{key}.csv").read_text())
+    assert texts[0] == texts[1]
+    lines = texts[0].splitlines()
+    assert lines[0] == "pi,xi,value,evaluable"
+    cells = [line.split(",")[:2] for line in lines[1:]]
+    assert len(cells) == 300 * 39
+    assert cells[0] == ["0", "0.0050000000000000001"]
+    assert cells[-1] == ["1.4950000000000001", "0.19500000000000001"]
+    columns = "".join(f"{pi},{xi}\n" for pi, xi in cells)
+    assert hashlib.sha256(columns.encode()).hexdigest() == (
+        "c5d0aa758aee9638766fc76671da6b431b3af3fdda0a1c15b5e4b92e66e2196c")

@@ -11,6 +11,7 @@ from ezmerton.closed_form import (
     proportional_utility,
 )
 from ezmerton.errors import (
+    ExperimentError,
     InvalidParameters,
     NotEvaluable,
     UnsupportedRegime,
@@ -318,4 +319,13 @@ class TestVerificationCheck:
         assert abs(opt.A1) <= 1e-10 and abs(opt.A2) <= 1e-10 and abs(opt.A3) <= 1e-10
         for verdict in report.strategy_verdicts:
             assert verdict["classification"] in ("supersolution", "solution")
+
+    @pytest.mark.parametrize("epsilon", [1e200, 1e308])
+    def test_non_finite_identities_raise(self, prefs, market, epsilon):
+        # The powers of the perturbed wealth overflow.  This once raised
+        # OverflowError at the optimum after numpy's RuntimeWarnings, which
+        # the suite turns into errors.
+        with pytest.raises(ExperimentError, match="not finite"):
+            verification_check(prefs, market, epsilon=epsilon, n_strategies=1,
+                               seed=0, n_samples=10)
 
