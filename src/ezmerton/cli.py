@@ -346,10 +346,11 @@ def _entry(name: str, description: str, parameters: dict[str, Param] | None = No
     return register
 
 
-def _T_grid_rule(scn: Scenario, p: dict) -> None:
-    """Every rule of `experiments._counterexample` on its horizons: the slope
-    fit needs 8 positive integer horizons, two of them distinct, and the tail
-    closure the last four unit blocks.  The largest sets the unit blocks."""
+def _counterexample_rule(scn: Scenario, p: dict) -> None:
+    """Every rule of `experiments._counterexample` on its inputs: the slope
+    fit needs 8 positive integer horizons, two of them distinct, the tail
+    closure the last four unit blocks, and the stream a discount rate
+    delta > 0.  The largest horizon sets the unit blocks."""
     T_grid, field = p["T_grid"], "experiment.params.T_grid"
     _within_budget(max(T_grid) * _VALUES_PER_BLOCK, field)
     _require(len(T_grid) >= 8, "needs at least 8 horizons", field)
@@ -357,6 +358,8 @@ def _T_grid_rule(scn: Scenario, p: dict) -> None:
              "horizons must be positive integers", field)
     _require(len(set(T_grid)) >= 2, "needs at least two distinct horizons", field)
     _require(max(T_grid) >= 4, "needs a largest horizon of at least 4", field)
+    _require(scn.preferences.delta > 0.0, "the counterexample needs delta > 0",
+             "preferences.delta")
 
 
 def _verification_steps(scn: Scenario) -> int:
@@ -426,7 +429,7 @@ def _run_picard_solve(scn: Scenario, p: dict):
         "Monte Carlo check of the decay rate of e^{-nu t} X_t^{1-R}",
         # one normal draw per path and time step, at the 21 times of the fit
         {**_STRATEGY, "nu": _MODEL,
-         "n_paths": Param("integer", 100_000, charge=lambda n: n * 21),
+         "n_paths": Param("integer", 100_000, lo=1000, charge=lambda n: n * 21),
          "horizon": Param(default=5.0, gt=0)})
 def _run_mc_drift_check(scn: Scenario, p: dict):
     prefs = scn.preferences
@@ -444,7 +447,7 @@ def _run_mc_drift_check(scn: Scenario, p: dict):
 
 @_entry("crra_counterexample",
         "additive-utility stream where the difference form has divergent positive and negative parts",
-        _COUNTEREXAMPLE, _T_grid_rule)
+        _COUNTEREXAMPLE, _counterexample_rule)
 def _run_crra_counterexample(scn: Scenario, p: dict):
     rep = experiments.crra_counterexample(scn.preferences.delta, scn.preferences.R,
                                           p["T_grid"])
@@ -453,7 +456,7 @@ def _run_crra_counterexample(scn: Scenario, p: dict):
 
 @_entry("ezsdu_counterexample",
         "recursive-utility stream where the difference form has divergent positive and negative parts",
-        _COUNTEREXAMPLE, _T_grid_rule)
+        _COUNTEREXAMPLE, _counterexample_rule)
 def _run_ezsdu_counterexample(scn: Scenario, p: dict):
     rep = experiments.ezsdu_counterexample(scn.preferences, p["T_grid"])
     return rep.rows(), rep.summary()
@@ -514,7 +517,7 @@ def _run_wellposed_divergence(scn: Scenario, p: dict):
 
 @_entry("verification_check",
         "perturbed optimality identities for the candidate policy plus lattice supersolution checks",
-        {"epsilon": Param(default=0.1),
+        {"epsilon": Param(default=0.1, gt=0),
          "n_strategies": Param("integer", 5, lo=0),
          "n_samples": Param("integer", 10_000, lo=1, charge=lambda n: n)},
         # one lattice and one residual check per strategy

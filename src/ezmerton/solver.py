@@ -12,18 +12,19 @@ horizon, and a backward sweep of the trapezoid step
     G_k = E_k[ G_{k+1} + dt/2 f_{k+1} ] + dt/2 f_k.
 
 That step is written once (`_trapezoid_step`), over any contiguous range of
-packed steps: the operator, `reference_integral` and the solve's residual
-sweep it one step at a time, since each step needs the next, while a gap-g
-pair-defect family advances every start step at once in g calls, masking
-out the pairs that straddle two steps.  The sequential sweep is written once
-too (`_backward_blocks`): it takes the integrand one block of whole steps at
-a time, the carry a = G_{k+1} + dt/2 f_{k+1} sits in one scratch buffer of
-n+1 values, and the step writes ½(a[1:] + a[:-1]) + dt/2 f_k into a second
-one, so a step is a few numpy calls and allocates nothing; G_k is copied
-over f_k, so G accumulates in the integrand's own buffer, the whole grid for
-the operator and `reference_integral`, one block for the residual.  The
-neighbour mean is the exact one-step expectation because the lattice moves
-up with probability ½.
+packed steps: the operator, `reference_integral`, the order check and a
+solve's residual sweep it one step at a time, since each step needs the
+next, while a gap-g pair-defect family advances every start step at once in
+g calls, masking out the pairs that straddle two steps.  The sequential
+sweep is written once too (`_backward_blocks`): it takes the integrand one
+block of whole steps at a time, the carry a = G_{k+1} + dt/2 f_{k+1} sits in
+one scratch buffer of n+1 values, and the step writes ½(a[1:] + a[:-1]) +
+dt/2 f_k into a second one, so a step is a few numpy calls and allocates
+nothing; G_k is copied over f_k, so G accumulates in the integrand's own
+buffer, the whole grid for the operator and `reference_integral`, one block
+for the order check's ratios and for the residual, which a `SolveReport`
+forms when it is first read.  The neighbour mean is the exact one-step
+expectation because the lattice moves up with probability ½.
 `picard_solve` finds the fixed point W = F(W) of that operator.  Measured in
 the log of the ratio to a reference process Lambda^theta, F contracts in the
 sup-norm with constant |rho| when rho is in (-1, 0), so the fixed point is
@@ -59,7 +60,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -242,18 +244,17 @@ def reference_integral(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
     for an integrand frozen over the step.
     """
     target.check_shape(lat)
-    return _reference_integral(np.power(target.data, prefs.theta), lat, tail)
+    lam_theta = np.power(target.data, prefs.theta)
+    return AdaptedGrid.from_packed(
+        _backward_accumulate(lat, lam_theta, _reference_top(lam_theta, lat, tail)))
 
 
-def _reference_integral(lam_theta: np.ndarray, lat: Lattice,
-                        tail: TailClosure) -> AdaptedGrid:
-    """`reference_integral` from the packed Lambda^theta, accumulated in place."""
+def _reference_top(lam_theta: np.ndarray, lat: Lattice, tail: TailClosure) -> np.ndarray:
+    """The closure layers of I^Lambda, from the packed Lambda^theta."""
     n = lat.n_steps
     if tail.mode == "zero":
-        top = np.concatenate([lat.dt * lam_theta[AdaptedGrid.span(n - 1)], np.zeros(n + 1)])
-    else:
-        top = lam_theta[AdaptedGrid.span(n)] / tail.decay_rate
-    return AdaptedGrid.from_packed(_backward_accumulate(lat, lam_theta, top))
+        return np.concatenate([lat.dt * lam_theta[AdaptedGrid.span(n - 1)], np.zeros(n + 1)])
+    return lam_theta[AdaptedGrid.span(n)] / tail.decay_rate
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +263,26 @@ def _reference_integral(lam_theta: np.ndarray, lat: Lattice,
 
 @dataclass(frozen=True)
 class OrderCertificate:
-    """Nodewise bounds k_lower * reference <= Lambda^theta <= K_upper * reference.
+    """Nodewise bounds k_lower * I^Lambda <= Lambda^theta <= K_upper * I^Lambda.
 
-    Lambda is the checked reference process and reference is I^Lambda; the
-    bounds are taken over steps 0..n-1 (the terminal layer is excluded
-    because the truncation dominates it).
+    Lambda is the checked reference process and I^Lambda its
+    `reference_integral`; the bounds are taken over steps 0..n-1 (the
+    terminal layer is excluded because the truncation dominates it).
     """
 
     k_lower: float
     K_upper: float
-    reference: AdaptedGrid
 
 
 def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
                 tail: TailClosure) -> OrderCertificate:
     """Self-similarity test: is target^theta of the same order as I^target?
+
+    target^theta is raised to its power once and held as the one grid of the
+    check.  The reference sweep takes copies of it a block at a time, and
+    each block of I^target it yields is overwritten with the ratio
+    target^theta / I^target, so the check holds one grid plus one block and
+    never all of I^target (`reference_integral` returns that).
 
     Raises
     ------
@@ -293,8 +299,6 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
         raise InvalidParameters("order check needs a lattice of at least one step")
     if not (target.data.min() > 0.0 and target.data.max() < math.inf):
         raise NotInClass("reference process must be strictly positive and finite")
-    # Lambda^theta is accumulated into I^Lambda in place, and the ratios take
-    # Lambda^theta anew one block at a time: the check holds one grid.
     lam_theta = np.power(target.data, prefs.theta)
     trace = unconditional_expectation(lat, AdaptedGrid.from_packed(lam_theta))
     slope = float(np.polyfit(lat.times, np.log(trace), 1)[0])
@@ -303,33 +307,37 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
             f"E[target^theta] decays at rate {-slope:.3e} <= 0; "
             "the defining integral diverges beyond any horizon"
         )
-    ref = _reference_integral(lam_theta, lat, tail)
+    top = _reference_top(lam_theta, lat, tail)
 
-    def ratios(block: slice) -> np.ndarray:
-        r = np.power(target.data[block], prefs.theta)
-        return np.divide(r, ref.data[block], out=r)
+    def ratios():
+        for block, ref in _backward_blocks(lat, top, lambda s: lam_theta[s].copy()):
+            yield np.divide(lam_theta[block], ref, out=ref)
+        m = _closure_start(lat, top)
+        if m < lat.n_steps:  # a zero tail: I^Lambda on step n-1 is top's
+            layer = AdaptedGrid.span(m)
+            yield lam_theta[layer] / top[:m + 1]
 
-    k_lower, K_upper = _block_bounds(ratios, lat.n_steps - 1)
+    k_lower, K_upper = _running_bounds(ratios())
     if not (0.0 < k_lower <= K_upper < _RATIO_GUARD):
         raise NotInClass(
             f"order ratio outside (0, {_RATIO_GUARD:g}): [{k_lower}, {K_upper}]"
         )
-    return OrderCertificate(k_lower=k_lower, K_upper=K_upper, reference=ref)
+    return OrderCertificate(k_lower=k_lower, K_upper=K_upper)
 
 
-def _block_bounds(values: _SliceFn, last: int) -> tuple[float, float]:
-    """(min, max) of values(s) over the blocks s of steps 0..last; a NaN in
-    any block makes both NaN, as in one reduction over all of them."""
+def _running_bounds(blocks) -> tuple[float, float]:
+    """(min, max) over the arrays of blocks; a NaN in any block makes both
+    NaN, as in one reduction over all of them."""
     smallest, largest = math.inf, -math.inf
-    for lo, hi in _step_blocks(0, last):
-        v = values(AdaptedGrid.span(lo, hi))
+    for v in blocks:
         smallest, largest = np.minimum(smallest, v.min()), np.maximum(largest, v.max())
     return float(smallest), float(largest)
 
 
 def _order_ratio_bounds(U: AdaptedGrid, Lambda: AdaptedGrid) -> tuple[float, float]:
+    blocks = (AdaptedGrid.span(lo, hi) for lo, hi in _step_blocks(0, U.n_steps))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _block_bounds(lambda block: U.data[block] / Lambda.data[block], U.n_steps)
+        return _running_bounds(U.data[b] / Lambda.data[b] for b in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +416,10 @@ class SolveReport:
     residual is the sup-norm log-space defect |log F(W*) - log W*| of the
     returned solution under one more operator application, over the layers
     below the tail closure and with F(W*) clipped into the clamp's range
-    [e^-700, e^700] (see `_residual`).  The trace has one entry per solved
+    [e^-700, e^700] (see `_residual`).  It is formed on its first read, in
+    one more backward sweep, and kept: until then the report keeps the
+    solve's U and Lambda alive and reads them, and the solution, as they are
+    at that read; the read drops them.  The trace has one entry per solved
     lattice layer, top layer first: (scalar steps the layer took, its start
     at x = 1 and each Newton step, certified log-space bound over that layer
     and every layer above it, the layer's largest ratio of successive bracket
@@ -424,9 +435,18 @@ class SolveReport:
 
     solution: AdaptedGrid
     converged: bool
-    residual: float
     trace: list[tuple[int, float, float]]
     clamp_events: int
+    #: The residual's other operands (lat, u, rho, eps_term, top) until it is
+    #: read, then None.
+    _operands: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        lat, u, rho, eps_term, top = self._operands
+        gap = _residual(lat, u, self.solution.data, rho, eps_term, top)
+        self._operands = None
+        return gap
 
     @property
     def iterations(self) -> int:
@@ -501,9 +521,9 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | N
 
     The solve holds W and buffers of one layer: c and e are formed layer by
     layer, the epsilon term from Lambda.  So a `picard_solve` holds W plus
-    one block beyond U and Lambda: the order check's one grid, I^Lambda, is
-    freed before W is allocated, and the residual forms F(W) one block of
-    steps at a time.
+    one block beyond U and Lambda: the order check's one grid, Lambda^theta,
+    is freed before W is allocated, and the residual, formed on the report's
+    first read of it, holds F(W) one block of steps at a time.
 
     Returns (W, trace, clamp_events), with trace as in `SolveReport`.  A
     layer that does not certify within max_iter scalar steps, or whose width
@@ -715,9 +735,8 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
     top = _tail_solution(prefs, lat, tail, U.data, eps_term)
     W, trace, clamp_events = _layer_solve(lat, U.data, prefs.rho, eps_term, top,
                                           tol, max_iter)
-    residual = _residual(lat, U.data, W.data, prefs.rho, eps_term, top)
-    return SolveReport(solution=W, converged=True, residual=residual, trace=trace,
-                       clamp_events=clamp_events)
+    return SolveReport(solution=W, converged=True, trace=trace, clamp_events=clamp_events,
+                       _operands=(lat, U.data, prefs.rho, eps_term, top))
 
 
 # ---------------------------------------------------------------------------

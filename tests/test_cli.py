@@ -83,29 +83,36 @@ EXIT_2_CASES = [
      "preferences.delta"),
     ({"preferences": {"b": 1.0, "delta": 0.03, "R": float("inf"), "S": 2.5}},
      "preferences.R"),
-    # Sizes over ELEMENT_BUDGET.  Each would otherwise fail on its own
-    # (an allocation numpy refuses, or an error before any large array),
-    # so no case allocates even if its check is missing.
-    ({"lattice": {"n_steps": 10**7}}, "lattice.n_steps"),
+    # Sizes over ELEMENT_BUDGET.  Each carries a second fault that ends the
+    # run at once if its own charge is missing: a field checked after the
+    # charge (seed, or delta after a counterexample's horizons), or, where
+    # the charge is the last check, a value the library refuses before any
+    # large array (xi <= 0, an epsilon at which the identities overflow).
+    # The step grid is built right after its count is checked, and numpy
+    # refuses its 10**20 points before allocating: more than it can index.
+    # So no case allocates or runs long even if its check is missing.
+    ({"lattice": {"n_steps": 10**7}, "seed": -1}, "lattice.n_steps"),
     ({"experiment": {"name": "transversality_sweep",
                      "params": {"xi_grid": {"start": 0, "stop": 1,
-                                            "step": 1e-13}}}},
+                                            "step": 1e-20}}}},
      "experiment.params.xi_grid"),
-    ({"experiment": {"name": "mc_drift_check", "params": {"n_paths": 10**10}}},
+    ({"experiment": {"name": "mc_drift_check", "params": {"n_paths": 10**10}},
+      "seed": -1},
      "experiment.params.n_paths"),
-    ({"experiment": {"name": "crra_counterexample",
-                     "params": {"T_grid": [10**9]}}},
+    ({"preferences": {"b": 1.0, "delta": 0.0, "R": 2.0, "S": 2.5},
+      "experiment": {"name": "crra_counterexample",
+                     "params": {"T_grid": [1, 2, 3, 4, 5, 6, 7, 10**9]}}},
      "experiment.params.T_grid"),
     ({"experiment": {"name": "policy_grid_search",
                      "params": {"pi_grid": {"start": 0, "stop": 1, "step": 1e-4},
                                 "xi_grid": {"start": -1, "stop": 1,
                                             "step": 2e-4}}}},
      "experiment.params.xi_grid"),
-    ({"experiment": {"name": "verification_check",
-                     "params": {"n_samples": 10**8, "epsilon": -1.0}}},
+    ({"experiment": {"name": "verification_check", "params": {"n_samples": 10**8}},
+      "seed": -1},
      "experiment.params.n_samples"),
     ({"experiment": {"name": "verification_check",
-                     "params": {"n_strategies": 10**7, "epsilon": -1.0}}},
+                     "params": {"n_strategies": 10**7, "epsilon": 1e200}}},
      "experiment.params.n_strategies"),
     # params the entry does not declare, or out of range
     ({"experiment": {"name": "picard_solve", "params": {"bogus": 1}}},
@@ -139,6 +146,17 @@ EXIT_2_CASES = [
      "experiment.params.y_values"),
     ({"experiment": OVERFLOWING_GRID}, "experiment.params.xi_grid"),
     ({"experiment": NEGATIVE_GRID}, "experiment.params.pi_grid"),
+    # value rules the library enforces too, which once exited 3 in run only
+    ({"experiment": {"name": "mc_drift_check", "params": {"n_paths": 999}}},
+     "experiment.params.n_paths"),
+    ({"experiment": {"name": "verification_check", "params": {"epsilon": -1.0}}},
+     "experiment.params.epsilon"),
+    ({"preferences": {"b": 1.0, "delta": 0.0, "R": 2.0, "S": 2.5},
+      "experiment": {"name": "crra_counterexample", "params": {}}},
+     "preferences.delta"),
+    ({"preferences": ILL_POSED,
+      "experiment": {"name": "ezsdu_counterexample", "params": {}}},
+     "preferences.delta"),
 ]
 EXIT_2_IDS = ["lattice-list", "param-pi-string", "param-T_grid-string",
               "delta-nan", "R-infinity", "budget-n_steps", "budget-xi_grid-step",
@@ -147,7 +165,8 @@ EXIT_2_IDS = ["lattice-list", "param-pi-string", "param-T_grid-string",
               "n_levels-0", "n_levels-negative", "n_levels-1100",
               "probe_offsets-empty", "n_samples-0", "n_samples-negative",
               "n_strategies-negative", "horizon-0", "horizon-negative",
-              "y_values-three", "grid-count-overflow", "grid-count-negative"]
+              "y_values-three", "grid-count-overflow", "grid-count-negative",
+              "n_paths-999", "epsilon-negative", "crra-delta-0", "ezsdu-delta-negative"]
 
 #: Counterexample horizons that fail one of the slope fit's rules.
 DEGENERATE_T_GRIDS = {"largest-below-4": [1, 2, 3, 1, 2, 3, 1, 2], "one-horizon": [4] * 8,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ezmerton import Preferences
+from ezmerton import solver as solver_module
 from ezmerton.closed_form import (
     ProportionalStrategy,
     candidate_policy,
@@ -599,6 +600,39 @@ class TestReportSerialisation:
         assert payload["ns"] == [1, 2]
 
 
+class TestResidualOnRead:
+    """The residual sweep runs when the report is asked for it, once."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counted = []
+        real = solver_module._residual
+
+        def residual(*args):
+            counted.append(args)
+            return real(*args)
+        monkeypatch.setattr(solver_module, "_residual", residual)
+        return counted
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    def test_picard_solve_sweeps_on_first_read_only(self, prefs, setup, calls, epsilon):
+        lat, tail, U = setup
+        report = picard_solve(prefs, U, lat, tail, epsilon=epsilon,
+                              Lambda=U if epsilon else None)
+        assert calls == []
+        first = report.residual
+        assert report.residual == first <= 1e-8
+        assert len(calls) == 1
+        assert report.to_json_dict()["residual"] == first and len(calls) == 1
+
+    def test_generalized_utility_never_sweeps(self, prefs, market, setup, calls):
+        lat, tail, _ = setup
+        report = generalized_utility(consumption_grid(lat), prefs, market, lat, tail,
+                                     n_max=8)
+        assert report.ns == [1, 2, 4, 8]
+        assert calls == []
+
+
 class TestZeroTail:
     def test_zero_tail_is_one_sided_bound(self, prefs, market, setup):
         # Dropping the tail under-counts W, i.e. over-counts V when R > 1:
@@ -946,6 +980,9 @@ class TestBitIdenticalShortcuts:
                                      last_layer=lat.dt * lam_theta[n - 1])
         else:
             want = per_step_backward(lat, lam_theta, lam_theta[n] / tail.decay_rate)
-        for ref in (order_check(prefs, U, lat, tail).reference,
-                    reference_integral(prefs, U, lat, tail)):
-            np.testing.assert_array_equal(ref.data, np.concatenate(want))
+        np.testing.assert_array_equal(reference_integral(prefs, U, lat, tail).data,
+                                      np.concatenate(want))
+        # the order check divides the same Lambda^theta into the same I^Lambda
+        ratios = np.concatenate(lam_theta[:n]) / np.concatenate(want[:n])
+        cert = order_check(prefs, U, lat, tail)
+        assert (cert.k_lower, cert.K_upper) == (ratios.min(), ratios.max())

@@ -6,9 +6,10 @@ whatever the number of paths.  The lattice build holds nothing of grid size:
 the lattice stores no wealth grid, and each read of `Lattice.wealth` forms
 one in its output one block of steps at a time, so `consumption_grid` holds
 its output plus one block, and so does the consumption transform.
-`unconditional_expectation` holds nothing of grid size, `order_check` only
-the reference grid it returns, `check_solution` at most nine grids, and
-`picard_solve` only its solution W plus one block, so the CLI's
+`unconditional_expectation` holds nothing of grid size, `order_check` one
+grid (Lambda^theta, whose reference integral it takes a block at a time),
+`check_solution` at most nine grids, `picard_solve` only its solution W plus
+one block, and the first read of a solve's residual one block, so the CLI's
 `picard_solve` entry holds at most two grids plus one block (C and U while
 U is built; U and W while it solves).  Peaks
 are read with tracemalloc, which sees numpy's buffers.  The oracles below are
@@ -49,6 +50,7 @@ from ezmerton.solver import (
     check_solution,
     order_check,
     picard_solve,
+    reference_integral,
 )
 
 #: Bytes of bookkeeping allowed on top of the array bounds (report objects,
@@ -232,11 +234,27 @@ def test_picard_solve_holds_one_grid(prefs, market, policy, epsilon):
     assert peak <= grid_bytes(n) + SLACK
 
 
-def test_order_check_holds_its_reference(prefs, market, policy):
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_first_residual_read_holds_one_block(prefs, market, policy, epsilon):
     n = 1000
     lat = build_lattice(market, policy.strategy, 0.005, n)
     U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
     tail = TailClosure.proportional(policy.strategy, prefs, market)
+    report = picard_solve(prefs, U, lat, tail, epsilon=epsilon,
+                          Lambda=U if epsilon else None)
+    residual, peak = peak_bytes(lambda: report.residual)
+    assert residual <= 1e-8
+    assert peak <= BLOCK_BYTES + SLACK
+
+
+@pytest.mark.parametrize("tail_mode", ["zero", "proportional"])
+def test_order_check_holds_one_grid(prefs, market, policy, tail_mode):
+    # Lambda^theta, and one block of I^Lambda at a time
+    n = 1000
+    lat = build_lattice(market, policy.strategy, 0.005, n)
+    U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+    tail = (TailClosure.zero() if tail_mode == "zero"
+            else TailClosure.proportional(policy.strategy, prefs, market))
     _, peak = peak_bytes(lambda: order_check(prefs, U, lat, tail))
     assert peak <= grid_bytes(n) + SLACK
 
@@ -379,7 +397,7 @@ class TestStreamedPasses:
         cert = order_check(prefs, U, lat, tail)
         k_lower, K_upper, ref = order_oracle(prefs, U, lat, tail)
         assert (cert.k_lower, cert.K_upper) == (k_lower, K_upper)
-        np.testing.assert_array_equal(cert.reference.data, ref)
+        np.testing.assert_array_equal(reference_integral(prefs, U, lat, tail).data, ref)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.3])
     @pytest.mark.parametrize("tail_mode", ["zero", "proportional"])
