@@ -29,12 +29,17 @@ the packed array instead of one call per step.
 
 Conditional expectations are exact one-step averages; the unconditional
 distribution of step k is binomial(k, 1/2), propagated forward from step 0.
+The weights of steps 0..254, one block of 256 KB, do not depend on the
+lattice: `unconditional_expectation` forms them on its first call and keeps
+them, read-only, for every later one, so the cache never grows past that
+block.
 `mc_drift_check` provides an independent Monte Carlo oracle for the decay
 rate of e^{-nu t} X_t^{1-R}.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -178,7 +183,8 @@ class Lattice:
         The exponent is built in the output one block of whole steps at a
         time, with the block's steps k and one block of scratch.  Packed
         index i = k(k+1)/2 + j gives 2j - k = 2i - k(k+2), exact in floating
-        point.
+        point.  Wealth beyond the float range is inf, without a numpy
+        warning: the solver's order check rejects it.
         """
         out = np.empty(AdaptedGrid.span(self.n_steps).stop)
         scale = self.log_vol * math.sqrt(self.dt)
@@ -195,8 +201,9 @@ class Lattice:
             np.multiply(k, self.log_drift, out=scratch)
             scratch *= self.dt
             logw += scratch
-            np.exp(logw, out=logw)
-            logw *= self.x0
+            with np.errstate(over="ignore"):  # inf wealth fails the order check
+                np.exp(logw, out=logw)
+                logw *= self.x0
         return AdaptedGrid.from_packed(out)
 
 
@@ -256,29 +263,74 @@ def step_expectation(lat: Lattice, values_next: np.ndarray) -> np.ndarray:
 _BLOCK_NODES = 1 << 15
 
 
+def _block_last(lo: int) -> int:
+    """Last step of the block of whole steps from lo: at most `_BLOCK_NODES`
+    nodes, or else the single step lo."""
+    # steps 0..j-1 hold j(j+1)/2 nodes, at most those before lo plus a block
+    j = (math.isqrt(8 * (lo * (lo + 1) // 2 + _BLOCK_NODES) + 1) - 1) // 2
+    return max(j - 1, lo)
+
+
 def _step_blocks(first: int, last: int) -> list[tuple[int, int]]:
     """(lo, hi) runs of whole steps covering first..last in order, each of at
     most `_BLOCK_NODES` nodes or else a single step."""
     blocks = []
     lo = first
     while lo <= last:
-        # steps 0..j-1 hold j(j+1)/2 nodes, at most those before lo plus a block
-        j = (math.isqrt(8 * (lo * (lo + 1) // 2 + _BLOCK_NODES) + 1) - 1) // 2
-        hi = min(max(j - 1, lo), last)
+        hi = min(_block_last(lo), last)
         blocks.append((lo, hi))
         lo = hi + 1
     return blocks
 
 
+def _propagate_weights(w: np.ndarray, lo: int, hi: int, offset: int,
+                       prev: np.ndarray | None) -> None:
+    """Write the binomial(k, 1/2) weights of steps lo..hi into w, whose first
+    value sits at packed index offset, from prev, the weights of step lo-1
+    (None when lo = 0).
+
+    weights_{k+1}[j] = ½(weights_k[j-1] + weights_k[j]), with the missing
+    neighbour of either end taken as 0, one step at a time.
+    """
+    for k in range(lo, hi + 1):
+        start = k * (k + 1) // 2 - offset
+        nxt = w[start:start + k + 1]
+        if k == 0:
+            nxt[0] = 1.0
+        else:
+            np.add(prev[1:], prev[:-1], out=nxt[1:-1])
+            nxt[0], nxt[-1] = prev[0], prev[-1]
+            nxt *= 0.5
+        prev = nxt
+
+
+@functools.cache
+def _first_block_weights() -> np.ndarray:
+    """The binomial weights of the first block of whole steps, 0..254 (32 640
+    nodes, 256 KB), packed and read-only.
+
+    They do not depend on the lattice, so they are propagated once, on the
+    first call, by `_propagate_weights`, and held for the life of the
+    process: one block, whatever the lattices seen.
+    """
+    last = _block_last(0)
+    w = np.empty(AdaptedGrid.span(last).stop)
+    _propagate_weights(w, 0, last, 0, None)
+    w.flags.writeable = False
+    return w
+
+
 def unconditional_expectation(lat: Lattice, grid: AdaptedGrid) -> np.ndarray:
     """E[grid at step k] for every k.
 
-    The binomial(k, 1/2) node weights are propagated forward one step at a
-    time, weights_{k+1}[j] = ½(weights_k[j-1] + weights_k[j]) with the missing
-    neighbour of either end taken as 0, one block of steps at a time in one
-    block buffer, and each block is summed against the grid step by step in
-    one call.  The step before a block waits in a buffer of one layer, so
-    nothing of the grid's size is allocated.
+    The binomial(k, 1/2) node weights are taken one block of steps at a time
+    and each block is multiplied into one block buffer and summed against the
+    grid step by step in one call.  The first block's weights (steps 0..254)
+    do not depend on the lattice: they are read from `_first_block_weights`,
+    formed once per process.  Each later block propagates its weights forward
+    from the step before it, which waits in a buffer of one layer, as
+    `_propagate_weights` does.  So nothing of the grid's size is allocated,
+    and the cache holds one block.
     """
     grid.check_shape(lat)
     n = lat.n_steps
@@ -287,20 +339,15 @@ def unconditional_expectation(lat: Lattice, grid: AdaptedGrid) -> np.ndarray:
     last = np.empty(n + 1)
     for lo, hi in _step_blocks(0, n):
         block = AdaptedGrid.span(lo, hi)
-        w = weights[:block.stop - block.start]
-        for k in range(lo, hi + 1):
-            start = k * (k + 1) // 2 - block.start
-            nxt = w[start:start + k + 1]
-            if k == 0:
-                nxt[0] = 1.0
-            else:
-                np.add(prev[1:], prev[:-1], out=nxt[1:-1])
-                nxt[0], nxt[-1] = prev[0], prev[-1]
-                nxt *= 0.5
-            prev = nxt
+        size = block.stop - block.start
+        if lo == 0:
+            base = _first_block_weights()[:size]
+        else:
+            base = weights[:size]
+            _propagate_weights(base, lo, hi, block.start, prev)
         prev = last[:hi + 1]  # the block's last step, read by the next block
-        prev[...] = w[w.size - hi - 1:]
-        w *= grid.data[block]
+        prev[...] = base[size - hi - 1:]
+        w = np.multiply(base, grid.data[block], out=weights[:size])
         steps = np.arange(lo, hi + 1)
         out[lo:hi + 1] = np.add.reduceat(w, steps * (steps + 1) // 2 - block.start)
     return out
@@ -308,9 +355,15 @@ def unconditional_expectation(lat: Lattice, grid: AdaptedGrid) -> np.ndarray:
 
 def consumption_grid(lat: Lattice) -> AdaptedGrid:
     """On-lattice consumption C = xi * X under the bound strategy, scaled in
-    place in the one grid that reading the wealth forms."""
+    place in the one grid that reading the wealth forms.
+
+    Wealth, and so C, that overflows is inf without a numpy warning, as in
+    `Lattice.wealth`: the solver's order check rejects the grid it gives
+    with its documented error.
+    """
     C = lat.wealth
-    C.data *= lat.strategy.xi
+    with np.errstate(over="ignore"):
+        C.data *= lat.strategy.xi
     return C
 
 

@@ -53,7 +53,12 @@ above by it when an epsilon-perturbation is used).
 inequalities over a sampled family of step pairs and hitting times (summed
 forward over the nodes a killed walk reaches), and `generalized_utility`
 evaluates arbitrary consumption grids by monotone truncation against the
-candidate optimal stream.
+candidate optimal stream.  What the hitting families read of the walk (the
+reached nodes, their masses and where the walk stops) depends only on the
+lattice size n and the band multiples, so `_hitting_walks` keeps it for the
+last four (n, multiples) keys: repeated checks on one lattice skip the walk.
+An entry is a strip of O(sqrt(n)) nodes per step, O(n^1.5) values against a
+grid's O(n^2), and the fixed maxsize bounds how many are held.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -211,15 +216,25 @@ def _epsilon_term(prefs: Preferences, epsilon: float,
     return term
 
 
+#: Scalar steps of the epsilon tail's Newton solve; it stops once its width
+#: stops shrinking, after a handful.
+_TAIL_NEWTON_STEPS = 64
+
+
 def _tail_solution(prefs: Preferences, lat: Lattice, tail: TailClosure,
                    u: np.ndarray, eps_term: _SliceFn | None) -> np.ndarray:
     """Layers of the W-recursion that the tail closure sets.
 
     Under proportional continuation the fixed point beyond the horizon is the
-    strategy's own: W_T = U_T^theta / H^theta, plus the epsilon term's tail
-    epsilon * Lambda_T^theta / H.  A zero tail gives W_T = 0 and the exact
-    frozen-driver layer W_{n-1} = (u_{n-1} dt/theta)^theta; the epsilon term
-    adds its left rectangle dt * epsilon * Lambda_{n-1}^theta there.
+    strategy's own: W_T = U_T^theta / H^theta.  With an epsilon term, and
+    Lambda continuing like U, it is the root of
+
+        W = epsilon Lambda_T^theta / H + (U_T / H) W^rho,
+
+    which `_newton_layer` solves node by node to rounding: with Lambda = U it
+    is w U_T^theta, H w = w^rho + epsilon.  A zero tail gives W_T = 0 and the
+    exact frozen-driver layer W_{n-1} = (u_{n-1} dt/theta)^theta; the epsilon
+    term adds its left rectangle dt * epsilon * Lambda_{n-1}^theta there.
     """
     n = lat.n_steps
     if tail.mode == "zero":
@@ -229,9 +244,14 @@ def _tail_solution(prefs: Preferences, lat: Lattice, tail: TailClosure,
             w_last += lat.dt * eps_term(last)
         return np.concatenate([w_last, np.zeros(n + 1)])
     terminal = AdaptedGrid.span(n)
-    w_tail = np.power(u[terminal], prefs.theta) / tail.decay_rate**prefs.theta
-    if eps_term is not None:
-        w_tail = w_tail + eps_term(terminal) / tail.decay_rate
+    if eps_term is None:
+        return np.power(u[terminal], prefs.theta) / tail.decay_rate**prefs.theta
+    a = eps_term(terminal) / tail.decay_rate
+    c = u[terminal] / tail.decay_rate
+    w_tail, t, *buffers = (np.empty(n + 1) for _ in range(6))
+    with np.errstate(all="ignore"):  # zero or infinite a, c: the map sets those nodes
+        _newton_layer(a, c, np.array(prefs.rho), np.array(prefs.rho - 1.0), 0.0,
+                      _TAIL_NEWTON_STEPS, w_tail, t, *buffers)
     return w_tail
 
 
@@ -908,6 +928,28 @@ def _reach_masses(n: int, bounds: np.ndarray) -> np.ndarray:
     return r
 
 
+@lru_cache(maxsize=4)
+def _hitting_walks(n: int, mults: tuple[float, ...]) -> tuple:
+    """For each band multiple: (packed indices of the nodes the killed walk
+    reaches, their `_reach_masses`, the stop mask), as read-only arrays.
+
+    The walk stops at step n or once d^2 >= mult^2 n, so all three depend
+    on n and the multiples alone.  The reached nodes sit in a strip of
+    O(sqrt(n)) nodes per step: O(n^1.5) values against a grid's O(n^2).
+    """
+    bounds = np.square(np.asarray(mults, dtype=float)) * n
+    r = _reach_masses(n, bounds)
+    walks = []
+    for b, bound in enumerate(bounds):
+        k, p = np.nonzero(r[:, b])  # the reached nodes, step by step
+        d = p - r.shape[-1] // 2
+        walk = (k * (k + 1) // 2 + (k + d) // 2, r[k, b, p], (d * d >= bound) | (k == n))
+        for a in walk:
+            a.flags.writeable = False
+        walks.append(walk)
+    return tuple(walks)
+
+
 def _hitting_defect(lat: Lattice, V: np.ndarray, half: np.ndarray,
                     mults) -> np.ndarray:
     """Defects at step 0 for the first exit of log-wealth from the bands
@@ -918,18 +960,15 @@ def _hitting_defect(lat: Lattice, V: np.ndarray, half: np.ndarray,
     expectation E[V_tau + trapezoid(f) up to tau] sums over the nodes it
     reaches, by their `_reach_masses`: V where it stops, half = dt/2 f where
     it goes on and, past step 0, half for the step in.  Unreached nodes are
-    left out, so an infinite f there gives no 0 * inf.
+    left out, so an infinite f there gives no 0 * inf.  The reached nodes,
+    their masses and the stop mask depend only on n and mults, so
+    `_hitting_walks` keeps them for the last few (n, mults) asked for.
     """
-    n = lat.n_steps
-    bounds = np.square(np.asarray(mults, dtype=float)) * n
-    r = _reach_masses(n, bounds)
-    g = np.empty(bounds.size)
-    for b, bound in enumerate(bounds):
-        k, p = np.nonzero(r[:, b])  # the reached nodes, step by step
-        d = p - r.shape[-1] // 2
-        nodes = k * (k + 1) // 2 + (k + d) // 2
-        mass, h = r[k, b, p], half[nodes]
-        g[b] = mass @ np.where((d * d >= bound) | (k == n), V[nodes], h) + mass[1:] @ h[1:]
+    walks = _hitting_walks(lat.n_steps, tuple(float(m) for m in mults))
+    g = np.empty(len(walks))
+    for b, (nodes, mass, stops) in enumerate(walks):
+        h = half[nodes]
+        g[b] = mass @ np.where(stops, V[nodes], h) + mass[1:] @ h[1:]
     return V[0] - g
 
 

@@ -495,14 +495,20 @@ def test_validate_agrees_with_run(tmp_path, capsys, overrides, field):
 def test_consumption_overflow_exits_3_with_one_error_line(tmp_path, subprocess_env):
     # C^{1-S} overflows at xi = 1e-300.  At delta = 10, pi = 10 and dt 0.5
     # the low nodes' wealth underflows to C = 0, so U = inf there, while
-    # e^{-delta t} underflows to 0 on the late steps: inf * 0 is NaN.  Each
-    # of numpy's warnings once reached stderr ahead of the error object.
+    # e^{-delta t} underflows to 0 on the late steps: inf * 0 is NaN.  At
+    # pi_hat = 410 (R = 1.89, S = 9.25, sigma = 0.023) the top nodes' wealth
+    # overflows exp, and C = xi X a multiply.  Each of numpy's warnings once
+    # reached stderr ahead of the error object.
     cases = (
         base_scenario(lattice={"dt": 0.02, "n_steps": 50},
                       experiment={"name": "picard_solve", "params": {"xi": 1e-300}}),
         base_scenario(preferences={"b": 1.0, "delta": 10.0, "R": 2.0, "S": 2.5},
                       lattice={"dt": 0.5, "n_steps": 400, "tail": "zero"},
                       experiment={"name": "picard_solve", "params": {"pi": 10}}),
+        base_scenario(preferences={"b": 1.0, "delta": 0.03, "R": 1.89, "S": 9.25},
+                      market={"r": 0.02, "mu": 0.2, "sigma": 0.023},
+                      lattice={"dt": 0.32, "n_steps": 200},
+                      experiment={"name": "picard_solve", "params": {}}),
     )
     for raw in cases:
         proc = run_module(tmp_path, subprocess_env, raw)

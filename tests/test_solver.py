@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ezmerton import Preferences
+from ezmerton import Market, Preferences
 from ezmerton import solver as solver_module
 from ezmerton.closed_form import (
     ProportionalStrategy,
@@ -26,6 +28,7 @@ from ezmerton.errors import (
 from ezmerton.lattice import (
     AdaptedGrid,
     TailClosure,
+    _first_block_weights,
     build_lattice,
     consumption_grid,
     transformed_consumption_grid,
@@ -34,8 +37,10 @@ from ezmerton.lattice import step_expectation
 from ezmerton.preferences import transformed_aggregator_grid
 from ezmerton.solver import (
     _hitting_defect,
+    _hitting_walks,
     _pair_defects,
     _reach_masses,
+    _tail_solution,
     apply_recursion,
     check_solution,
     compare,
@@ -245,6 +250,21 @@ class TestPicardSolve:
         # the epsilon-perturbed branch only needs the upper bound
         report = picard_solve(prefs, holey, lat, tail, epsilon=0.1, Lambda=U)
         assert report.converged
+
+    def test_wealth_overflow_fails_the_order_check(self):
+        # pi_hat = 410 here: the top nodes' wealth overflows exp, and C = xi X
+        # overflows a multiply.  The grids hold inf without a numpy warning
+        # (which the suite's filter would raise), and U = C^{1-S} = 0 there
+        # fails the order check with its documented error.
+        p = Preferences(b=1.0, delta=0.03, R=1.89, S=9.25)
+        mkt = Market(r=0.02, mu=0.2, sigma=0.023)
+        pol = candidate_policy(p, mkt)
+        lat = build_lattice(mkt, pol.strategy, dt=0.32, n_steps=200)
+        C = consumption_grid(lat)
+        assert np.isinf(lat.wealth.data).any() and np.isinf(C.data).any()
+        U = transformed_consumption_grid(p, lat, C)
+        with pytest.raises(PreconditionFailed, match="strictly positive and finite"):
+            picard_solve(p, U, lat, TailClosure.proportional(pol.strategy, p, mkt))
 
     def test_max_iter_below_one_rejected(self, prefs, setup):
         # Zero iterations leave no step to report and no bracket to certify.
@@ -537,6 +557,45 @@ class TestCheckSolution:
             assert compare(sub, sup).ordered
 
 
+class TestCheckSolutionCaches:
+    """What check_solution builds once per lattice size: the hitting walks
+    and the first block of binomial weights."""
+
+    def test_cold_and_warm_calls_agree_bit_for_bit(self, prefs, setup):
+        lat, tail, U = setup
+        W = picard_solve(prefs, U, lat, tail).solution
+        C = consumption_grid(lat)
+        cases = [(W, U, "W"), (W.scaled(0.8), U, "W"), (W.scaled(1.2), U, "W"),
+                 (W.scaled(1.0 / (1.0 - prefs.R)), C, "V")]
+        cold = []
+        for grid, companion, space in cases:
+            _hitting_walks.cache_clear()
+            _first_block_weights.cache_clear()
+            cold.append(check_solution(grid, companion, lat, prefs, 1e-6, space))
+        hits = _hitting_walks.cache_info().hits
+        warm = [check_solution(grid, companion, lat, prefs, 1e-6, space)
+                for grid, companion, space in cases]
+        assert _hitting_walks.cache_info().hits == hits + len(cases)
+        assert [repr(r.to_json_dict()) for r in warm] == [repr(r.to_json_dict())
+                                                          for r in cold]
+
+    def test_walk_cache_keeps_four_keys(self):
+        _hitting_walks.cache_clear()
+        for n in range(1, 11):
+            _hitting_walks(n, (1.0, 2.0))
+        assert _hitting_walks.cache_info().currsize == 4
+
+    def test_cached_arrays_are_read_only(self):
+        weights = _first_block_weights()
+        assert weights.size == 255 * 256 // 2
+        with pytest.raises(ValueError):
+            weights[0] = 2.0
+        for walk in _hitting_walks(150, (1.0, 2.0)):
+            for array in walk:
+                with pytest.raises(ValueError):
+                    array[0] = array[0]
+
+
 class TestGeneralizedUtility:
     def test_requires_candidate_lattice(self, prefs, market):
         strat = ProportionalStrategy(pi=0.3, xi=0.02)
@@ -721,10 +780,10 @@ def assert_agrees_with_picard(p, U, lat, tail, report, tol=1e-8, epsilon=0.0,
                  - np.log(W.data[before_terminal]))
     assert np.max(gap) <= 2.0 * tol
     bound = report.trace[-1][1]
-    if bound > 0.0:
-        assert np.max(gap) <= bound <= tol
-    else:  # rho = 0: every layer is exact, so only rounding (a few ulps) remains
-        assert np.max(gap) <= 8.0 * np.finfo(float).eps
+    assert bound <= tol
+    # The bound leaves out rounding, a few ulps of the logs: all that remains
+    # at rho = 0, where every layer is exact, or where the bound is that small.
+    assert np.max(gap) <= bound + 8.0 * np.finfo(float).eps
     assert report.residual <= tol
 
 
@@ -948,6 +1007,82 @@ class TestZeroTailAccuracy:
         exact = (p.b * pol.strategy.xi ** (1.0 - p.S) * integral) ** p.theta
         assert report.converged
         assert abs(report.solution.data[0] / exact - 1.0) <= 0.04 * dt
+
+
+def oracle_c_coefficient(H, rho, epsilon):
+    """w_epsilon, the one root of H w = w^rho + epsilon (oracle C), by
+    bisection: H w - w^rho - epsilon is increasing for rho <= 0."""
+    lo, hi = 0.0, 1.0
+    while H * hi - hi**rho - epsilon < 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid > 0.0 and H * mid - mid**rho - epsilon < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def oracle_c_error(p, market, epsilon, n, horizon):
+    """Relative error of the lattice W_0 under Lambda = U against oracle C,
+    W^epsilon = w_epsilon U^theta, with the lattice's dt."""
+    pol = candidate_policy(p, market)
+    lat = build_lattice(market, pol.strategy, dt=horizon / n, n_steps=n)
+    tail = TailClosure.proportional(pol.strategy, p, market)
+    U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+    report = picard_solve(p, U, lat, tail, epsilon=epsilon, Lambda=U)
+    exact = oracle_c_coefficient(tail.decay_rate, p.rho, epsilon) * U.data[0] ** p.theta
+    return report.solution.data[0] / exact - 1.0, lat.dt
+
+
+class TestEpsilonTail:
+    """The epsilon-perturbed proportional stream against oracle C.
+
+    With Lambda = U the perturbed utility is W^epsilon = w_epsilon U^theta,
+    H w_epsilon = w_epsilon^rho + epsilon: U^theta and W scale alike, since
+    theta (1 - rho) = 1.  The tail closes on that fixed point, so the lattice
+    misses it only by its first-order discretisation error.
+    """
+
+    #: (R, S, delta) on both sides of R = 1
+    POINTS = [(2.0, 2.5, 0.03), (0.5, 0.25, 0.1), (2.0, 5.0, 0.03)]
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("R, S, delta", POINTS)
+    def test_tail_layer_is_the_fixed_point(self, market, R, S, delta, epsilon):
+        p = Preferences(b=1.0, delta=delta, R=R, S=S)
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=40)
+        tail = TailClosure.proportional(pol.strategy, p, market)
+        U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        eps_term = solver_module._epsilon_term(p, epsilon, U)
+        w_T = _tail_solution(p, lat, tail, U.data, eps_term)
+        u_T = U.data[AdaptedGrid.span(lat.n_steps)]
+        w = oracle_c_coefficient(tail.decay_rate, p.rho, epsilon)
+        np.testing.assert_allclose(w_T, w * u_T**p.theta, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("R, S, delta", POINTS)
+    def test_first_order_error(self, market, R, S, delta, epsilon):
+        p = Preferences(b=1.0, delta=delta, R=R, S=S)
+        for n in (100, 200):
+            err, dt = oracle_c_error(p, market, epsilon, n, horizon=5.0)
+            assert abs(err) <= 0.01 * dt, (n, err)
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(R=st.one_of(st.floats(0.5, 0.9), st.floats(1.1, 5.0)),
+           share=st.floats(0.0, 1.0), epsilon=st.floats(0.0, 2.0))
+    def test_first_order_error_property(self, market, R, share, epsilon):
+        # theta in [max(0.15, 1.1 - R), 1] and S = 1 - (1 - R)/theta: every
+        # point is supported and well posed at delta 0.1 (R < 1) or 0.03.
+        low = max(0.15, 1.1 - R)
+        theta = low + share * (1.0 - low)
+        p = Preferences(b=1.0, delta=0.1 if R < 1.0 else 0.03, R=R,
+                        S=1.0 - (1.0 - R) / theta)
+        for n in (40, 80):
+            err, dt = oracle_c_error(p, market, epsilon, n, horizon=2.0)
+            assert abs(err) <= 0.01 * dt, (n, err)
 
 
 class TestStopLevelNearMinusOne:

@@ -8,11 +8,12 @@ one in its output one block of steps at a time, so `consumption_grid` holds
 its output plus one block, and so does the consumption transform.
 `unconditional_expectation` holds nothing of grid size, `order_check` one
 grid (Lambda^theta, whose reference integral it takes a block at a time),
-`check_solution` at most nine grids, `picard_solve` only its solution W plus
-one block, and the first read of a solve's residual one block, so the CLI's
-`picard_solve` entry holds at most two grids plus one block (C and U while
-U is built; U and W while it solves).  Peaks
-are read with tracemalloc, which sees numpy's buffers.  The oracles below are
+`check_solution` at most nine grids, and its caches (the hitting walks and
+one block of binomial weights) less than one once it returns, `picard_solve`
+only its solution W plus one block, and the first read of a solve's residual
+one block, so the CLI's `picard_solve` entry holds at most two grids plus
+one block (C and U while U is built; U and W while it solves).  Peaks are
+read with tracemalloc, which sees numpy's buffers.  The oracles below are
 the one-shot formulas: the whole draw at once with a `concatenate` and the
 column means of all its paths, the wealth exponent over the full grid, the
 masked `np.where` consumption transform, the binomial weights over the full
@@ -33,6 +34,7 @@ from ezmerton.closed_form import candidate_policy
 from ezmerton.lattice import (
     _BLOCK_NODES,
     _DRIFT_BLOCK_PATHS,
+    _first_block_weights,
     AdaptedGrid,
     TailClosure,
     build_lattice,
@@ -44,6 +46,7 @@ from ezmerton.lattice import (
 from ezmerton.preferences import Preferences, transformed_aggregator_grid
 from ezmerton.solver import (
     _epsilon_term,
+    _hitting_walks,
     _residual,
     _tail_solution,
     apply_recursion,
@@ -66,6 +69,18 @@ def peak_bytes(fn):
         tracemalloc.reset_peak()
         result = fn()
         return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def held_bytes(fn):
+    """Bytes that stay allocated once fn has run and its result is dropped,
+    beyond what it started with: what a cache inside fn keeps."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
 
@@ -267,9 +282,26 @@ def test_check_solution_holds_nine_grids(prefs, market, policy):
         U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
         W = picard_solve(prefs, U, lat, TailClosure.proportional(policy.strategy, prefs,
                                                                  market)).solution
+        _hitting_walks.cache_clear()  # the bound holds while the caches fill
+        _first_block_weights.cache_clear()
         report, peak = peak_bytes(lambda: check_solution(W, U, lat, prefs, 1e-6, "W"))
         assert report.classification == "solution"
         assert peak <= 9 * grid_bytes(n) + SLACK, n
+
+
+def test_check_solution_caches_hold_less_than_a_grid(prefs, market, policy):
+    # The hitting walks keep the reached strip, O(n sqrt(n)) values, and the
+    # binomial weights one block, whatever n: at n = 1000 the strip holds
+    # about 95 000 nodes and a grid 501 501.
+    n = 1000
+    lat = build_lattice(market, policy.strategy, 5.0 / n, n)
+    U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+    W = picard_solve(prefs, U, lat, TailClosure.proportional(policy.strategy, prefs,
+                                                             market)).solution
+    _hitting_walks.cache_clear()
+    _first_block_weights.cache_clear()
+    held = held_bytes(lambda: check_solution(W, U, lat, prefs, 1e-6, "W"))
+    assert BLOCK_BYTES < held < grid_bytes(n)
 
 
 def test_unconditional_expectation_holds_no_grid(prefs, market, policy):
@@ -380,12 +412,17 @@ def stream_setup(market, R, S, n, tail_mode):
     return prefs, lat, U, tail
 
 
+#: Lattice sizes at the edge of the first block of whole steps, whose
+#: binomial weights are cached: it ends at step 254, so 254 fills it, 255
+#: and 256 reach one and two steps past it, and 600 spans six blocks.
+FIRST_BLOCK_EDGE_SIZES = [254, 255, 256, 600]
+
+
 class TestStreamedPasses:
-    @pytest.mark.parametrize("n", MULTI_BLOCK_SIZES)
+    @pytest.mark.parametrize("n", FIRST_BLOCK_EDGE_SIZES + MULTI_BLOCK_SIZES)
     @pytest.mark.parametrize("R, S", STREAM_PREFS)
     def test_unconditional_expectation_matches_full_weights(self, market, R, S, n):
         _, lat, U, _ = stream_setup(market, R, S, n, "proportional")
-        assert grid_bytes(n) > BLOCK_BYTES
         np.testing.assert_array_equal(unconditional_expectation(lat, U),
                                       weights_oracle(lat, U))
 
