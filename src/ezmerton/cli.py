@@ -592,6 +592,16 @@ def run_scenario(scn: Scenario, out_dir: Path, quiet: bool = False) -> RunManife
     return manifest
 
 
+def _field_json(name: str, spec: Param) -> dict:
+    """One experiment param as `list --json` prints it: name, kind, default
+    (null where the entry fills the value in) and the checks that are set."""
+    checks = {key: getattr(spec, key) for key in ("lo", "hi", "gt", "ne", "length")
+              if getattr(spec, key) is not None}
+    if spec.choices:
+        checks["choices"] = list(spec.choices)
+    return {"name": name, "kind": spec.kind, "default": spec.default, **checks}
+
+
 def catalog() -> list[CatalogEntry]:
     """Every runnable experiment, sorted by name."""
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
@@ -641,7 +651,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.as_json:
             print(json.dumps(
                 [{"name": e.name, "description": e.description,
-                  "parameters": list(e.parameters)} for e in entries],
+                  "parameters": list(e.parameters),
+                  "fields": [_field_json(k, spec) for k, spec in e.parameters.items()]}
+                 for e in entries],
                 indent=2))
         else:
             for e in entries:

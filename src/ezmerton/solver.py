@@ -44,6 +44,20 @@ last step exactly, W_{n-1} = (u_{n-1} dt/theta)^theta
 (W' = -u W^rho with the driver frozen and W(T) = 0), and the kernel is not
 evaluated on the layers a tail closure sets.
 
+The layer solve takes K drivers at once, too: side by side in an array of
+shape (nodes, K), the batch axis after the nodes, so that a layer of every
+driver is still one slice and one numpy call.  Its only reductions run over
+a layer's nodes and give one value per row, so each row decides for itself
+its scaling branch, when its Newton steps stop (a stopped row is frozen
+while the others step on), whether it fails and which of its nodes the
+clamp moves; every node then goes through exactly the elementwise
+operations of its row's single solve, and a row's W, trace and clamp events
+are those of `picard_solve` on its driver, bit for bit.  `picard_solve` is
+the case K = 1, a 1-D driver, whose Newton steps keep Python floats.
+`generalized_utility` solves its truncation levels, which share one lattice,
+this way: stacked in chunks of at most `_BATCH_NODES` values, one backward
+sweep a chunk.
+
 Preconditions are expressed through order certificates: the reference Lambda
 must satisfy Lambda^theta comparable to I^Lambda_t = E_t[integral Lambda^theta]
 (self-similarity), and the driver U must be comparable to Lambda (or bounded
@@ -139,10 +153,10 @@ def _trapezoid_step(a: np.ndarray, half_k: np.ndarray | None,
 
     The lattice moves up with probability 1/2, so E_k[a] is the neighbour mean
     ½(a[j+1] + a[j]); it rounds exactly like ½a[j+1] + ½a[j], since halving is
-    exact away from subnormals.  Leading axes of a are batch axes.  A single
-    step into out is three numpy calls and allocates nothing.
+    exact away from subnormals.  Axes after the first are batch axes.  A
+    single step into out is three numpy calls and allocates nothing.
     """
-    out = np.add(a[..., 1:], a[..., :-1], out=out)
+    out = np.add(a[1:], a[:-1], out=out)
     np.multiply(out, _HALF, out=out)
     if half_k is not None:
         np.add(out, half_k, out=out)
@@ -156,7 +170,7 @@ _SliceFn = Callable[[slice], np.ndarray]
 
 def _closure_start(lat: Lattice, top: np.ndarray) -> int:
     """Lowest step of the closure layers top: n, or n-1 for a zero tail."""
-    return lat.n_steps - 1 if top.size > lat.n_steps + 1 else lat.n_steps
+    return lat.n_steps - 1 if len(top) > lat.n_steps + 1 else lat.n_steps
 
 
 def _backward_blocks(lat: Lattice, top: np.ndarray, integrand: _SliceFn):
@@ -221,6 +235,14 @@ def _epsilon_term(prefs: Preferences, epsilon: float,
 _TAIL_NEWTON_STEPS = 64
 
 
+def _over_rows(eps_term: _SliceFn | None, u: np.ndarray) -> _SliceFn | None:
+    """eps_term with its values made columns, to broadcast over the rows of a
+    batched driver u (see `_layer_solve`); as it is for a single driver."""
+    if eps_term is None or u.ndim == 1:
+        return eps_term
+    return lambda nodes: eps_term(nodes)[:, None]
+
+
 def _tail_solution(prefs: Preferences, lat: Lattice, tail: TailClosure,
                    u: np.ndarray, eps_term: _SliceFn | None) -> np.ndarray:
     """Layers of the W-recursion that the tail closure sets.
@@ -235,20 +257,24 @@ def _tail_solution(prefs: Preferences, lat: Lattice, tail: TailClosure,
     is w U_T^theta, H w = w^rho + epsilon.  A zero tail gives W_T = 0 and the
     exact frozen-driver layer W_{n-1} = (u_{n-1} dt/theta)^theta; the epsilon
     term adds its left rectangle dt * epsilon * Lambda_{n-1}^theta there.
+
+    u may carry a batch axis after the nodes (see `_layer_solve`); the
+    layers come back with it, one column a row.
     """
     n = lat.n_steps
+    eps_term = _over_rows(eps_term, u)
     if tail.mode == "zero":
         last = AdaptedGrid.span(n - 1)  # empty when n = 0
         w_last = np.power(u[last] * lat.dt / prefs.theta, prefs.theta)
         if eps_term is not None:
             w_last += lat.dt * eps_term(last)
-        return np.concatenate([w_last, np.zeros(n + 1)])
+        return np.concatenate([w_last, np.zeros((n + 1,) + u.shape[1:])])
     terminal = AdaptedGrid.span(n)
     if eps_term is None:
         return np.power(u[terminal], prefs.theta) / tail.decay_rate**prefs.theta
     a = eps_term(terminal) / tail.decay_rate
     c = u[terminal] / tail.decay_rate
-    w_tail, t, *buffers = (np.empty(n + 1) for _ in range(6))
+    w_tail, t, *buffers = (np.empty(c.shape) for _ in range(6))
     with np.errstate(all="ignore"):  # zero or infinite a, c: the map sets those nodes
         _newton_layer(a, c, np.array(prefs.rho), np.array(prefs.rho - 1.0), 0.0,
                       _TAIL_NEWTON_STEPS, w_tail, t, *buffers)
@@ -496,7 +522,8 @@ class SolveReport:
 
 
 def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | None,
-                 top: np.ndarray, tol: float, max_iter: int):
+                 top: np.ndarray, tol: float, max_iter: int,
+                 labels: list[str] | None = None):
     """Solve W = F(W) for rho <= 0 in one backward sweep, one layer at a time.
 
     Below the closure layers top (from step m = `_closure_start` on), the
@@ -539,23 +566,45 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | N
     one range check over the swept layers finds it and the sweep runs again,
     clamping each layer (see `_sweep`).
 
+    The batch axis.  u is one packed driver, or K of them side by side in
+    an array of shape (nodes, K): column r is row r of the batch, and top
+    (from `_tail_solution`) comes shaped alike.  A layer is still the slice
+    of its nodes, so the sweep solves layer k of every row in the same numpy
+    calls.  Every operation is elementwise except the reductions over a
+    layer, and those run over its nodes alone, giving one value per row, so
+    each row decides for itself: its scaling branch in `_newton_layer`, when
+    its Newton steps stop (a stopped row is frozen while the others step
+    on), whether it fails, and which of its nodes the clamp moves.  Each
+    node thus goes through exactly the operations of its row's single solve,
+    and the row's W, trace and clamp events are those of `picard_solve` on
+    that driver, bit for bit.  Only the range check spans the batch: a row
+    with no node out of range takes the same values clamped or not, so the
+    clamped sweep of the whole batch leaves it unchanged.  A 1-D driver is
+    the single solve, K = 1, and its Newton steps keep Python floats.
+
     The solve holds W and buffers of one layer: c and e are formed layer by
     layer, the epsilon term from Lambda.  So a `picard_solve` holds W plus
     one block beyond U and Lambda: the order check's one grid, Lambda^theta,
     is freed before W is allocated, and the residual, formed on the report's
     first read of it, holds F(W) one block of steps at a time.
 
-    Returns (W, trace, clamp_events), with trace as in `SolveReport`.  A
-    layer that does not certify within max_iter scalar steps, or whose width
-    stops shrinking (at the float spacing of x, when tau is below it), ends
-    the sweep and raises `NotConverged` naming the layer, its width and tau.
+    Returns (W, layers, clamp_events), with W of u's shape, layers the
+    bracket widths of each swept layer, one a scalar step (`_trace` makes
+    them the trace of `SolveReport`); a batch gives a list of layers and one
+    of clamp events, one per row.  A layer that does not certify within max_iter
+    scalar steps, or whose width stops shrinking (at the float spacing of x,
+    when tau is below it), ends its row's sweep and raises `NotConverged`
+    naming the layer, its width and tau; in a batch the others sweep on, and
+    the message of the first failing row starts with its labels entry (by
+    default "row r").
     """
     m = _closure_start(lat, top)
-    W = np.empty(AdaptedGrid.span(lat.n_steps).stop)
-    W[W.size - top.size:] = top
+    W = np.empty(u.shape)
+    W[len(W) - len(top):] = top
     half = 0.5 * lat.dt
     closure = AdaptedGrid.span(m)
     tau = tol / (2 * m) if m else tol
+    eps_term = _over_rows(eps_term, u)
     with np.errstate(all="ignore"):  # a value out of range selects the clamped sweep
         carry_m = transformed_aggregator_grid(u[closure], W[closure], rho)
         if eps_term is not None:
@@ -564,28 +613,50 @@ def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | N
         carry_m += W[closure]
         layers, clamp_events = _sweep(W, carry_m, u, eps_term, half, rho, tau, max_iter,
                                       clamp=False)
-        swept = W[AdaptedGrid.span(m - len(layers)).start:closure.start]
+        depth = len(layers) if u.ndim == 1 else max(map(len, layers))
+        swept = W[AdaptedGrid.span(m - depth).start:closure.start]
         if swept.size and not (_CLAMP_LO <= swept.min() and swept.max() <= _CLAMP_HI):
             layers, clamp_events = _sweep(W, carry_m, u, eps_term, half, rho, tau,
                                           max_iter, clamp=True)
-    trace: list[tuple[int, float, float]] = []
-    s = 0.0
-    for widths in layers:
-        s += widths[-1]
-        ratios = [r / p for p, r in zip(widths, widths[1:]) if p > 0.0]
-        trace.append((len(widths), -math.log1p(-s) if s < 1.0 else math.inf,
-                      max(ratios, default=math.nan)))
-    if not trace:  # no layer below the closure
-        trace.append((0, 0.0, math.nan))
+    for r, row in enumerate([layers] if u.ndim == 1 else layers):
+        try:
+            _certify(row, m, tau, tol, max_iter)
+        except NotConverged as exc:
+            if u.ndim == 1 and labels is None:
+                raise
+            raise NotConverged(f"{labels[r] if labels else f'row {r}'}: {exc}") from None
+    return W, layers, clamp_events if u.ndim == 1 else clamp_events.tolist()
+
+
+def _certify(layers: list[list[float]], m: int, tau: float, tol: float,
+             max_iter: int) -> None:
+    """Raises `NotConverged` unless a row's sweep certified its last layer
+    (given each layer's bracket widths) and its bound, `_trace`'s last, is
+    at most tol."""
     if layers and not layers[-1][-1] <= tau:  # the sweep ended at this layer
         widths = layers[-1]
         why = "max_iter reached" if len(widths) >= max_iter else "its width stopped shrinking"
         raise NotConverged(
             f"layer {m - len(layers)} not certified after {len(widths)} scalar steps "
             f"({why}): bracket width {widths[-1]:.3e} > tau = tol/(2m) = {tau:.3e}")
-    if not trace[-1][1] <= tol:  # every layer certified, which bounds it for tol <= 1
-        raise NotConverged(f"certified bound {trace[-1][1]:.3e} exceeds tol {tol:.3e}")
-    return AdaptedGrid.from_packed(W), trace, clamp_events
+    s = 0.0
+    for widths in layers:
+        s += widths[-1]
+    bound = -math.log1p(-s) if s < 1.0 else math.inf
+    if not bound <= tol:  # every layer certified, which bounds it for tol <= 1
+        raise NotConverged(f"certified bound {bound:.3e} exceeds tol {tol:.3e}")
+
+
+def _trace(layers: list[list[float]]) -> list[tuple[int, float, float]]:
+    """The trace of `SolveReport` from each swept layer's bracket widths."""
+    trace = []
+    s = 0.0
+    for widths in layers:
+        s += widths[-1]
+        ratios = [r / p for p, r in zip(widths, widths[1:]) if p > 0.0]
+        trace.append((len(widths), -math.log1p(-s) if s < 1.0 else math.inf,
+                      max(ratios, default=math.nan)))
+    return trace or [(0, 0.0, math.nan)]  # a row with no layer below the closure
 
 
 def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: _SliceFn | None,
@@ -593,21 +664,30 @@ def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: _SliceFn
     """The backward sweep of `_layer_solve`: fills W on steps 0..m-1.
 
     carry_m is the closure layer's carry.  Each layer forms its own
-    c = half u and e = half eps_term in buffers of n values and solves its
-    nodes with `_newton_layer`.  Returns (layers, clamp events) with each
-    layer's bracket widths, one a scalar step, ending at the first layer that
-    does not certify.  With clamp set, each layer is clamped as the operator
-    clamps F(W): a node's W outside [e^-700, e^700] is set to the nearer
-    end, its kernel is taken there by the kernel's conventions (u = 0 gives
-    0, u = inf gives inf, as in `transformed_aggregator_grid`), and its
-    carry holds the unclamped F(W) = a + c W^rho.
+    c = half u and e = half eps_term in buffers of one layer (c one column a
+    row) and solves its nodes with `_newton_layer`.  Returns (layers, clamp events)
+    with each layer's bracket widths, one a scalar step, ending at the first
+    layer that does not certify; for a batch, one such list and one count
+    per row, and the sweep goes on while any row certifies.  With clamp set,
+    each layer is clamped as the operator clamps F(W): a node's W outside
+    [e^-700, e^700] is set to the nearer end, its kernel is taken there by
+    the kernel's conventions (u = 0 gives 0, u = inf gives inf, as in
+    `transformed_aggregator_grid`), and its carry holds the unclamped
+    F(W) = a + c W^rho.  Only the rows with such a node retake their kernel.
     """
-    m = carry_m.size - 1
+    m = len(carry_m) - 1
+    rows = carry_m.shape[1:]
     carry = carry_m.copy()
-    a_buf, c_buf, e_buf, t_buf, b_buf, x_buf, d_buf, q_buf = (np.empty(m) for _ in range(8))
+    a_buf, c_buf, t_buf, b_buf, x_buf, d_buf, q_buf = (np.empty((m,) + rows)
+                                                       for _ in range(7))
+    e_buf = np.empty((m,) + (1,) * len(rows))  # one column, broadcast over the rows
     half, rho_0, rho_1 = np.array(half), np.array(rho), np.array(rho - 1.0)
-    layers: list[list[float]] = []
-    clamp_events = 0
+    if rows:
+        layers: list = [[] for _ in range(rows[0])]
+        live = list(range(rows[0]))  # the rows that have certified every layer
+        clamp_events = np.zeros(rows, dtype=int)
+    else:
+        layers, clamp_events = [], 0
     for k in range(m - 1, -1, -1):
         nodes = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
         c = np.multiply(u[nodes], half, out=c_buf[:k + 1])
@@ -621,13 +701,25 @@ def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: _SliceFn
         if clamp:
             outside = (w < _CLAMP_LO) | (w > _CLAMP_HI)
             if outside.any():
-                clamp_events += int(np.count_nonzero(outside))
                 np.clip(w, _CLAMP_LO, _CLAMP_HI, out=w)
-                t[...] = transformed_aggregator_grid(c, w, rho)
+                if rows:
+                    clamp_events += np.count_nonzero(outside, axis=0)
+                    moved = np.logical_or.reduce(outside)
+                    t[:, moved] = transformed_aggregator_grid(c[:, moved], w[:, moved], rho)
+                else:
+                    clamp_events += int(np.count_nonzero(outside))
+                    t[...] = transformed_aggregator_grid(c, w, rho)
                 v = np.where(outside, a + t, w)
-        layers.append(widths)
-        if not widths[-1] <= tau:
-            break
+        if rows:
+            for r in live:
+                layers[r].append(widths[r])
+            live = [r for r in live if widths[r][-1] <= tau]
+            if not live:
+                break
+        else:
+            layers.append(widths)
+            if not widths[-1] <= tau:
+                break
         np.add(v, t, out=carry[:k + 1])
         if e is not None:
             np.add(carry[:k + 1], e, out=carry[:k + 1])
@@ -653,23 +745,19 @@ def _newton_layer(a, c, rho, rho_1, tau, max_iter, w, t, beta, x_buf, d_buf, q):
     At rho = 0 T does not depend on x, so the first step is exact.  It runs
     once per layer and step, so it calls the ufuncs and their reductions
     directly, with 0-d operands (rho and rho_1 = rho - 1), into the buffers
-    beta, x_buf, d_buf and q.
+    beta, x_buf, d_buf and q.  Arrays with a batch axis after the nodes are
+    handed to `_newton_rows`, which returns the widths of each row.
     """
     np.power(a, rho_1, out=beta)
     np.multiply(beta, c, out=beta)
+    if beta.ndim > 1:
+        return _newton_rows(a, c, rho, tau, max_iter, w, t, beta, x_buf, d_buf, q)
     d = beta  # T(1) - 1 when s = a
     widths = [float(np.maximum.reduce(beta))]
     if widths[0] <= 1.0:
         s, alpha = a, _ONE
     else:
-        c_theta = np.power(c, 1.0 / (1.0 - rho))
-        s = np.maximum(a, c_theta)
-        alpha = a / s
-        np.divide(c_theta, s, out=beta)
-        np.power(beta, 1.0 - rho, out=beta)
-        edge = (s == 0.0) | (s == math.inf)
-        alpha[edge], beta[edge] = 1.0, 0.0
-        d = alpha + beta - 1.0
+        s, alpha, beta, d = _general_scaling(a, c, rho)
         widths[0] = float(np.maximum.reduce(np.absolute(d, out=q)))
     x, p = _ONE, beta  # x = 1 and p = beta x^rho
     while (widths[-1] > tau and len(widths) < max_iter
@@ -687,6 +775,63 @@ def _newton_layer(a, c, rho, rho_1, tau, max_iter, w, t, beta, x_buf, d_buf, q):
     np.multiply(x, s, out=w)
     np.multiply(p, s, out=t)
     return widths
+
+
+def _general_scaling(a, c, rho):
+    """(s, alpha, beta, T(1) - 1) of `_newton_layer` under s = max(a, c^theta)."""
+    c_theta = np.power(c, 1.0 / (1.0 - rho))
+    s = np.maximum(a, c_theta)
+    alpha = a / s
+    beta = np.divide(c_theta, s)
+    np.power(beta, 1.0 - rho, out=beta)
+    edge = (s == 0.0) | (s == math.inf)
+    alpha[edge], beta[edge] = 1.0, 0.0
+    return s, alpha, beta, alpha + beta - 1.0
+
+
+def _newton_rows(a, c, rho, tau, max_iter, w, t, beta, x_buf, d_buf, q):
+    """`_newton_layer` on a layer of shape (nodes, K), beta = c a^(rho-1)
+    formed: each row r = column r takes the steps of its own single solve.
+
+    A row takes the general scaling where its own max beta exceeds 1, and
+    steps on while its own width is above tau and shrinking; once it stops,
+    its x is frozen (the step writes x only where the row is live), and its
+    p = beta x^rho and d = T(x) - x, recomputed from that x, keep their
+    values.  The loop ends at max_iter or once every row has stopped.
+    Returns each row's list of widths.
+    """
+    first = np.maximum.reduce(beta)  # per row: T(1) - 1 where s = a
+    general = ~(first <= 1.0)
+    s, alpha, d = a, _ONE, beta
+    if general.any():
+        s_g, alpha_g, beta_g, d_g = _general_scaling(a, c, rho)
+        s = np.where(general, s_g, a)
+        alpha = np.where(general, alpha_g, 1.0)
+        d = np.where(general, d_g, beta)
+        beta = np.where(general, beta_g, beta)
+        first = np.where(general, np.maximum.reduce(np.absolute(d, out=q)), first)
+    x, p = x_buf, beta
+    x.fill(1.0)
+    history = [first]
+    steps = np.ones(first.shape, dtype=int)
+    live = first > tau
+    while len(history) < max_iter and live.any():
+        np.divide(p, x, out=q)
+        np.multiply(q, rho, out=q)
+        np.subtract(_ONE, q, out=q)
+        np.divide(d, q, out=q)
+        np.add(x, q, out=x, where=live)
+        p = np.power(x, rho, out=t)
+        np.multiply(p, beta, out=p)
+        d = np.add(p, alpha, out=d_buf)
+        np.subtract(d, x, out=d)
+        width = np.maximum.reduce(np.absolute(d, out=q))
+        steps += live
+        live &= (width > tau) & (width < history[-1])
+        history.append(width)
+    np.multiply(x, s, out=w)
+    np.multiply(p, s, out=t)
+    return [row[:n] for row, n in zip(np.array(history).T.tolist(), steps.tolist())]
 
 
 def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
@@ -753,15 +898,21 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
 
     eps_term = _epsilon_term(prefs, epsilon, lam_grid)
     top = _tail_solution(prefs, lat, tail, U.data, eps_term)
-    W, trace, clamp_events = _layer_solve(lat, U.data, prefs.rho, eps_term, top,
-                                          tol, max_iter)
-    return SolveReport(solution=W, converged=True, trace=trace, clamp_events=clamp_events,
+    W, layers, clamp_events = _layer_solve(lat, U.data, prefs.rho, eps_term, top,
+                                           tol, max_iter)
+    return SolveReport(solution=AdaptedGrid.from_packed(W), converged=True,
+                       trace=_trace(layers), clamp_events=clamp_events,
                        _operands=(lat, U.data, prefs.rho, eps_term, top))
 
 
 # ---------------------------------------------------------------------------
 # Generalized utility by monotone truncation
 # ---------------------------------------------------------------------------
+
+#: Most driver values one batched solve of `generalized_utility` stacks: a
+#: chunk of U and one of W, 8 MB each, and one truncation level at least.
+_BATCH_NODES = 1 << 20
+
 
 @dataclass
 class GeneralizedUtilityReport:
@@ -793,9 +944,12 @@ def generalized_utility(C_grid: AdaptedGrid, prefs: Preferences, market: Market,
     The truncated streams are C^n = C /\\ n*Chat for R < 1 (an increasing
     sequence) and C^n = C \\/ Chat/n for R > 1 (a decreasing one), where
     Chat = eta * X is the candidate optimal consumption read off the lattice.
-    Each truncation is solved with `picard_solve`; the time-0 values form a
-    monotone sequence whose limit is classified as finite or divergent at the
-    desk-scale threshold 1e6.
+    The truncations share one lattice, so they are solved together: their
+    drivers are stacked, at most `_BATCH_NODES` values to a chunk (one level
+    at least), and each chunk is one batched `_layer_solve`, whose rows take
+    `picard_solve`'s steps bit for bit (its defaults, without the order
+    check).  The time-0 values form a monotone sequence whose limit is
+    classified as finite or divergent at the desk-scale threshold 1e6.
 
     The lattice must be bound to the candidate strategy, since Chat is taken
     from its node wealth.
@@ -806,6 +960,9 @@ def generalized_utility(C_grid: AdaptedGrid, prefs: Preferences, market: Market,
         Unless theta lies in (0, 1).
     PreconditionFailed
         If the lattice strategy is not the candidate policy.
+    NotConverged
+        If a truncation level does not certify; the message names the
+        first such level.
     """
     if not (0.0 < prefs.theta < 1.0):
         raise UnsupportedRegime("generalized utility requires theta in (0, 1)")
@@ -824,15 +981,30 @@ def generalized_utility(C_grid: AdaptedGrid, prefs: Preferences, market: Market,
     while ns[-1] < n_max:
         ns.append(min(2 * ns[-1], n_max))
 
-    values: list[float] = []
-    for n in ns:
+    def driver(n: int) -> np.ndarray:
+        """The packed U of truncation level n."""
         if prefs.R < 1.0:
             c_n = np.minimum(C_grid.data, n * c_hat)
         else:
             c_n = np.maximum(C_grid.data, c_hat / n)
-        u_n = transformed_consumption_grid(prefs, lat, AdaptedGrid.from_packed(c_n))
-        report = picard_solve(prefs, u_n, lat, tail, tol=tol, enforce_order=False)
-        values.append(report.utility_at_zero(prefs))
+        return transformed_consumption_grid(prefs, lat, AdaptedGrid.from_packed(c_n)).data
+
+    nodes = c_hat.size
+    per_chunk = max(1, _BATCH_NODES // nodes)
+    values: list[float] = []
+    for first in range(0, len(ns), per_chunk):
+        levels = ns[first:first + per_chunk]
+        if len(levels) == 1:
+            u = driver(levels[0])
+        else:
+            u = np.empty((nodes, len(levels)))
+            for r, n in enumerate(levels):
+                u[:, r] = driver(n)
+        top = _tail_solution(prefs, lat, tail, u, None)
+        W = _layer_solve(lat, u, prefs.rho, None, top, tol, max_iter=200,
+                         labels=[f"truncation level n={n}" for n in levels])[0]
+        values += [float(w0) / (1.0 - prefs.R) for w0 in W.reshape(nodes, -1)[0]]
+        del u, W  # freed before the next chunk is built
 
     last = values[-1]
     if abs(last) > DIVERGENCE_THRESHOLD:

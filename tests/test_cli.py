@@ -583,6 +583,30 @@ class TestCatalog:
             "verification_check": ["epsilon", "n_strategies", "n_samples"],
             "wellposed_divergence": ["probe_offsets", "n_levels"],
         }
+        # "fields" gives each of them, in the same order, with its kind, its
+        # default (null where the entry fills it in) and the checks that are set.
+        fields = {e["name"]: e["fields"] for e in payload}
+        assert all([f["name"] for f in fields[e["name"]]] == e["parameters"]
+                   for e in payload)
+        assert fields["mc_drift_check"] == [
+            {"name": "pi", "kind": "number", "default": None},
+            {"name": "xi", "kind": "number", "default": None},
+            {"name": "nu", "kind": "number", "default": None},
+            {"name": "n_paths", "kind": "integer", "default": 100_000, "lo": 1000},
+            {"name": "horizon", "kind": "number", "default": 5.0, "gt": 0},
+        ]
+        assert fields["aversion_demos"][0] == {
+            "name": "y_values", "kind": "list", "default": [0.5, 1.5], "length": 2}
+        assert fields["policy_grid_search"][0] == {
+            "name": "pi_grid", "kind": "grid",
+            "default": {"start": 0.0, "stop": 1.5, "step": 0.005}}
+        assert fields["wellposed_divergence"] == [
+            {"name": "probe_offsets", "kind": "list", "default": None},
+            {"name": "n_levels", "kind": "integer", "default": 13, "lo": 1, "hi": 1000},
+        ]
+        assert fields["verification_check"][0] == {
+            "name": "epsilon", "kind": "number", "default": 0.1, "gt": 0}
+        assert fields["candidate_policy"] == []
 
 
 def test_null_probe_offsets_run_at_the_default_offsets(tmp_path, capsys):

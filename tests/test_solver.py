@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -36,11 +37,14 @@ from ezmerton.lattice import (
 from ezmerton.lattice import step_expectation
 from ezmerton.preferences import transformed_aggregator_grid
 from ezmerton.solver import (
+    _epsilon_term,
     _hitting_defect,
     _hitting_walks,
+    _layer_solve,
     _pair_defects,
     _reach_masses,
     _tail_solution,
+    _trace,
     apply_recursion,
     check_solution,
     compare,
@@ -296,6 +300,19 @@ class TestPicardSolve:
                 r"stopped shrinking\): bracket width 2\.220e-16 > "
                 r"tau = tol/\(2m\) = 2\.500e-17")):
             picard_solve(prefs, U, lat, tail, tol=1e-13)
+
+    def test_tol_below_the_float_spacing_names_the_truncation_level(self, prefs, market,
+                                                                     policy, setup):
+        # The truncations of a stream that ramps up tenfold over the horizon
+        # are solved in one batch.  At tol = 1e-18 level n = 1 certifies and
+        # level n = 2 does not: its error is that of its own solve, named.
+        lat, tail, _ = setup
+        C = consumption_grid(lat).scaled(np.linspace(0.1, 3.0, lat.n_steps + 1))
+        with pytest.raises(NotConverged, match=(
+                r"^truncation level n=2: layer \d+ not certified after [2-9] scalar "
+                r"steps \(its width stopped shrinking\): bracket width 2\.220e-16 > "
+                r"tau = tol/\(2m\) = 3\.333e-21$")):
+            generalized_utility(C, prefs, market, lat, tail, n_max=8192, tol=1e-18)
 
 
 def per_step_backward(lat, f, tail_values, last_layer=None):
@@ -624,6 +641,13 @@ class TestGeneralizedUtility:
             assert v == pytest.approx(n ** (prefs.R - 1.0) * base, rel=1e-10)
         # nonincreasing for R > 1
         assert all(b <= a for a, b in zip(report.values, report.values[1:]))
+        # The levels, solved in one batch, are those of single solves bit for bit.
+        c_hat = candidate_policy(prefs, market).eta * lat.wealth.data
+        singles = [picard_solve(prefs, transformed_consumption_grid(
+                       prefs, lat, AdaptedGrid.from_packed(np.maximum(zero.data, c_hat / n))),
+                       lat, tail, enforce_order=False).utility_at_zero(prefs)
+                   for n in report.ns]
+        assert report.values == singles
 
     def test_unsupported_regime(self, market):
         p = Preferences(b=1.0, delta=0.03, R=2.0, S=2.0)
@@ -988,6 +1012,95 @@ class TestBracket:
                     assert report.trace[-1][1] <= 1e-8
                     solved += 1
         assert (solved, ill_posed) == (41, 3)
+
+
+class TestBatchedLayerSolve:
+    """One `_layer_solve` over K drivers side by side (an array of shape
+    (nodes, K)) against K single `picard_solve`s: each row's W, trace and
+    clamp events, bit for bit."""
+
+    @staticmethod
+    def drivers(p, lat):
+        """(U, rows) with rows that part ways inside one batch: the
+        candidate's U; U at 1e-3 and 1e-14, whose layers stop after fewer
+        Newton steps; U scaled up 1e8 on one step, where max c a^(rho-1) > 1
+        selects the general scaling; and zero consumption on three nodes,
+        u = inf for S > 1, which the clamp moves."""
+        C = consumption_grid(lat)
+        U = transformed_consumption_grid(p, lat, C)
+        spiked = U.copy()
+        spiked.values[20][:] *= 1e8
+        holes = C.copy()
+        holes.values[20][:3] = 0.0
+        return U, [U.data, 1e-3 * U.data, 1e-14 * U.data, spiked.data,
+                   transformed_consumption_grid(p, lat, holes).data]
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
+    @pytest.mark.parametrize("S", [2.0, 2.5, 3.5, 5.0],
+                             ids=["rho0", "rho-0.5", "rho-1.5", "rho-3"])
+    def test_rows_match_single_solves(self, market, monkeypatch, S, tail_mode, epsilon):
+        p = Preferences(b=1.0, delta=0.03, R=2.0, S=S)
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=40)
+        tail = candidate_tail(p, pol, market, tail_mode)
+        U, rows = self.drivers(p, lat)
+        general = []  # per single solve: did some layer take the general scaling?
+        scaling = solver_module._general_scaling
+
+        def spy(*args):
+            general[-1] = True
+            return scaling(*args)
+        monkeypatch.setattr(solver_module, "_general_scaling", spy)
+        singles = []
+        for u in rows:
+            general.append(False)
+            singles.append(picard_solve(p, AdaptedGrid.from_packed(u), lat, tail,
+                                        epsilon=epsilon, Lambda=U if epsilon else None,
+                                        enforce_order=False))
+        # the batch mixes rows that part ways
+        assert True in general and False in general
+        assert len({tuple(steps for steps, _, _ in s.trace) for s in singles}) > 1
+        assert [s.clamp_events > 0 for s in singles] == [False] * 4 + [True]
+
+        batch = np.stack(rows, axis=1)
+        eps_term = _epsilon_term(p, epsilon, U)
+        top = _tail_solution(p, lat, tail, batch, eps_term)
+        W, layers, clamp_events = _layer_solve(lat, batch, p.rho, eps_term, top,
+                                               1e-8, 200)
+        assert W.shape == batch.shape
+        for r, single in enumerate(singles):
+            assert W[:, r].tobytes() == single.solution.data.tobytes(), r
+            assert repr(_trace(layers[r])) == repr(single.trace), r
+            assert clamp_events[r] == single.clamp_events, r
+
+    def test_the_first_failing_row_is_named_after_the_others_sweep_on(self, market):
+        # tol = 1e-14 at n = 150: a layer's width stops shrinking at the float
+        # spacing, on layer 24 of row 0 and on layer 106 of row 1; row 2
+        # certifies.  The sweep meets layer 106 first and goes on, so the
+        # error is row 0's, as its single solve raises it, with the row named.
+        p = Preferences(b=1.0, delta=0.03, R=2.0, S=2.5)
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=0.02, n_steps=150)
+        tail = TailClosure.proportional(pol.strategy, p, market)
+        C = consumption_grid(lat)
+        ramp = np.linspace(0.1, 3.0, lat.n_steps + 1)
+        rows = [transformed_consumption_grid(p, lat, grid).data
+                for grid in (C.scaled(ramp), C.scaled(ramp**2), C)]
+        errors = []
+        for u in rows[:2]:
+            with pytest.raises(NotConverged) as single:
+                picard_solve(p, AdaptedGrid.from_packed(u), lat, tail, tol=1e-14)
+            errors.append(str(single.value))
+        assert [e.split()[1] for e in errors] == ["24", "106"]
+        picard_solve(p, AdaptedGrid.from_packed(rows[2]), lat, tail, tol=1e-14)
+        batch = np.stack(rows, axis=1)
+        top = _tail_solution(p, lat, tail, batch, None)
+        with pytest.raises(NotConverged, match=f"^{re.escape('row 0: ' + errors[0])}$"):
+            _layer_solve(lat, batch, p.rho, None, top, 1e-14, 200)
+        with pytest.raises(NotConverged, match=f"^{re.escape('first: ' + errors[0])}$"):
+            _layer_solve(lat, batch, p.rho, None, top, 1e-14, 200,
+                         labels=["first", "second", "third"])
 
 
 class TestZeroTailAccuracy:

@@ -12,7 +12,10 @@ grid (Lambda^theta, whose reference integral it takes a block at a time),
 one block of binomial weights) less than one once it returns, `picard_solve`
 only its solution W plus one block, and the first read of a solve's residual
 one block, so the CLI's `picard_solve` entry holds at most two grids plus
-one block (C and U while U is built; U and W while it solves).  Peaks are
+one block (C and U while U is built; U and W while it solves).
+`generalized_utility` holds one chunk of its stacked truncation levels' U
+and one of their W, plus two grids and a block, and less than the one
+`picard_solve` a level that it replaced once a level fills a chunk.  Peaks are
 read with tracemalloc, which sees numpy's buffers.  The oracles below are
 the one-shot formulas: the whole draw at once with a `concatenate` and the
 column means of all its paths, the wealth exponent over the full grid, the
@@ -45,12 +48,14 @@ from ezmerton.lattice import (
 )
 from ezmerton.preferences import Preferences, transformed_aggregator_grid
 from ezmerton.solver import (
+    _BATCH_NODES,
     _epsilon_term,
     _hitting_walks,
     _residual,
     _tail_solution,
     apply_recursion,
     check_solution,
+    generalized_utility,
     order_check,
     picard_solve,
     reference_integral,
@@ -325,6 +330,46 @@ def test_cli_picard_solve_holds_two_grids(tmp_path):
     summary = json.loads((tmp_path / "picard_solve_ws.json").read_text())["summary"]
     assert summary["converged"]
     assert peak <= 2 * grid_bytes(n) + BLOCK_BYTES + SLACK
+
+
+def test_generalized_utility_holds_two_chunks(prefs, market, policy):
+    # At n = 546 a chunk of `_BATCH_NODES` driver values holds 6 truncation
+    # levels, so the 14 levels are solved in batches of 6, 6 and 2.  A batch
+    # holds its U and W chunks, C-hat and the layer buffers; while it is
+    # built, the chunk of U, C-hat, a level's truncated C and its U.  A
+    # chunk is freed before the next one is built.
+    n = 546
+    lat = build_lattice(market, policy.strategy, 5.0 / n, n)
+    tail = TailClosure.proportional(policy.strategy, prefs, market)
+    C = consumption_grid(lat)
+    per_chunk = _BATCH_NODES // C.data.size
+    assert per_chunk == 6
+    report, peak = peak_bytes(lambda: generalized_utility(C, prefs, market, lat, tail,
+                                                          n_max=8192))
+    assert len(report.ns) == 14
+    assert peak <= 2 * per_chunk * grid_bytes(n) + 2 * grid_bytes(n) + BLOCK_BYTES + SLACK
+
+
+#: tracemalloc peak of `generalized_utility` in the test below, measured on
+#: the per-level loop that the batched solve replaced: one `picard_solve` a
+#: level, whose report (its U and W) lived until the next level's replaced
+#: it.  The least of three readings (25.58-25.70 MB), about 6.1 grids.
+PER_LEVEL_PEAK_BYTES = 25_583_624
+
+
+def test_generalized_utility_holds_no_more_than_per_level_solves(prefs, market, policy):
+    # At n = 1024 a level fills a chunk (its grid is over half of
+    # `_BATCH_NODES`), so each level is a batch of one, solved as a single
+    # driver, and the loop holds less than the per-level solves did.
+    n = 1024
+    lat = build_lattice(market, policy.strategy, 5.0 / n, n)
+    tail = TailClosure.proportional(policy.strategy, prefs, market)
+    C = consumption_grid(lat)
+    assert _BATCH_NODES // C.data.size == 1
+    report, peak = peak_bytes(lambda: generalized_utility(C, prefs, market, lat, tail,
+                                                          n_max=2))
+    assert report.ns == [1, 2]
+    assert peak <= PER_LEVEL_PEAK_BYTES
 
 
 def weights_oracle(lat, grid):
