@@ -14,17 +14,21 @@ horizon, and a backward sweep of the trapezoid step
 That step is written once (`_trapezoid_step`), over any contiguous range of
 packed steps: the operator, `reference_integral`, the order check and a
 solve's residual sweep it one step at a time, since each step needs the
-next, while a gap-g pair-defect family advances every start step at once in
-g calls, masking out the pairs that straddle two steps.  The sequential
-sweep is written once too (`_backward_blocks`): it takes the integrand one
-block of whole steps at a time, the carry a = G_{k+1} + dt/2 f_{k+1} sits in
-one scratch buffer of n+1 values, and the step writes ½(a[1:] + a[:-1]) +
-dt/2 f_k into a second one, so a step is a few numpy calls and allocates
-nothing; G_k is copied over f_k, so G accumulates in the integrand's own
-buffer, the whole grid for the operator and `reference_integral`, one block
-for the order check's ratios and for the residual, which a `SolveReport`
-forms when it is first read.  The neighbour mean is the exact one-step
-expectation because the lattice moves up with probability ½.
+next, while the pair-defect families take it once, for every start step at
+once: the one-step defects d_1 give every gap, since by the tower property
+the trapezoid sums telescope and the gap-g family is
+R_g(k) = d_1(k) + E_k[R_{g-1}(k+1)], so one chain of neighbour means, which
+masks out the pairs that straddle two steps, yields each gap on its way.
+The sequential sweep is written once too (`_backward_blocks`): it takes the
+integrand one block of whole steps at a time, the carry
+a = G_{k+1} + dt/2 f_{k+1} sits in one scratch buffer of n+1 values, and the
+step writes ½(a[1:] + a[:-1]) + dt/2 f_k into a second one, so a step is a
+few numpy calls and allocates nothing; G_k is copied over f_k, so G
+accumulates in the integrand's own buffer, the whole grid for the operator
+and `reference_integral`, one block for the order check's ratios and for the
+residual, which a `SolveReport` forms when it is first read.  The neighbour
+mean is the exact one-step expectation because the lattice moves up with
+probability ½.
 `picard_solve` finds the fixed point W = F(W) of that operator.  Measured in
 the log of the ratio to a reference process Lambda^theta, F contracts in the
 sup-norm with constant |rho| when rho is in (-1, 0), so the fixed point is
@@ -72,7 +76,9 @@ reached nodes, their masses and where the walk stops) depends only on the
 lattice size n and the band multiples, so `_hitting_walks` keeps it for the
 last four (n, multiples) keys: repeated checks on one lattice skip the walk.
 An entry is a strip of O(sqrt(n)) nodes per step, O(n^1.5) values against a
-grid's O(n^2), and the fixed maxsize bounds how many are held.
+grid's O(n^2), and the fixed maxsize bounds how many are held.  The mask of
+the node pairs within a step that the pair-defect chain reads depends on n
+alone too, and `_within_pairs` keeps it for the last four n, one byte a node.
 """
 
 from __future__ import annotations
@@ -320,6 +326,14 @@ class OrderCertificate:
     K_upper: float
 
 
+def _slope(t: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y on t, two points at least: the closed form
+    sum((t - mean t)(y - mean y)) / sum((t - mean t)^2), which agrees with
+    `np.polyfit(t, y, 1)[0]` up to rounding at a fraction of its cost."""
+    tc = t - t.mean()
+    return float(tc @ (y - y.mean()) / (tc @ tc))
+
+
 def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
                 tail: TailClosure) -> OrderCertificate:
     """Self-similarity test: is target^theta of the same order as I^target?
@@ -347,7 +361,7 @@ def order_check(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
         raise NotInClass("reference process must be strictly positive and finite")
     lam_theta = np.power(target.data, prefs.theta)
     trace = unconditional_expectation(lat, AdaptedGrid.from_packed(lam_theta))
-    slope = float(np.polyfit(lat.times, np.log(trace), 1)[0])
+    slope = _slope(lat.times, np.log(trace))
     if slope >= -1e-12:
         raise NotInClass(
             f"E[target^theta] decays at rate {-slope:.3e} <= 0; "
@@ -465,27 +479,37 @@ class SolveReport:
     [e^-700, e^700] (see `_residual`).  It is formed on its first read, in
     one more backward sweep, and kept: until then the report keeps the
     solve's U and Lambda alive and reads them, and the solution, as they are
-    at that read; the read drops them.  The trace has one entry per solved
-    lattice layer, top layer first: (scalar steps the layer took, its start
-    at x = 1 and each Newton step, certified log-space bound over that layer
-    and every layer above it, the layer's largest ratio of successive bracket
-    widths).  So trace[-1][1] is the certified bound over steps 0..n-1,
-    iterations is the largest number of scalar steps any layer took,
-    contraction_ratios lists the finite width ratios, chi is the largest of
-    them (0.0 if there is none), and clamp_events counts the solved nodes the
-    clamp moved.  Newton converges quadratically, so a width ratio is about
-    the width it divides, times a constant: it falls with the layer's error,
-    far below |rho|.  converged is True on every report `picard_solve`
-    returns, since a solve that does not certify raises `NotConverged`.
+    at that read; the read drops them.  The trace is built on its first
+    read too, from the layer widths the report keeps until then, and has
+    one entry per solved lattice layer, top layer first: (scalar steps the
+    layer took, its start at x = 1 and each Newton step, certified
+    log-space bound over that layer and every layer above it, the layer's
+    largest ratio of successive bracket widths).  So trace[-1][1] is the
+    certified bound over steps 0..n-1, iterations is the largest number of
+    scalar steps any layer took, contraction_ratios lists the finite width
+    ratios, chi is the largest of them (0.0 if there is none), and
+    clamp_events counts the solved nodes the clamp moved.  Newton converges
+    quadratically, so a width ratio is about the width it divides, times a
+    constant: it falls with the layer's error, far below |rho|.  converged
+    is True on every report `picard_solve` returns, since a solve that does
+    not certify raises `NotConverged`.
     """
 
     solution: AdaptedGrid
     converged: bool
-    trace: list[tuple[int, float, float]]
     clamp_events: int
+    #: Each solved layer's bracket widths, from which the trace is built on
+    #: its first read (see `_trace`), then None.
+    _layers: list[list[float]] | None = field(default=None, repr=False, compare=False)
     #: The residual's other operands (lat, u, rho, eps_term, top) until it is
     #: read, then None.
     _operands: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def trace(self) -> list[tuple[int, float, float]]:
+        trace = _trace(self._layers)
+        self._layers = None
+        return trace
 
     @cached_property
     def residual(self) -> float:
@@ -901,7 +925,7 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
     W, layers, clamp_events = _layer_solve(lat, U.data, prefs.rho, eps_term, top,
                                            tol, max_iter)
     return SolveReport(solution=AdaptedGrid.from_packed(W), converged=True,
-                       trace=_trace(layers), clamp_events=clamp_events,
+                       clamp_events=clamp_events, _layers=layers,
                        _operands=(lat, U.data, prefs.rho, eps_term, top))
 
 
@@ -1062,22 +1086,52 @@ def _aggregator_values(grid: AdaptedGrid, companion: AdaptedGrid,
     return transformed_aggregator_grid(u, w, prefs.rho) / (1.0 - prefs.R)
 
 
-def _pair_defects(lat: Lattice, V: np.ndarray, half: np.ndarray,
-                  gap: int) -> np.ndarray:
-    """Packed defects V_k - E_k[V_{k+gap} + trapezoid(f)] for every start k.
+@lru_cache(maxsize=4)
+def _within_pairs(n: int) -> np.ndarray:
+    """Read-only mask of the packed node pairs (i, i+1) that lie on one
+    step, over steps 0..n."""
+    within = np.diff(AdaptedGrid.per_node(np.arange(n + 1))) == 0
+    within.flags.writeable = False
+    return within
 
-    All start steps advance together: gap trapezoid steps over the packed
-    range of steps, with half = dt/2 * f.  One mask of the node pairs within
-    a step drops the pairs that straddle two steps from each of them.
+
+def _pair_defects(lat: Lattice, V: np.ndarray, half: np.ndarray,
+                  gaps: tuple[int, ...]) -> list[np.ndarray]:
+    """Packed defects V_k - E_k[V_{k+g} + trapezoid(f)] for every start k,
+    one array per gap g of the increasing gaps (each in 1..n), with
+    half = dt/2 * f.
+
+    The one-step defects d_1(k) = V_k - (E_k[V_{k+1} + half_{k+1}] + half_k)
+    give every gap: by the tower property the trapezoid sums telescope, so
+    the gap-g defect is the sum over i < g of E_k[d_1(k+i)], that is
+    R_g(k) = d_1(k) + E_k[R_{g-1}(k+1)].  One chain of neighbour means over
+    the packed range of steps advances every start step at once, and the
+    mask of the pairs within a step, kept per n, drops the pairs that
+    straddle two steps.  A chain step is four numpy calls: the pair sums,
+    the drop, then halving and adding d_1 in place (halving is exact away
+    from subnormals, so halving after the drop rounds as before it).  Each
+    array is let go once read, so beside d_1 and the families kept the
+    chain holds two arrays of about a grid at most.
     """
     n = lat.n_steps
-    within = np.diff(AdaptedGrid.per_node(np.arange(n + 1))) == 0  # i, i+1 on one step
-    acc = V[AdaptedGrid.span(gap, n)]
-    for lo in range(gap - 1, -1, -1):
-        ahead = AdaptedGrid.span(lo + 1, n - gap + lo + 1)
-        acc = _trapezoid_step(acc + half[ahead], None)[within[ahead.start:ahead.stop - 1]]
-        acc += half[AdaptedGrid.span(lo, n - gap + lo)]
-    return V[AdaptedGrid.span(0, n - gap)] - acc
+    within = _within_pairs(n)
+    ahead = AdaptedGrid.span(1, n)
+    acc = _trapezoid_step(V[ahead] + half[ahead], None)[within[ahead.start:ahead.stop - 1]]
+    acc += half[:acc.size]
+    d1 = r = V[:acc.size] - acc
+    del acc
+    families = []
+    for gap in range(1, gaps[-1] + 1):
+        if gap > 1:  # R_gap on steps 0..n-gap from R_{gap-1} on steps 0..n-gap+1
+            pairs = np.add(r[2:], r[1:-1])
+            del r
+            r = pairs[within[1:pairs.size + 1]]
+            del pairs
+            r *= _HALF
+            r += d1[:r.size]
+        if gap in gaps:
+            families.append(r)
+    return families
 
 
 def _reach_masses(n: int, bounds: np.ndarray) -> np.ndarray:
@@ -1153,10 +1207,13 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     transformed consumption U.  space "V": grid is a utility process in the
     preference sign domain and companion the consumption grid C.
 
-    The families are step pairs at gaps 1, 5 and 25 and, for s > 0, the
-    first exits of log-wealth from the 1- and 2-sigma bands, where a node
-    with |2j - k| on a band stops.  The tolerance is relative: defects are
-    compared against tol * sup|grid|.
+    The families are step pairs at gaps 1, 5 and 25 (those at most n) and,
+    for s > 0, the first exits of log-wealth from the 1- and 2-sigma bands,
+    where a node with |2j - k| on a band stops.  The step-pair families come
+    from the one-step defects: by the tower property the gap-g defect is the
+    sum of the expected one-step defects along the g steps, so one chain of
+    24 neighbour means gives gaps 5 and 25 on its way (see `_pair_defects`).
+    The tolerance is relative: defects are compared against tol * sup|grid|.
 
     Raises
     ------
@@ -1187,8 +1244,9 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     half = _aggregator_values(grid, companion, lat, prefs, space)
     half *= 0.5 * lat.dt
     V = grid.data
-    families = [(f"pairs_gap_{gap}", _pair_defects(lat, V, half, gap))
-                for gap in (1, 5, 25) if gap <= lat.n_steps]
+    gaps = tuple(gap for gap in (1, 5, 25) if gap <= lat.n_steps)
+    families = [(f"pairs_gap_{gap}", d)
+                for gap, d in zip(gaps, _pair_defects(lat, V, half, gaps))]
     if lat.log_vol > 0.0:
         mults = (1.0, 2.0)
         families += [(f"hitting_band_{mult:g}sigma", d)
@@ -1201,7 +1259,7 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     trace = unconditional_expectation(lat, grid)
     abs_trace = np.abs(trace) + 1e-300
     late = min(len(trace) // 2, len(trace) - 2)  # the later half, two times at least
-    trace_slope = float(np.polyfit(lat.times[late:], np.log(abs_trace[late:]), 1)[0])
+    trace_slope = _slope(lat.times[late:], np.log(abs_trace[late:]))
     trace_ok = not (trace_slope > 1e-9  # exploding
                     and abs_trace[-1] > 10.0 * max(abs_trace[0], 1e-12))
 

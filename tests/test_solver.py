@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from ezmerton.lattice import (
     consumption_grid,
     transformed_consumption_grid,
 )
-from ezmerton.lattice import step_expectation
+from ezmerton.lattice import step_expectation, unconditional_expectation
 from ezmerton.preferences import transformed_aggregator_grid
 from ezmerton.solver import (
     _epsilon_term,
@@ -43,8 +44,10 @@ from ezmerton.solver import (
     _layer_solve,
     _pair_defects,
     _reach_masses,
+    _slope,
     _tail_solution,
     _trace,
+    _within_pairs,
     apply_recursion,
     check_solution,
     compare,
@@ -330,6 +333,19 @@ def per_step_backward(lat, f, tail_values, last_layer=None):
     return out
 
 
+def per_definition_pair_defects(lat, V, f, gap):
+    """Packed V_k - E_k[V_{k+gap} + trapezoid(f)] for every start step k, by
+    its definition: gap backward trapezoid steps from each start step."""
+    dt = lat.dt
+    ref = []
+    for k in range(lat.n_steps - gap + 1):
+        acc = V[k + gap]
+        for m in range(k + gap - 1, k - 1, -1):
+            acc = step_expectation(lat, acc + 0.5 * dt * f[m + 1]) + 0.5 * dt * f[m]
+        ref.append(V[k] - acc)
+    return np.concatenate(ref)
+
+
 class TestPackedSweepMatchesPerStepReference:
     """The packed trapezoid step against the per-step loop, bit for bit."""
 
@@ -362,17 +378,19 @@ class TestPackedSweepMatchesPerStepReference:
 
     @pytest.mark.parametrize("gap", [1, 5, 25, 60])
     def test_pair_defects(self, grids, gap):
+        # Gap 1 is the one-step defect, bit for bit; the chain sums the
+        # other gaps in another order than their definition, so they agree
+        # to rounding.
         lat, _, W, f = grids
-        V, dt = W.values, lat.dt
-        ref = []
-        for k in range(lat.n_steps - gap + 1):
-            acc = V[k + gap]
-            for m in range(k + gap - 1, k - 1, -1):
-                acc = step_expectation(lat, acc + 0.5 * dt * f[m + 1]) + 0.5 * dt * f[m]
-            ref.append(V[k] - acc)
-        half = 0.5 * dt * np.concatenate(f)
-        np.testing.assert_array_equal(_pair_defects(lat, W.data, half, gap),
-                                      np.concatenate(ref))
+        half = 0.5 * lat.dt * np.concatenate(f)
+        gaps = (1, 5, 25, 60)
+        chain = dict(zip(gaps, _pair_defects(lat, W.data, half, gaps)))
+        ref = per_definition_pair_defects(lat, W.values, f, gap)
+        if gap == 1:
+            np.testing.assert_array_equal(chain[gap], ref)
+        else:
+            np.testing.assert_allclose(chain[gap], ref, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(W.data)))
 
     @staticmethod
     def per_band_hitting(lat, V, f, mult):
@@ -574,9 +592,56 @@ class TestCheckSolution:
             assert compare(sub, sup).ordered
 
 
+class TestPairDefectChain:
+    """check_solution's step-pair families, which one chain derives from the
+    one-step defects, against their definition."""
+
+    @staticmethod
+    def assert_pair_bounds(report, lat, W, U, rho, gaps):
+        assert [k for k in report.family_bounds if k.startswith("pairs_")] == [
+            f"pairs_gap_{gap}" for gap in gaps]
+        f = AdaptedGrid.from_packed(transformed_aggregator_grid(U.data, W.data, rho)).values
+        for gap in gaps:
+            ref = per_definition_pair_defects(lat, W.values, f, gap)
+            bounds = report.family_bounds[f"pairs_gap_{gap}"]
+            if gap == 1:
+                assert bounds == (float(ref.min()), float(ref.max()))
+            else:
+                np.testing.assert_allclose(bounds, (ref.min(), ref.max()), rtol=0,
+                                           atol=1e-13 * W.sup_abs())
+
+    def test_infinite_driver_keeps_minus_inf_bounds_and_verdict(self, prefs, setup):
+        # C = 0 on three nodes of step 20 sets u = inf there (S > 1): every
+        # start step whose pairs reach them reads -inf, with no NaN on the
+        # way, and the verdict stays subsolution.
+        lat, tail, _ = setup
+        C = consumption_grid(lat)
+        W = picard_solve(prefs, transformed_consumption_grid(prefs, lat, C), lat,
+                         tail).solution
+        C.values[20][:3] = 0.0
+        U = transformed_consumption_grid(prefs, lat, C)
+        report = check_solution(W, U, lat, prefs, 1e-6, "W")
+        assert report.classification == "subsolution"
+        assert report.defect_min == -math.inf
+        for gap in (1, 5, 25):
+            low, high = report.family_bounds[f"pairs_gap_{gap}"]
+            assert low == -math.inf and math.isfinite(high)
+        self.assert_pair_bounds(report, lat, W, U, prefs.rho, (1, 5, 25))
+
+    @pytest.mark.parametrize("n, gaps", [(1, (1,)), (4, (1,)), (5, (1, 5)),
+                                         (24, (1, 5)), (25, (1, 5, 25))])
+    def test_gaps_beyond_n_are_skipped(self, prefs, market, policy, rng, n, gaps):
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=n)
+        U = AdaptedGrid([rng.uniform(0.5, 2.0, k + 1) for k in range(n + 1)])
+        W = AdaptedGrid([rng.uniform(0.5, 2.0, k + 1) for k in range(n + 1)])
+        report = check_solution(W, U, lat, prefs, 1e-6, "W")
+        self.assert_pair_bounds(report, lat, W, U, prefs.rho, gaps)
+
+
 class TestCheckSolutionCaches:
-    """What check_solution builds once per lattice size: the hitting walks
-    and the first block of binomial weights."""
+    """What check_solution builds once per lattice size: the hitting walks,
+    the mask of the node pairs within a step and the first block of
+    binomial weights."""
 
     def test_cold_and_warm_calls_agree_bit_for_bit(self, prefs, setup):
         lat, tail, U = setup
@@ -587,6 +652,7 @@ class TestCheckSolutionCaches:
         cold = []
         for grid, companion, space in cases:
             _hitting_walks.cache_clear()
+            _within_pairs.cache_clear()
             _first_block_weights.cache_clear()
             cold.append(check_solution(grid, companion, lat, prefs, 1e-6, space))
         hits = _hitting_walks.cache_info().hits
@@ -602,6 +668,12 @@ class TestCheckSolutionCaches:
             _hitting_walks(n, (1.0, 2.0))
         assert _hitting_walks.cache_info().currsize == 4
 
+    def test_pair_mask_cache_keeps_four_keys(self):
+        _within_pairs.cache_clear()
+        for n in range(1, 11):
+            _within_pairs(n)
+        assert _within_pairs.cache_info().currsize == 4
+
     def test_cached_arrays_are_read_only(self):
         weights = _first_block_weights()
         assert weights.size == 255 * 256 // 2
@@ -611,6 +683,8 @@ class TestCheckSolutionCaches:
             for array in walk:
                 with pytest.raises(ValueError):
                     array[0] = array[0]
+        with pytest.raises(ValueError):
+            _within_pairs(150)[0] = True
 
 
 class TestGeneralizedUtility:
@@ -684,7 +758,8 @@ class TestReportSerialisation:
 
 
 class TestResidualOnRead:
-    """The residual sweep runs when the report is asked for it, once."""
+    """The residual sweep and the trace run when the report is asked for
+    them, once."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -707,6 +782,24 @@ class TestResidualOnRead:
         assert report.residual == first <= 1e-8
         assert len(calls) == 1
         assert report.to_json_dict()["residual"] == first and len(calls) == 1
+
+    def test_trace_is_built_on_first_read_only(self, prefs, setup, monkeypatch):
+        lat, tail, U = setup
+        built = []
+        real = solver_module._trace
+
+        def trace(layers):
+            built.append(layers)
+            return real(layers)
+        monkeypatch.setattr(solver_module, "_trace", trace)
+        report = picard_solve(prefs, U, lat, tail)
+        assert built == []
+        first = report.trace
+        assert len(built) == 1 and report._layers is None
+        assert report.iterations == max(steps for steps, _, _ in first)
+        assert report.to_json_dict()["chi"] == report.chi
+        assert report.trace is first and len(built) == 1
+        assert repr(first) == repr(real(built[0]))
 
     def test_generalized_utility_never_sweeps(self, prefs, market, setup, calls):
         lat, tail, _ = setup
@@ -742,6 +835,34 @@ class TestZeroTail:
         assert report.clamp_events == 0
         assert math.isfinite(report.residual)
         assert report.residual <= 1e-8
+
+
+class TestSlope:
+    """The closed-form least-squares slope of the order check and of
+    check_solution's trace fit, against the slope in exact rational
+    arithmetic and against np.polyfit."""
+
+    @staticmethod
+    def exact_slope(t, y):
+        t, y = [Fraction(v) for v in t], [Fraction(v) for v in y]
+        t_bar, y_bar = sum(t) / len(t), sum(y) / len(y)
+        return float(sum((a - t_bar) * (b - y_bar) for a, b in zip(t, y))
+                     / sum((a - t_bar) ** 2 for a in t))
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 150])
+    def test_matches_exact_slope_and_polyfit(self, prefs, market, policy, n):
+        # The log traces lie near 3-6 and fall by about 5e-4 a step, so on
+        # two or three nodes polyfit's own error reaches 2.4e-12, relative.
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=n)
+        U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+        W = closed_w_grid(prefs, market, lat, policy.strategy)
+        late = min((n + 1) // 2, n - 1)  # check_solution's later half
+        for grid in (U, AdaptedGrid.from_packed(np.power(U.data, prefs.theta)), W):
+            y = np.log(unconditional_expectation(lat, grid))
+            for t, z in ((lat.times, y), (lat.times[late:], y[late:])):
+                slope = _slope(t, z)
+                assert slope == pytest.approx(self.exact_slope(t, z), rel=1e-15, abs=0)
+                assert slope == pytest.approx(np.polyfit(t, z, 1)[0], rel=1e-11, abs=0)
 
 
 class TestOneNodeLattice:

@@ -8,11 +8,12 @@ one in its output one block of steps at a time, so `consumption_grid` holds
 its output plus one block, and so does the consumption transform.
 `unconditional_expectation` holds nothing of grid size, `order_check` one
 grid (Lambda^theta, whose reference integral it takes a block at a time),
-`check_solution` at most nine grids, and its caches (the hitting walks and
-one block of binomial weights) less than one once it returns, `picard_solve`
-only its solution W plus one block, and the first read of a solve's residual
-one block, so the CLI's `picard_solve` entry holds at most two grids plus
-one block (C and U while U is built; U and W while it solves).
+`check_solution` at most nine grids, and its caches (the hitting walks,
+the mask of the node pairs within a step and one block of binomial weights)
+less than one once it returns, `picard_solve` only its solution W plus one
+block, and the first read of a solve's residual one block, so the CLI's
+`picard_solve` entry holds at most two grids plus one block (C and U while U
+is built; U and W while it solves).
 `generalized_utility` holds one chunk of its stacked truncation levels' U
 and one of their W, plus two grids and a block, and less than the one
 `picard_solve` a level that it replaced once a level fills a chunk.  Peaks are
@@ -53,6 +54,7 @@ from ezmerton.solver import (
     _hitting_walks,
     _residual,
     _tail_solution,
+    _within_pairs,
     apply_recursion,
     check_solution,
     generalized_utility,
@@ -288,6 +290,7 @@ def test_check_solution_holds_nine_grids(prefs, market, policy):
         W = picard_solve(prefs, U, lat, TailClosure.proportional(policy.strategy, prefs,
                                                                  market)).solution
         _hitting_walks.cache_clear()  # the bound holds while the caches fill
+        _within_pairs.cache_clear()
         _first_block_weights.cache_clear()
         report, peak = peak_bytes(lambda: check_solution(W, U, lat, prefs, 1e-6, "W"))
         assert report.classification == "solution"
@@ -304,6 +307,7 @@ def test_check_solution_caches_hold_less_than_a_grid(prefs, market, policy):
     W = picard_solve(prefs, U, lat, TailClosure.proportional(policy.strategy, prefs,
                                                              market)).solution
     _hitting_walks.cache_clear()
+    _within_pairs.cache_clear()
     _first_block_weights.cache_clear()
     held = held_bytes(lambda: check_solution(W, U, lat, prefs, 1e-6, "W"))
     assert BLOCK_BYTES < held < grid_bytes(n)
