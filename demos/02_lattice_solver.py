@@ -1,10 +1,10 @@
 """
-The lattice fixed-point solver against the closed form
-======================================================
+The lattice solver against the closed form
+==========================================
 
 Builds the binomial wealth lattice for the candidate strategy, solves the
-utility recursion in one certified backward sweep, and compares with the
-exact value.
+utility recursion in one explicit backward sweep, and compares with the
+exact value and with the trapezoid operator of the recursion.
 """
 
 import numpy as np
@@ -40,18 +40,19 @@ U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
 cert = order_check(prefs, U, lat, tail)
 print("order certificate: ratio in [%.6f, %.6f]" % (cert.k_lower, cert.K_upper))
 
-# Each layer's implicit trapezoid step is solved node by node between two
-# iterates of an antitone scalar map; the layer widths add up to a certified
-# bound on the distance to the lattice fixed point.
+# With the driver frozen, W' = -u W^rho is linear in Z = W^(1/theta), so each
+# half step is exact; one backward sweep takes a half step, the one-step
+# expectation and a half step per layer.  The residual is the gap to one
+# application of the trapezoid operator, the disagreement of two schemes.
 report = picard_solve(prefs, U, lat, tail)
-print("at most", report.iterations, "scalar steps per layer; certified bound %.1e;"
-      % report.trace[-1][1], "residual %.1e" % report.residual)
+print("one backward sweep; log gap to the trapezoid operator %.1e" % report.residual)
 v0 = report.utility_at_zero(prefs)
 print("lattice V0 =", v0, " closed form =", policy.value(1.0),
       " rel err = %.2e" % abs(v0 / policy.value(1.0) - 1.0))
 
-# Uniqueness in practice: the recursion operator itself, iterated from two
-# wildly different starts, lands on the solve's grid.
+# Uniqueness in practice: the trapezoid operator itself, iterated from two
+# wildly different starts, lands within the schemes' disagreement of the
+# sweep's grid.
 solved = slice(0, AdaptedGrid.span(lat.n_steps).start)
 log_solution = np.log(report.solution.data[solved])
 for scale in (0.1, 10.0):
@@ -63,17 +64,16 @@ for scale in (0.1, 10.0):
         if step <= 1e-8 * (1.0 - abs(prefs.rho)):
             break
     gap = np.max(np.abs(np.log(W.data[solved]) - log_solution))
-    print("operator from %4.1f x U^theta: %d iterations, log gap to the solve %.2e"
+    print("operator from %4.1f x U^theta: %d iterations, log gap to the sweep %.2e"
           % (scale, it, gap))
 
 # rho <= -1 (here R=2, S=3 gives rho = -1) has no a-priori contraction
-# constant, but the same sweep certifies it.
+# constant for the operator, but the sweep is the same explicit step.
 p2 = Preferences(b=1.0, delta=0.03, R=2.0, S=3.0)
 pol2 = candidate_policy(p2, market)
 lat2 = build_lattice(market, pol2.strategy, dt=0.01, n_steps=500)
 tail2 = TailClosure.proportional(pol2.strategy, p2, market)
 U2 = transformed_consumption_grid(p2, lat2, consumption_grid(lat2))
 rep2 = picard_solve(p2, U2, lat2, tail2)
-print("\nrho = -1 (%d scalar steps, bound %.1e): V0 = %.4f vs closed %.4f"
-      % (rep2.iterations, rep2.trace[-1][1],
-         rep2.utility_at_zero(p2), pol2.value(1.0)))
+print("\nrho = -1 (gap to the operator %.1e): V0 = %.4f vs closed %.4f"
+      % (rep2.residual, rep2.utility_at_zero(p2), pol2.value(1.0)))

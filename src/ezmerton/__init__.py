@@ -1,6 +1,6 @@
 """Numerical laboratory for infinite-horizon Epstein-Zin stochastic
 differential utility in a constant-parameter Black-Scholes-Merton market:
-closed-form policies and values, a lattice fixed-point solver for utility
+closed-form policies and values, a lattice solver for utility
 processes, sub/supersolution residual checks, and scripted experiments."""
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ Scenario schema (version 1)::
       "preferences": {"b": 1.0, "delta": 0.03, "R": 2.0, "S": 2.5},
       "market": {"r": 0.02, "mu": 0.07, "sigma": 0.2},
       "lattice": {"dt": 0.01, "n_steps": 500, "tail": "proportional"},
-      "solver": {"epsilon": 0.0, "tol": 1e-8, "max_iter": 200},
+      "solver": {"epsilon": 0.0},
       "experiment": {"name": "candidate_policy", "params": {}},
       "seed": 42
     }
@@ -60,6 +60,7 @@ from .lattice import (
     consumption_grid,
     mc_drift_check,
     transformed_consumption_grid,
+    unconditional_expectation,
 )
 from .preferences import Market, Preferences
 
@@ -120,8 +121,7 @@ _SCHEMA = {
     "lattice": {"dt": Param(default=0.01, gt=0),
                 "n_steps": Param("integer", 500, lo=0, charge=_nodes),
                 "tail": Param("choice", "proportional", choices=("proportional", "zero"))},
-    "solver": {"epsilon": Param(default=0.0, lo=0), "tol": Param(default=1e-8, gt=0),
-               "max_iter": Param("integer", 200, lo=1)},
+    "solver": {"epsilon": Param(default=0.0, lo=0)},
 }
 _SCENARIO_KEYS = ("schema_version", "id", *_SCHEMA, "experiment", "seed")
 #: A start/stop/step grid object.
@@ -393,7 +393,7 @@ def _run_candidate_policy(scn: Scenario, p: dict):
 
 
 @_entry("picard_solve",
-        "lattice fixed-point solve of the utility recursion for a proportional strategy",
+        "lattice solve of the utility recursion for a proportional strategy",
         _STRATEGY)
 def _run_picard_solve(scn: Scenario, p: dict):
     prefs, market = scn.preferences, scn.market
@@ -409,12 +409,10 @@ def _run_picard_solve(scn: Scenario, p: dict):
         prefs, u_grid, lat, tail,
         epsilon=scn.solver_cfg["epsilon"],
         Lambda=u_grid if scn.solver_cfg["epsilon"] > 0 else None,
-        tol=scn.solver_cfg["tol"], max_iter=scn.solver_cfg["max_iter"],
     )
-    rows = [
-        {"scalar_steps": steps, "certified_bound": bound, "width_ratio": ratio}
-        for steps, bound, ratio in report.trace
-    ]
+    mean_w = unconditional_expectation(lat, report.solution)
+    rows = [{"t": t, "expected_utility": w / (1.0 - prefs.R)}
+            for t, w in zip(lat.times.tolist(), mean_w.tolist())]
     summary = report.to_json_dict()
     summary["utility_at_zero"] = report.utility_at_zero(prefs)
     try:

@@ -56,7 +56,8 @@ class MissingLambda(EzmertonError):
 
 
 class NotConverged(EzmertonError):
-    """Fixed-point iteration exhausted max_iter without meeting tolerance."""
+    """An iteration did not meet its tolerance.  The lattice solve is one
+    explicit pass, so no solver here raises it; callers may still catch it."""
 
 
 class PreconditionFailed(EzmertonError):

@@ -659,6 +659,8 @@ def verification_check(prefs: Preferences, market: Market, epsilon: float,
 
     Raises
     ------
+    InvalidParameters
+        Unless epsilon > 0, n_samples >= 1 and n_strategies >= 0.
     UnsupportedRegime / IllPosed
         Propagated from the candidate policy when theta or eta disqualify.
     ExperimentError
@@ -668,6 +670,10 @@ def verification_check(prefs: Preferences, market: Market, epsilon: float,
     """
     if epsilon <= 0.0:
         raise InvalidParameters("epsilon must be positive")
+    if n_samples < 1:
+        raise InvalidParameters(f"n_samples must be >= 1, got {n_samples}")
+    if n_strategies < 0:
+        raise InvalidParameters(f"n_strategies must be >= 0, got {n_strategies}")
     chi = prefs.delta / (1.0 - prefs.S)
     prefs0, market0 = numeraire_shift(prefs, market, chi)
     policy = candidate_policy(prefs0, market0)

@@ -139,7 +139,7 @@ def classify_regime(prefs: Preferences) -> Regime:
 
     R == S is reported as CRRA rather than rejected, so additive-utility
     oracles share the same type surface.  Only CRRA and the contractive
-    regime theta in (0, 1) are supported by the fixed-point solver; for
+    regime theta in (0, 1) are supported by the lattice solver; for
     theta > 1 the utility process is not unique and for theta < 0 no
     infinite-horizon utility process exists, so both are flagged
     solver_supported=False.

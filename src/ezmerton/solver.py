@@ -29,38 +29,31 @@ and `reference_integral`, one block for the order check's ratios and for the
 residual, which a `SolveReport` forms when it is first read.  The neighbour
 mean is the exact one-step expectation because the lattice moves up with
 probability ½.
-`picard_solve` finds the fixed point W = F(W) of that operator.  Measured in
-the log of the ratio to a reference process Lambda^theta, F contracts in the
-sup-norm with constant |rho| when rho is in (-1, 0), so the fixed point is
-unique; for rho <= -1 no constant below 1 is known.  The solver does not
-iterate F.  It uses that the trapezoid step is implicit only in its own
-layer: W_k = A_k + e_k + c_k W_k^rho, with c = dt/2 u, e = dt/2 eps
-Lambda^theta and A_k = E_k[W_{k+1} + c_{k+1} W_{k+1}^rho + e_{k+1}].  For
-every rho <= 0 the scalar map T(W) = A + e + c W^rho is antitone, so each
-node has one root, and any W and T(W) bracket it.  `_layer_solve` solves
-each layer in a single backward sweep by Newton's method from below, in the
-unknown W/s with s = max(A + e, c^theta), whose root lies in [1, 2] however
-large or small the layer's values are.  It stops each layer once its bracket
-is narrow enough, and adds the layer widths up into a certified bound on the
-distance to the lattice fixed point.  At rho = 0 (additive utility) T does
-not depend on W, and the first Newton step is exact.  A zero tail solves its
-last step exactly, W_{n-1} = (u_{n-1} dt/theta)^theta
-(W' = -u W^rho with the driver frozen and W(T) = 0), and the kernel is not
-evaluated on the layers a tail closure sets.
+`picard_solve` does not iterate that operator.  With the driver frozen,
+W' = -u W^rho is a Bernoulli equation, linear in Z = W^(1/theta) because
+1/theta - 1 + rho = 0: Z' = -u/theta.  So half a step of length h = dt/2
+is exact, and around the one-step expectation it gives the explicit step
+(Strang's symmetric splitting; G. Strang, SIAM J. Numer. Anal. 5, 1968)
 
-The layer solve takes K drivers at once, too: side by side in an array of
-shape (nodes, K), the batch axis after the nodes, so that a layer of every
-driver is still one slice and one numpy call.  Its only reductions run over
-a layer's nodes and give one value per row, so each row decides for itself
-its scaling branch, when its Newton steps stop (a stopped row is frozen
-while the others step on), whether it fails and which of its nodes the
-clamp moves; every node then goes through exactly the elementwise
-operations of its row's single solve, and a row's W, trace and clamp events
-are those of `picard_solve` on its driver, bit for bit.  `picard_solve` is
-the case K = 1, a 1-D driver, whose Newton steps keep Python floats.
+    Y = (Z_{k+1} + h u_{k+1}/theta)^theta,   Z_k = E_k[Y]^(1/theta) + h u_k/theta,
+    W_k = Z_k^theta,
+
+from W_n = U_n^theta / H^theta (proportional tail) or W_n = 0 (zero tail).
+`_strang_sweep` takes it once per layer, from the horizon down: no fixed
+point, no iteration and no stop rule.  Each piece is an increasing map or an
+average with positive weights, so the step is monotone for every rho <= 0,
+and at rho = 0 (theta = 1) it is the trapezoid step term for term.  An
+epsilon term eps Lambda^theta does not depend on W, so it adds a quarter
+step dt/4 eps Lambda^theta on each side of each Bernoulli half step.  The
+solve is not the fixed point of the trapezoid operator: a report's residual
+measures how far the two first-order schemes disagree.
+
+The sweep takes K drivers at once, too: side by side in an array of shape
+(nodes, K), the batch axis after the nodes, so that a layer of every driver
+is still one slice and each numpy call serves every driver.
 `generalized_utility` solves its truncation levels, which share one lattice,
-this way: stacked in chunks of at most `_BATCH_NODES` values, one backward
-sweep a chunk.
+this way: stacked in chunks of at most `_BATCH_NODES` values, one sweep a
+chunk, of which it keeps only W_0.
 
 Preconditions are expressed through order certificates: the reference Lambda
 must satisfy Lambda^theta comparable to I^Lambda_t = E_t[integral Lambda^theta]
@@ -87,6 +80,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -95,7 +89,6 @@ from .errors import (
     DimensionMismatch,
     InvalidParameters,
     MissingLambda,
-    NotConverged,
     NotInClass,
     PreconditionFailed,
     SignDomainViolation,
@@ -141,11 +134,11 @@ _MAX_VIOLATIONS = 20
 _LOG_CLAMP = 700.0
 _CLAMP_LO, _CLAMP_HI = math.exp(-_LOG_CLAMP), math.exp(_LOG_CLAMP)
 _RATIO_GUARD = 1e12
-#: 0-d operands for the ufunc calls made once per lattice layer: a Python
-#: float operand is converted anew on every call, which costs a small layer
-#: about a third of the call.
-_HALF, _ONE = np.array(0.5), np.array(1.0)
-_HALF.flags.writeable = _ONE.flags.writeable = False
+#: 0-d operand for the ufunc calls of the trapezoid step and the pair-defect
+#: chain: a Python float operand is converted anew on every call, which
+#: costs a small layer about a third of the call.
+_HALF = np.array(0.5)
+_HALF.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -236,55 +229,74 @@ def _epsilon_term(prefs: Preferences, epsilon: float,
     return term
 
 
-#: Scalar steps of the epsilon tail's Newton solve; it stops once its width
-#: stops shrinking, after a handful.
+#: Most Newton steps of the epsilon tail's root; it stops once no node
+#: moves, after a handful.
 _TAIL_NEWTON_STEPS = 64
 
 
-def _over_rows(eps_term: _SliceFn | None, u: np.ndarray) -> _SliceFn | None:
-    """eps_term with its values made columns, to broadcast over the rows of a
-    batched driver u (see `_layer_solve`); as it is for a single driver."""
-    if eps_term is None or u.ndim == 1:
-        return eps_term
-    return lambda nodes: eps_term(nodes)[:, None]
+def _tail_root(a: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
+    """The root of W = a + c W^rho at each node, for a, c >= 0 and rho <= 0.
+
+    The root lies in [s, 2s] with s = max(a, c^theta), theta = 1/(1 - rho):
+    below c^theta the right side exceeds W, and c s^rho <= c^theta <= s.
+    g(W) = W - a - c W^rho is increasing and concave, so Newton's steps from
+    W = s, where g <= 0, rise to the root without passing it; a step that
+    rounding makes negative is not taken, so the loop ends once no node
+    moves.  A node with s = 0 or s = inf is its own root, W = s.
+    """
+    s = np.maximum(a, np.power(c, 1.0 / (1.0 - rho)))
+    inner = (0.0 < s) & (s < math.inf)
+    a, c, w = a[inner], c[inner], s[inner]
+    for _ in range(_TAIL_NEWTON_STEPS):
+        t = c * np.power(w, rho)
+        step = np.maximum((a + t - w) / (1.0 - rho * t / w), 0.0)
+        moved = w + step
+        if np.array_equal(moved, w):
+            break
+        w = moved
+    s[inner] = w
+    return s
+
+
+def _terminal_layer(prefs: Preferences, lat: Lattice, tail: TailClosure,
+                    u: np.ndarray, eps_term: _SliceFn | None) -> np.ndarray:
+    """W_T, the layer the tail closure sets at the horizon.
+
+    A zero tail gives W_T = 0.  Under proportional continuation the fixed
+    point beyond the horizon is the strategy's own: W_T = U_T^theta / H^theta.
+    With an epsilon term, and Lambda continuing like U, it is the root of
+
+        W = epsilon Lambda_T^theta / H + (U_T / H) W^rho,
+
+    which `_tail_root` finds node by node to rounding: with Lambda = U it is
+    w U_T^theta, H w = w^rho + epsilon.  u may carry a batch axis after the
+    nodes (see `_strang_sweep`); the layer comes back with it, one column a
+    row.  The epsilon term has no batch axis.
+    """
+    terminal = AdaptedGrid.span(lat.n_steps)
+    if tail.mode == "zero":
+        return np.zeros((lat.n_steps + 1,) + u.shape[1:])
+    if eps_term is None:
+        return np.power(u[terminal], prefs.theta) / tail.decay_rate**prefs.theta
+    return _tail_root(eps_term(terminal) / tail.decay_rate,
+                      u[terminal] / tail.decay_rate, prefs.rho)
 
 
 def _tail_solution(prefs: Preferences, lat: Lattice, tail: TailClosure,
                    u: np.ndarray, eps_term: _SliceFn | None) -> np.ndarray:
-    """Layers of the W-recursion that the tail closure sets.
-
-    Under proportional continuation the fixed point beyond the horizon is the
-    strategy's own: W_T = U_T^theta / H^theta.  With an epsilon term, and
-    Lambda continuing like U, it is the root of
-
-        W = epsilon Lambda_T^theta / H + (U_T / H) W^rho,
-
-    which `_newton_layer` solves node by node to rounding: with Lambda = U it
-    is w U_T^theta, H w = w^rho + epsilon.  A zero tail gives W_T = 0 and the
-    exact frozen-driver layer W_{n-1} = (u_{n-1} dt/theta)^theta; the epsilon
-    term adds its left rectangle dt * epsilon * Lambda_{n-1}^theta there.
-
-    u may carry a batch axis after the nodes (see `_layer_solve`); the
-    layers come back with it, one column a row.
+    """Layers of the trapezoid operator that the tail closure sets: the
+    terminal layer (`_terminal_layer`) and, for a zero tail, below it the
+    exact frozen-driver layer W_{n-1} = (u_{n-1} dt/theta)^theta, to which
+    the epsilon term adds its left rectangle dt * epsilon * Lambda_{n-1}^theta.
     """
-    n = lat.n_steps
-    eps_term = _over_rows(eps_term, u)
+    top = _terminal_layer(prefs, lat, tail, u, eps_term)
     if tail.mode == "zero":
-        last = AdaptedGrid.span(n - 1)  # empty when n = 0
+        last = AdaptedGrid.span(lat.n_steps - 1)  # empty when n = 0
         w_last = np.power(u[last] * lat.dt / prefs.theta, prefs.theta)
         if eps_term is not None:
             w_last += lat.dt * eps_term(last)
-        return np.concatenate([w_last, np.zeros((n + 1,) + u.shape[1:])])
-    terminal = AdaptedGrid.span(n)
-    if eps_term is None:
-        return np.power(u[terminal], prefs.theta) / tail.decay_rate**prefs.theta
-    a = eps_term(terminal) / tail.decay_rate
-    c = u[terminal] / tail.decay_rate
-    w_tail, t, *buffers = (np.empty(c.shape) for _ in range(6))
-    with np.errstate(all="ignore"):  # zero or infinite a, c: the map sets those nodes
-        _newton_layer(a, c, np.array(prefs.rho), np.array(prefs.rho - 1.0), 0.0,
-                      _TAIL_NEWTON_STEPS, w_tail, t, *buffers)
-    return w_tail
+        top = np.concatenate([w_last, top])
+    return top
 
 
 def reference_integral(prefs: Preferences, target: AdaptedGrid, lat: Lattice,
@@ -453,11 +465,11 @@ def _residual(lat: Lattice, u: np.ndarray, W: np.ndarray, rho: float,
     """sup |log F(W) - log W| over the layers below the tail closure top,
     with F(W) clipped into [e^-700, e^700].
 
-    The clamped map is what the solve certifies: where F(W) leaves that range
-    (inf where u = inf, 0 above a block of zero consumption) the solve stores
-    the clamp.  F(W) is formed and compared one block of steps at a time in
-    one backward sweep, so the check holds nothing of grid size; NaN reads
-    as inf.
+    The solve clips each layer into that range too: where F(W) leaves it
+    (inf where u = inf, 0 above a block of zero consumption) the solve
+    stores an end of the clamp.  F(W) is formed and compared one block of
+    steps at a time in one backward sweep, so the check holds nothing of
+    grid size; NaN reads as inf.
     """
     gap = 0.0
     for block, f in _backward_blocks(lat, top, _kernel_integrand(u, W, rho, eps_term)):
@@ -471,64 +483,46 @@ def _residual(lat: Lattice, u: np.ndarray, W: np.ndarray, rho: float,
 
 @dataclass
 class SolveReport:
-    """Result of a lattice solve, with per-layer diagnostics.
+    """Result of a lattice solve.
 
-    residual is the sup-norm log-space defect |log F(W*) - log W*| of the
-    returned solution under one more operator application, over the layers
-    below the tail closure and with F(W*) clipped into the clamp's range
-    [e^-700, e^700] (see `_residual`).  It is formed on its first read, in
-    one more backward sweep, and kept: until then the report keeps the
-    solve's U and Lambda alive and reads them, and the solution, as they are
-    at that read; the read drops them.  The trace is built on its first
-    read too, from the layer widths the report keeps until then, and has
-    one entry per solved lattice layer, top layer first: (scalar steps the
-    layer took, its start at x = 1 and each Newton step, certified
-    log-space bound over that layer and every layer above it, the layer's
-    largest ratio of successive bracket widths).  So trace[-1][1] is the
-    certified bound over steps 0..n-1, iterations is the largest number of
-    scalar steps any layer took, contraction_ratios lists the finite width
-    ratios, chi is the largest of them (0.0 if there is none), and
-    clamp_events counts the solved nodes the clamp moved.  Newton converges
-    quadratically, so a width ratio is about the width it divides, times a
-    constant: it falls with the layer's error, far below |rho|.  converged
-    is True on every report `picard_solve` returns, since a solve that does
-    not certify raises `NotConverged`.
+    solution is W on every node, and clamp_events counts the nodes below
+    the horizon that the solve holds at an end of [e^-700, e^700] (see
+    `_strang_sweep`).  residual is the sup-norm log-space gap
+    |log F(W) - log W| between the solution and one application of the
+    trapezoid operator F (`apply_recursion`), over the layers below the
+    operator's tail closure and with F(W) clipped into the clamp's range
+    (see `_residual`).  The solve is not F's fixed point, so the residual
+    is the disagreement of two first-order schemes, not a tolerance: it
+    falls like dt^2 on a smooth driver (1.4e-8 at n = 100 and 5.4e-10 at
+    n = 500 at the reference point), and stays near 7e-3 next to a zero
+    tail's horizon, where W ~ (T - t)^theta and the trapezoid step, unlike
+    the sweep's, is not exact.  It is formed on its first read, in one more backward
+    sweep, and kept: until then the report keeps the solve's U and Lambda
+    alive and reads them, and the solution, as they are at that read; the
+    read drops them.
+
+    converged (always True), iterations (1: the solve is one backward pass)
+    and chi (0.0: nothing is iterated, so there is no contraction ratio) say
+    nothing about a solve; they stay for the readers of the CLI summary and
+    of the benchmark until those are renamed.
     """
 
     solution: AdaptedGrid
-    converged: bool
     clamp_events: int
-    #: Each solved layer's bracket widths, from which the trace is built on
-    #: its first read (see `_trace`), then None.
-    _layers: list[list[float]] | None = field(default=None, repr=False, compare=False)
-    #: The residual's other operands (lat, u, rho, eps_term, top) until it is
-    #: read, then None.
+    #: The residual's other operands (prefs, lat, tail, u, eps_term) until
+    #: it is read, then None.
     _operands: tuple | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def trace(self) -> list[tuple[int, float, float]]:
-        trace = _trace(self._layers)
-        self._layers = None
-        return trace
+    converged: ClassVar[bool] = True
+    iterations: ClassVar[int] = 1
+    chi: ClassVar[float] = 0.0
 
     @cached_property
     def residual(self) -> float:
-        lat, u, rho, eps_term, top = self._operands
-        gap = _residual(lat, u, self.solution.data, rho, eps_term, top)
+        prefs, lat, tail, u, eps_term = self._operands
+        top = _tail_solution(prefs, lat, tail, u, eps_term)
+        gap = _residual(lat, u, self.solution.data, prefs.rho, eps_term, top)
         self._operands = None
         return gap
-
-    @property
-    def iterations(self) -> int:
-        return max(steps for steps, _, _ in self.trace)
-
-    @property
-    def contraction_ratios(self) -> list[float]:
-        return [ratio for _, _, ratio in self.trace if math.isfinite(ratio)]
-
-    @property
-    def chi(self) -> float:
-        return max(self.contraction_ratios, default=0.0)
 
     def utility_at_zero(self, prefs: Preferences) -> float:
         """Time-0 utility V_0 = W_0 / (1-R)."""
@@ -545,350 +539,83 @@ class SolveReport:
         }
 
 
-def _layer_solve(lat: Lattice, u: np.ndarray, rho: float, eps_term: _SliceFn | None,
-                 top: np.ndarray, tol: float, max_iter: int,
-                 labels: list[str] | None = None):
-    """Solve W = F(W) for rho <= 0 in one backward sweep, one layer at a time.
+def _half_step(w: np.ndarray, c: np.ndarray, e: np.ndarray | None,
+               theta: float) -> np.ndarray:
+    """Half a lattice step backward at one layer, exact for a frozen driver.
 
-    Below the closure layers top (from step m = `_closure_start` on), the
-    lattice fixed point W* satisfies, at each node of layer k,
-
-        W = T(W) = a + c W^rho,    a = A_k + e,
-
-    with c = dt/2 u, e = dt/2 eps_term, A_k = E_k[carry_{k+1}] and
-    carry = W + c W^rho + e.  T is antitone (constant at rho = 0), so it has
-    one root, and an iterate x and its image T(x) lie on either side of it.
-    Each layer takes Newton steps on W - T(W) from below (see
-    `_newton_layer`), stops once the bracket (x, T(x)) has a relative width
-    r_k >= max |T(x) - x|/x of at most tau = tol/(2m), keeps W_k = x and
-    passes the carry x + c x^rho + e up to the next layer.
-
-    The certificate.  Let Wt be the root for the computed a, and alpha_k a
-    nodewise bound on |A_k - A*_k|; alpha_{m-1} = 0, as the closure layers
-    are exact.
-      (i) dWt/dA = 1/(1 + q) <= 1 with q = |rho| c Wt^(rho-1), so
-          |x - W*_k| <= |x - Wt| + alpha_k <= width + alpha_k.
-      (ii) At the root the carry is 2 Wt - A, of slope (1 - q)/(1 + q) in A,
-          at most 1 in modulus: an exact layer passes an error in A up
-          unenlarged.
-      (iii) At a point W of the bracket the carry is off by (1 - q)(W - Wt):
-          up to (1 + q) width, q taken at the bracket's lower end.  At W = x
-          the offset is (x - Wt) + (T(x) - Wt), two terms of opposite sign,
-          so it is at most the width.
-    Hence alpha_{k-1} = E_{k-1}[alpha_k + width_k].  The carry is at least
-    x >= a, and a mean of ratios is at most their largest (the mediant
-    inequality), so alpha_k/a_k <= r_{k+1} + ... + r_{m-1}.  With (i),
-    |log W_k - log W*_k| <= -log(1 - s_k), s_k = r_k + ... + r_{m-1}: trace
-    records this per layer, and the solve is certified once
-    -log(1 - s_0) <= tol.  tau makes that hold whenever every layer stops and
-    tol <= 1: s_0 <= m tau = tol/2, and -log(1 - s) <= s/(1 - s) <= tol.
-    The rounding of each operation (a few ulps) is not counted, and nodes
-    the clamp moves are exact only up to it; clamp_events counts them.
-
-    The sweep runs unclamped first.  If it leaves a value outside
-    [e^-700, e^700], or NaN, which a node with u = inf or a = c = 0 gives,
-    one range check over the swept layers finds it and the sweep runs again,
-    clamping each layer (see `_sweep`).
-
-    The batch axis.  u is one packed driver, or K of them side by side in
-    an array of shape (nodes, K): column r is row r of the batch, and top
-    (from `_tail_solution`) comes shaped alike.  A layer is still the slice
-    of its nodes, so the sweep solves layer k of every row in the same numpy
-    calls.  Every operation is elementwise except the reductions over a
-    layer, and those run over its nodes alone, giving one value per row, so
-    each row decides for itself: its scaling branch in `_newton_layer`, when
-    its Newton steps stop (a stopped row is frozen while the others step
-    on), whether it fails, and which of its nodes the clamp moves.  Each
-    node thus goes through exactly the operations of its row's single solve,
-    and the row's W, trace and clamp events are those of `picard_solve` on
-    that driver, bit for bit.  Only the range check spans the batch: a row
-    with no node out of range takes the same values clamped or not, so the
-    clamped sweep of the whole batch leaves it unchanged.  A 1-D driver is
-    the single solve, K = 1, and its Newton steps keep Python floats.
-
-    The solve holds W and buffers of one layer: c and e are formed layer by
-    layer, the epsilon term from Lambda.  So a `picard_solve` holds W plus
-    one block beyond U and Lambda: the order check's one grid, Lambda^theta,
-    is freed before W is allocated, and the residual, formed on the report's
-    first read of it, holds F(W) one block of steps at a time.
-
-    Returns (W, layers, clamp_events), with W of u's shape, layers the
-    bracket widths of each swept layer, one a scalar step (`_trace` makes
-    them the trace of `SolveReport`); a batch gives a list of layers and one
-    of clamp events, one per row.  A layer that does not certify within max_iter
-    scalar steps, or whose width stops shrinking (at the float spacing of x,
-    when tau is below it), ends its row's sweep and raises `NotConverged`
-    naming the layer, its width and tau; in a batch the others sweep on, and
-    the message of the first failing row starts with its labels entry (by
-    default "row r").
+    W' = -u W^rho with u frozen is linear in Z = W^(1/theta), Z' = -u/theta,
+    so over h = dt/2 it maps W to (W^(1/theta) + c)^theta, c = h u/theta.
+    The epsilon term e = dt/4 eps Lambda^theta, a quarter step of
+    W' = -eps Lambda^theta, which does not depend on W, is added on each
+    side of it.
     """
-    m = _closure_start(lat, top)
-    W = np.empty(u.shape)
-    W[len(W) - len(top):] = top
-    half = 0.5 * lat.dt
-    closure = AdaptedGrid.span(m)
-    tau = tol / (2 * m) if m else tol
-    eps_term = _over_rows(eps_term, u)
-    with np.errstate(all="ignore"):  # a value out of range selects the clamped sweep
-        carry_m = transformed_aggregator_grid(u[closure], W[closure], rho)
-        if eps_term is not None:
-            carry_m += eps_term(closure)
-        carry_m *= half
-        carry_m += W[closure]
-        layers, clamp_events = _sweep(W, carry_m, u, eps_term, half, rho, tau, max_iter,
-                                      clamp=False)
-        depth = len(layers) if u.ndim == 1 else max(map(len, layers))
-        swept = W[AdaptedGrid.span(m - depth).start:closure.start]
-        if swept.size and not (_CLAMP_LO <= swept.min() and swept.max() <= _CLAMP_HI):
-            layers, clamp_events = _sweep(W, carry_m, u, eps_term, half, rho, tau,
-                                          max_iter, clamp=True)
-    for r, row in enumerate([layers] if u.ndim == 1 else layers):
-        try:
-            _certify(row, m, tau, tol, max_iter)
-        except NotConverged as exc:
-            if u.ndim == 1 and labels is None:
-                raise
-            raise NotConverged(f"{labels[r] if labels else f'row {r}'}: {exc}") from None
-    return W, layers, clamp_events if u.ndim == 1 else clamp_events.tolist()
+    if e is not None:
+        w = w + e
+    w = np.power(np.power(w, 1.0 / theta) + c, theta)
+    return w if e is None else w + e
 
 
-def _certify(layers: list[list[float]], m: int, tau: float, tol: float,
-             max_iter: int) -> None:
-    """Raises `NotConverged` unless a row's sweep certified its last layer
-    (given each layer's bracket widths) and its bound, `_trace`'s last, is
-    at most tol."""
-    if layers and not layers[-1][-1] <= tau:  # the sweep ended at this layer
-        widths = layers[-1]
-        why = "max_iter reached" if len(widths) >= max_iter else "its width stopped shrinking"
-        raise NotConverged(
-            f"layer {m - len(layers)} not certified after {len(widths)} scalar steps "
-            f"({why}): bracket width {widths[-1]:.3e} > tau = tol/(2m) = {tau:.3e}")
-    s = 0.0
-    for widths in layers:
-        s += widths[-1]
-    bound = -math.log1p(-s) if s < 1.0 else math.inf
-    if not bound <= tol:  # every layer certified, which bounds it for tol <= 1
-        raise NotConverged(f"certified bound {bound:.3e} exceeds tol {tol:.3e}")
+def _strang_sweep(prefs: Preferences, lat: Lattice, tail: TailClosure, u: np.ndarray,
+                  eps_term: _SliceFn | None, out: np.ndarray | None = None) -> np.ndarray:
+    """W by one explicit backward sweep; returns W_0, and writes every
+    layer into out if it is given.
 
+    From the terminal layer W_n (`_terminal_layer`) down, each layer takes a
+    half step at step k+1, the one-step expectation and a half step at
+    step k (`_half_step`):
 
-def _trace(layers: list[list[float]]) -> list[tuple[int, float, float]]:
-    """The trace of `SolveReport` from each swept layer's bracket widths."""
-    trace = []
-    s = 0.0
-    for widths in layers:
-        s += widths[-1]
-        ratios = [r / p for p, r in zip(widths, widths[1:]) if p > 0.0]
-        trace.append((len(widths), -math.log1p(-s) if s < 1.0 else math.inf,
-                      max(ratios, default=math.nan)))
-    return trace or [(0, 0.0, math.nan)]  # a row with no layer below the closure
+        Y = B_{k+1}(W_{k+1}),   W_k = B_k(E_k[Y]).
 
+    Each W_k is clipped into [e^-700, e^700]: a node with u = inf (C = 0 and
+    S > 1) gives W = inf, and one with u = 0 above a block of W = 0 gives 0.
+    Y is not clipped, so the nodes above an infinite one see it.
 
-def _sweep(W: np.ndarray, carry_m: np.ndarray, u: np.ndarray, eps_term: _SliceFn | None,
-           half: float, rho: float, tau: float, max_iter: int, clamp: bool):
-    """The backward sweep of `_layer_solve`: fills W on steps 0..m-1.
+    The batch axis.  u is one packed driver, or K of them side by side in an
+    array of shape (nodes, K): column r is row r of the batch.  A layer is
+    still the slice of its nodes and every operation is elementwise, so each
+    numpy call steps layer k of every row, and a row's W is that of its
+    single sweep.  The epsilon term has no batch axis.
 
-    carry_m is the closure layer's carry.  Each layer forms its own
-    c = half u and e = half eps_term in buffers of one layer (c one column a
-    row) and solves its nodes with `_newton_layer`.  Returns (layers, clamp events)
-    with each layer's bracket widths, one a scalar step, ending at the first
-    layer that does not certify; for a batch, one such list and one count
-    per row, and the sweep goes on while any row certifies.  With clamp set,
-    each layer is clamped as the operator clamps F(W): a node's W outside
-    [e^-700, e^700] is set to the nearer end, its kernel is taken there by
-    the kernel's conventions (u = 0 gives 0, u = inf gives inf, as in
-    `transformed_aggregator_grid`), and its carry holds the unclamped
-    F(W) = a + c W^rho.  Only the rows with such a node retake their kernel.
+    The sweep holds one layer of Y and one of W beyond u and out.
     """
-    m = len(carry_m) - 1
-    rows = carry_m.shape[1:]
-    carry = carry_m.copy()
-    a_buf, c_buf, t_buf, b_buf, x_buf, d_buf, q_buf = (np.empty((m,) + rows)
-                                                       for _ in range(7))
-    e_buf = np.empty((m,) + (1,) * len(rows))  # one column, broadcast over the rows
-    half, rho_0, rho_1 = np.array(half), np.array(rho), np.array(rho - 1.0)
-    if rows:
-        layers: list = [[] for _ in range(rows[0])]
-        live = list(range(rows[0]))  # the rows that have certified every layer
-        clamp_events = np.zeros(rows, dtype=int)
-    else:
-        layers, clamp_events = [], 0
-    for k in range(m - 1, -1, -1):
-        nodes = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)
-        c = np.multiply(u[nodes], half, out=c_buf[:k + 1])
-        e = None if eps_term is None else np.multiply(eps_term(nodes), half,
-                                                      out=e_buf[:k + 1])
-        a = _trapezoid_step(carry[:k + 2], e, a_buf[:k + 1])  # A_k + e
-        w, t = W[nodes], t_buf[:k + 1]
-        widths = _newton_layer(a, c, rho_0, rho_1, tau, max_iter, w, t, b_buf[:k + 1],
-                               x_buf[:k + 1], d_buf[:k + 1], q_buf[:k + 1])
-        v = w  # the value the carry takes: F(W) before the clamp
-        if clamp:
-            outside = (w < _CLAMP_LO) | (w > _CLAMP_HI)
-            if outside.any():
-                np.clip(w, _CLAMP_LO, _CLAMP_HI, out=w)
-                if rows:
-                    clamp_events += np.count_nonzero(outside, axis=0)
-                    moved = np.logical_or.reduce(outside)
-                    t[:, moved] = transformed_aggregator_grid(c[:, moved], w[:, moved], rho)
-                else:
-                    clamp_events += int(np.count_nonzero(outside))
-                    t[...] = transformed_aggregator_grid(c, w, rho)
-                v = np.where(outside, a + t, w)
-        if rows:
-            for r in live:
-                layers[r].append(widths[r])
-            live = [r for r in live if widths[r][-1] <= tau]
-            if not live:
-                break
-        else:
-            layers.append(widths)
-            if not widths[-1] <= tau:
-                break
-        np.add(v, t, out=carry[:k + 1])
-        if e is not None:
-            np.add(carry[:k + 1], e, out=carry[:k + 1])
-    return layers, clamp_events
-
-
-def _newton_layer(a, c, rho, rho_1, tau, max_iter, w, t, beta, x_buf, d_buf, q):
-    """The root of W = a + c W^rho at each node of a layer; writes w = W and
-    t = c W^rho, and returns the bracket widths, one a scalar step.
-
-    In x = W/s with s = max(a, c^theta), theta = 1/(1 - rho), the map reads
-    x = alpha + beta x^rho with alpha = a/s and beta = c s^(rho-1), both in
-    [0, 1] and one of them 1, so the root lies in [1, 2] and x >= 1 makes
-    the width max |T(x) - x| at least the relative width.  Where
-    max c a^(rho-1) <= 1, s = a and alpha = 1 at every node, at no extra
-    power.  A node with s = 0 (a = c = 0) or s = inf (a = inf or u = inf)
-    gets alpha = 1 and beta = 0, so W = s there, for the clamp to set.
-
-    Newton's steps on g(x) = x - alpha - beta x^rho start at x = 1, where
-    g <= 0.  g is increasing and, for rho < 0, concave, so the iterates rise
-    to the root without passing it: x is the lower end of the bracket
-    (x, T(x)), and each step squares the relative error, up to a constant.
-    At rho = 0 T does not depend on x, so the first step is exact.  It runs
-    once per layer and step, so it calls the ufuncs and their reductions
-    directly, with 0-d operands (rho and rho_1 = rho - 1), into the buffers
-    beta, x_buf, d_buf and q.  Arrays with a batch axis after the nodes are
-    handed to `_newton_rows`, which returns the widths of each row.
-    """
-    np.power(a, rho_1, out=beta)
-    np.multiply(beta, c, out=beta)
-    if beta.ndim > 1:
-        return _newton_rows(a, c, rho, tau, max_iter, w, t, beta, x_buf, d_buf, q)
-    d = beta  # T(1) - 1 when s = a
-    widths = [float(np.maximum.reduce(beta))]
-    if widths[0] <= 1.0:
-        s, alpha = a, _ONE
-    else:
-        s, alpha, beta, d = _general_scaling(a, c, rho)
-        widths[0] = float(np.maximum.reduce(np.absolute(d, out=q)))
-    x, p = _ONE, beta  # x = 1 and p = beta x^rho
-    while (widths[-1] > tau and len(widths) < max_iter
-           and (len(widths) < 2 or widths[-1] < widths[-2])):
-        np.divide(p, x, out=q)
-        np.multiply(q, rho, out=q)
-        np.subtract(_ONE, q, out=q)  # g'(x) = 1 - rho beta x^(rho-1)
-        np.divide(d, q, out=q)
-        x = np.add(x, q, out=x_buf)
-        p = np.power(x, rho, out=t)
-        np.multiply(p, beta, out=p)
-        d = np.add(p, alpha, out=d_buf)
-        np.subtract(d, x, out=d)  # T(x) - x, >= 0 up to rounding
-        widths.append(float(np.maximum.reduce(np.absolute(d, out=q))))
-    np.multiply(x, s, out=w)
-    np.multiply(p, s, out=t)
-    return widths
-
-
-def _general_scaling(a, c, rho):
-    """(s, alpha, beta, T(1) - 1) of `_newton_layer` under s = max(a, c^theta)."""
-    c_theta = np.power(c, 1.0 / (1.0 - rho))
-    s = np.maximum(a, c_theta)
-    alpha = a / s
-    beta = np.divide(c_theta, s)
-    np.power(beta, 1.0 - rho, out=beta)
-    edge = (s == 0.0) | (s == math.inf)
-    alpha[edge], beta[edge] = 1.0, 0.0
-    return s, alpha, beta, alpha + beta - 1.0
-
-
-def _newton_rows(a, c, rho, tau, max_iter, w, t, beta, x_buf, d_buf, q):
-    """`_newton_layer` on a layer of shape (nodes, K), beta = c a^(rho-1)
-    formed: each row r = column r takes the steps of its own single solve.
-
-    A row takes the general scaling where its own max beta exceeds 1, and
-    steps on while its own width is above tau and shrinking; once it stops,
-    its x is frozen (the step writes x only where the row is live), and its
-    p = beta x^rho and d = T(x) - x, recomputed from that x, keep their
-    values.  The loop ends at max_iter or once every row has stopped.
-    Returns each row's list of widths.
-    """
-    first = np.maximum.reduce(beta)  # per row: T(1) - 1 where s = a
-    general = ~(first <= 1.0)
-    s, alpha, d = a, _ONE, beta
-    if general.any():
-        s_g, alpha_g, beta_g, d_g = _general_scaling(a, c, rho)
-        s = np.where(general, s_g, a)
-        alpha = np.where(general, alpha_g, 1.0)
-        d = np.where(general, d_g, beta)
-        beta = np.where(general, beta_g, beta)
-        first = np.where(general, np.maximum.reduce(np.absolute(d, out=q)), first)
-    x, p = x_buf, beta
-    x.fill(1.0)
-    history = [first]
-    steps = np.ones(first.shape, dtype=int)
-    live = first > tau
-    while len(history) < max_iter and live.any():
-        np.divide(p, x, out=q)
-        np.multiply(q, rho, out=q)
-        np.subtract(_ONE, q, out=q)
-        np.divide(d, q, out=q)
-        np.add(x, q, out=x, where=live)
-        p = np.power(x, rho, out=t)
-        np.multiply(p, beta, out=p)
-        d = np.add(p, alpha, out=d_buf)
-        np.subtract(d, x, out=d)
-        width = np.maximum.reduce(np.absolute(d, out=q))
-        steps += live
-        live &= (width > tau) & (width < history[-1])
-        history.append(width)
-    np.multiply(x, s, out=w)
-    np.multiply(p, s, out=t)
-    return [row[:n] for row, n in zip(np.array(history).T.tolist(), steps.tolist())]
+    n, theta, h = lat.n_steps, prefs.theta, 0.5 * lat.dt
+    w = _terminal_layer(prefs, lat, tail, u, eps_term)
+    if out is not None:
+        out[AdaptedGrid.span(n)] = w
+    with np.errstate(over="ignore"):  # W^(1/theta) of a clipped inf
+        for k in range(n, -1, -1):
+            nodes = AdaptedGrid.span(k)
+            c = u[nodes] * (h / theta)
+            e = None if eps_term is None else eps_term(nodes) * (0.5 * h)
+            if k < n:
+                w = np.clip(_half_step(0.5 * (y[1:] + y[:-1]), c, e, theta),
+                            _CLAMP_LO, _CLAMP_HI)
+                if out is not None:
+                    out[nodes] = w
+            y = _half_step(w, c, e, theta)
+    return w
 
 
 def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
                  tail: TailClosure, epsilon: float = 0.0,
-                 Lambda: AdaptedGrid | None = None, tol: float = 1e-8,
-                 max_iter: int = 200, enforce_order: bool = True) -> SolveReport:
-    """Fixed point of the utility recursion for the transformed driver U.
+                 Lambda: AdaptedGrid | None = None,
+                 enforce_order: bool = True) -> SolveReport:
+    """The utility recursion's W on the lattice for the transformed driver U.
 
     Lambda defaults to U itself; it sets the epsilon term and the order
-    certificate.  For every supported rho <= 0 one backward sweep solves each
-    layer's implicit trapezoid step node by node, by Newton's method from
-    below: the scalar map T(W) = A + e + c W^rho is antitone, so an iterate
-    and its image bracket the node's root.  A layer stops once its bracket
-    is at most tol/(2m) wide relative to a lower bound of the root (m solved
-    layers), and the layer widths add up to the certified bound
-    trace[-1][1] <= tol on the log-space sup-norm distance to the lattice
-    fixed point over steps 0..n-1 (see `_layer_solve`).  max_iter caps the
-    scalar steps of each layer, its start included; iterations is the most
-    that a layer took.  At rho = 0 T does not depend on W, so the first
-    Newton step is exact and the bound is 0.
+    certificate.  For every supported rho <= 0 one explicit backward sweep
+    takes each layer in a step that is exact for a frozen driver (see
+    `_strang_sweep`): no fixed point is iterated, so nothing can fail to
+    converge.  The name is kept from the solver's Picard days.
 
     Raises
     ------
     UnsupportedRegime
         Outside the CRRA and contractive (theta in (0,1]) regimes.
-    InvalidParameters
-        If max_iter < 1.
     PreconditionFailed
         If enforce_order is set and the order check fails (a one-node lattice
         included), or U is not of the same order as Lambda (for epsilon = 0)
         or not bounded above by a multiple of Lambda (for epsilon > 0).
-    NotConverged
-        If a layer is not certified within max_iter scalar steps.
     """
     regime = classify_regime(prefs)
     if not regime.solver_supported:
@@ -896,8 +623,6 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
             f"solver supports theta in (0, 1]; regime is {regime.kind.value}"
         )
     U.check_shape(lat)
-    if max_iter < 1:
-        raise InvalidParameters("max_iter must be >= 1")
     if epsilon > 0.0 and Lambda is None:
         raise MissingLambda("epsilon > 0 requires a reference grid Lambda")
     lam_grid = Lambda if Lambda is not None else U
@@ -921,20 +646,21 @@ def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
             )
 
     eps_term = _epsilon_term(prefs, epsilon, lam_grid)
-    top = _tail_solution(prefs, lat, tail, U.data, eps_term)
-    W, layers, clamp_events = _layer_solve(lat, U.data, prefs.rho, eps_term, top,
-                                           tol, max_iter)
-    return SolveReport(solution=AdaptedGrid.from_packed(W), converged=True,
-                       clamp_events=clamp_events, _layers=layers,
-                       _operands=(lat, U.data, prefs.rho, eps_term, top))
+    W = np.empty(U.data.shape)
+    _strang_sweep(prefs, lat, tail, U.data, eps_term, out=W)
+    swept = W[:AdaptedGrid.span(lat.n_steps).start]
+    clamp_events = (int(np.count_nonzero(swept == _CLAMP_LO))
+                    + int(np.count_nonzero(swept == _CLAMP_HI)))
+    return SolveReport(solution=AdaptedGrid.from_packed(W), clamp_events=clamp_events,
+                       _operands=(prefs, lat, tail, U.data, eps_term))
 
 
 # ---------------------------------------------------------------------------
 # Generalized utility by monotone truncation
 # ---------------------------------------------------------------------------
 
-#: Most driver values one batched solve of `generalized_utility` stacks: a
-#: chunk of U and one of W, 8 MB each, and one truncation level at least.
+#: Most driver values one batched sweep of `generalized_utility` stacks: a
+#: chunk of U, 8 MB, and one truncation level at least.
 _BATCH_NODES = 1 << 20
 
 
@@ -961,8 +687,8 @@ class GeneralizedUtilityReport:
 
 
 def generalized_utility(C_grid: AdaptedGrid, prefs: Preferences, market: Market,
-                        lat: Lattice, tail: TailClosure, n_max: int,
-                        tol: float = 1e-8) -> GeneralizedUtilityReport:
+                        lat: Lattice, tail: TailClosure,
+                        n_max: int) -> GeneralizedUtilityReport:
     """Evaluate an arbitrary consumption grid by monotone truncation.
 
     The truncated streams are C^n = C /\\ n*Chat for R < 1 (an increasing
@@ -970,10 +696,11 @@ def generalized_utility(C_grid: AdaptedGrid, prefs: Preferences, market: Market,
     Chat = eta * X is the candidate optimal consumption read off the lattice.
     The truncations share one lattice, so they are solved together: their
     drivers are stacked, at most `_BATCH_NODES` values to a chunk (one level
-    at least), and each chunk is one batched `_layer_solve`, whose rows take
-    `picard_solve`'s steps bit for bit (its defaults, without the order
-    check).  The time-0 values form a monotone sequence whose limit is
-    classified as finite or divergent at the desk-scale threshold 1e6.
+    at least), and each chunk is one batched `_strang_sweep`, whose rows are
+    `picard_solve`'s W_0 bit for bit (without the order check).  The sweep
+    keeps one layer, not each level's whole W.  The time-0 values form a
+    monotone sequence whose limit is classified as finite or divergent at
+    the desk-scale threshold 1e6.
 
     The lattice must be bound to the candidate strategy, since Chat is taken
     from its node wealth.
@@ -984,9 +711,6 @@ def generalized_utility(C_grid: AdaptedGrid, prefs: Preferences, market: Market,
         Unless theta lies in (0, 1).
     PreconditionFailed
         If the lattice strategy is not the candidate policy.
-    NotConverged
-        If a truncation level does not certify; the message names the
-        first such level.
     """
     if not (0.0 < prefs.theta < 1.0):
         raise UnsupportedRegime("generalized utility requires theta in (0, 1)")
@@ -1024,11 +748,9 @@ def generalized_utility(C_grid: AdaptedGrid, prefs: Preferences, market: Market,
             u = np.empty((nodes, len(levels)))
             for r, n in enumerate(levels):
                 u[:, r] = driver(n)
-        top = _tail_solution(prefs, lat, tail, u, None)
-        W = _layer_solve(lat, u, prefs.rho, None, top, tol, max_iter=200,
-                         labels=[f"truncation level n={n}" for n in levels])[0]
-        values += [float(w0) / (1.0 - prefs.R) for w0 in W.reshape(nodes, -1)[0]]
-        del u, W  # freed before the next chunk is built
+        w0 = _strang_sweep(prefs, lat, tail, u, None)
+        values += [float(w) / (1.0 - prefs.R) for w in w0.ravel()]
+        del u  # freed before the next chunk is built
 
     last = values[-1]
     if abs(last) > DIVERGENCE_THRESHOLD:
@@ -1231,14 +953,15 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
         raise InvalidParameters("check_solution needs a lattice of at least one step")
     if space not in ("W", "V"):
         raise InvalidParameters(f"space must be 'W' or 'V', got {space!r}")
-    finite = np.isfinite(grid.data)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    # One min and one max decide NaN (which both propagate), +-inf and the
+    # sign domain, and give sup|grid| for the tolerance.
+    lo, hi = float(grid.data.min()), float(grid.data.max())
+    if not (-math.inf < lo and hi < math.inf):
+        i = int(np.argmin(np.isfinite(grid.data)))
         k, j = AdaptedGrid.node(i)
         raise SignDomainViolation(f"grid holds {grid.data[i]} at node ({k}, {j})")
     domain = ValueSign.NON_NEGATIVE if space == "W" else prefs.value_sign
-    outside = grid.data < 0.0 if domain is ValueSign.NON_NEGATIVE else grid.data > 0.0
-    if np.any(outside):
+    if (lo < 0.0) if domain is ValueSign.NON_NEGATIVE else (hi > 0.0):
         raise SignDomainViolation(f"grid leaves its {domain.value} domain")
 
     half = _aggregator_values(grid, companion, lat, prefs, space)
@@ -1263,7 +986,7 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     trace_ok = not (trace_slope > 1e-9  # exploding
                     and abs_trace[-1] > 10.0 * max(abs_trace[0], 1e-12))
 
-    tol_abs = tol * max(grid.sup_abs(), 1e-12)
+    tol_abs = tol * max(-lo, hi, 1e-12)
     nonneg = domain is ValueSign.NON_NEGATIVE
     sub_ok = defect_max <= tol_abs and (trace_ok or not nonneg)
     sup_ok = defect_min >= -tol_abs and (trace_ok or nonneg)

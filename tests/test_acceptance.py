@@ -100,8 +100,10 @@ def test_c02_solver_matches_closed_form(candidate_setup, candidate_solution):
     assert report.converged
     assert v0 == pytest.approx(policy.value(1.0), rel=0.01)
     assert elapsed < 10.0
-    # One Newton step certifies every layer (iterating T itself takes two).
-    assert report.iterations <= 2
+    # One explicit backward pass, whose gap to the trapezoid operator is
+    # far below the lattice's own error against the closed form (9.4e-7).
+    assert report.iterations == 1
+    assert report.residual <= 1e-9
     print(f"\n[criterion 2] lattice V0={v0:.4f} closed={policy.value(1.0):.4f} "
           f"rel={abs(v0 / policy.value(1.0) - 1):.2e} in {elapsed:.2f}s")
 
@@ -110,10 +112,12 @@ def test_c02_solver_matches_closed_form(candidate_setup, candidate_solution):
 def operator_iterates(candidate_setup, candidate_solution):
     """Iterate F = `apply_recursion` from 0.1 and 10 times U^theta until a
     step is at most tol (1 - |rho|), tol = 1e-8, so each limit lies within
-    tol of the fixed point.
+    tol of F's fixed point.
 
     Returns one (log-space sup gap of the limit to the solve's grid, step
-    ratios after the first) per start, both over steps 0..n-1.
+    ratios after the first) per start, both over steps 0..n-1.  The solve
+    is not F's fixed point: its grid lies within the two schemes'
+    disagreement of it, 5.4e-10 here.
     """
     _, lat, tail, U = candidate_setup
     solved = slice(0, AdaptedGrid.span(lat.n_steps).start)
@@ -141,8 +145,8 @@ def test_c03_contraction_rates(operator_iterates):
     assert ratios, "need at least two recorded steps"
     assert max(ratios) <= abs(PREFS.rho) + 0.05
 
-    # (b) at rho = -1, with no a-priori contraction constant, the solve still
-    # converges to its closed form within 1%
+    # (b) at rho = -1, with no a-priori contraction constant for F, the
+    # explicit solve still lands on its closed form within 1%
     p2 = Preferences(b=1.0, delta=0.03, R=2.0, S=3.0)
     assert p2.rho == pytest.approx(-1.0)
     pol2 = candidate_policy(p2, MARKET)
@@ -150,7 +154,7 @@ def test_c03_contraction_rates(operator_iterates):
     tail2 = TailClosure.proportional(pol2.strategy, p2, MARKET)
     U2 = transformed_consumption_grid(p2, lat2, consumption_grid(lat2))
     report = picard_solve(p2, U2, lat2, tail2)
-    assert report.converged and report.trace[-1][1] <= 1e-8
+    assert report.converged and report.residual <= 1e-9
     v0 = report.utility_at_zero(p2)
     assert v0 == pytest.approx(pol2.value(1.0), rel=0.01)
     print(f"\n[criterion 3] max ratio={max(ratios):.4f} <= 0.55; "
@@ -159,7 +163,8 @@ def test_c03_contraction_rates(operator_iterates):
 
 def test_c04_uniqueness_from_two_initial_guesses(operator_iterates):
     # The operator iterated from 0.1 and 10 times U^theta reaches the solve's
-    # grid from both sides, with step ratios below |rho| + 0.05.
+    # grid from both sides, up to tol and the schemes' disagreement, with
+    # step ratios below |rho| + 0.05.
     tol = 1e-8
     assert all(r <= abs(PREFS.rho) + 0.05 for _, rates in operator_iterates for r in rates)
     worst = max(gap for gap, _ in operator_iterates)

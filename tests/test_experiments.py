@@ -329,3 +329,13 @@ class TestVerificationCheck:
             verification_check(prefs, market, epsilon=epsilon, n_strategies=1,
                                seed=0, n_samples=10)
 
+
+    @pytest.mark.parametrize("sizes, field", [
+        ({"n_samples": 0}, "n_samples"), ({"n_samples": -1}, "n_samples"),
+        ({"n_strategies": -1}, "n_strategies")])
+    def test_bad_sizes_raise_invalid_parameters(self, prefs, market, sizes, field):
+        # These once leaked numpy's ValueError (a zero-size reduction, a
+        # negative dimension) or ran no strategy at all.
+        args = {"n_samples": 10, "n_strategies": 1, **sizes}
+        with pytest.raises(InvalidParameters, match=field):
+            verification_check(prefs, market, epsilon=0.1, seed=0, **args)

@@ -14,9 +14,10 @@ less than one once it returns, `picard_solve` only its solution W plus one
 block, and the first read of a solve's residual one block, so the CLI's
 `picard_solve` entry holds at most two grids plus one block (C and U while U
 is built; U and W while it solves).
-`generalized_utility` holds one chunk of its stacked truncation levels' U
-and one of their W, plus two grids and a block, and less than the one
-`picard_solve` a level that it replaced once a level fills a chunk.  Peaks are
+`generalized_utility` holds one chunk of its stacked truncation levels' U,
+of whose W its sweep keeps one layer, plus three grids and a block, and
+less than the one `picard_solve` a level that it replaced once a level
+fills a chunk.  Peaks are
 read with tracemalloc, which sees numpy's buffers.  The oracles below are
 the one-shot formulas: the whole draw at once with a `concatenate` and the
 column means of all its paths, the wealth exponent over the full grid, the
@@ -339,7 +340,7 @@ def test_cli_picard_solve_holds_two_grids(tmp_path):
 def test_generalized_utility_holds_two_chunks(prefs, market, policy):
     # At n = 546 a chunk of `_BATCH_NODES` driver values holds 6 truncation
     # levels, so the 14 levels are solved in batches of 6, 6 and 2.  A batch
-    # holds its U and W chunks, C-hat and the layer buffers; while it is
+    # holds its U chunk, C-hat and one layer of each level's W; while it is
     # built, the chunk of U, C-hat, a level's truncated C and its U.  A
     # chunk is freed before the next one is built.
     n = 546
@@ -352,6 +353,22 @@ def test_generalized_utility_holds_two_chunks(prefs, market, policy):
                                                           n_max=8192))
     assert len(report.ns) == 14
     assert peak <= 2 * per_chunk * grid_bytes(n) + 2 * grid_bytes(n) + BLOCK_BYTES + SLACK
+
+
+def test_generalized_utility_keeps_one_layer_of_each_level(prefs, market, policy):
+    # At n = 400 a chunk holds 13 levels.  The sweep keeps one layer of each
+    # level's W, not the whole grid, so the peak is that of building the
+    # chunk: its 13 grids of U, C-hat, one level's truncated C and its U,
+    # and a block.  A sweep that stored each level's W read 28.7 grids.
+    n = 400
+    lat = build_lattice(market, policy.strategy, 5.0 / n, n)
+    tail = TailClosure.proportional(policy.strategy, prefs, market)
+    C = consumption_grid(lat)
+    assert _BATCH_NODES // C.data.size == 13
+    report, peak = peak_bytes(lambda: generalized_utility(C, prefs, market, lat, tail,
+                                                          n_max=8192))
+    assert len(report.ns) == 14
+    assert peak <= 17 * grid_bytes(n)
 
 
 #: tracemalloc peak of `generalized_utility` in the test below, measured on
