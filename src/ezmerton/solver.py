@@ -40,12 +40,14 @@ is exact, and around the one-step expectation it gives the explicit step
 
 from W_n = U_n^theta / H^theta (proportional tail) or W_n = 0 (zero tail).
 `_strang_sweep` takes it once per layer, from the horizon down: no fixed
-point, no iteration and no stop rule.  Each piece is an increasing map or an
-average with positive weights, so the step is monotone for every rho <= 0,
-and at rho = 0 (theta = 1) it is the trapezoid step term for term.  An
-epsilon term eps Lambda^theta does not depend on W, so it adds a quarter
-step dt/4 eps Lambda^theta on each side of each Bernoulli half step.  The
-solve is not the fixed point of the trapezoid operator: a report's residual
+point, no iteration and no stop rule.  It carries Z (two powers a layer, in
+place on O(n) scratch) and forms W = Z^theta, clamped into [e^-700, e^700],
+in one call after it.  Each piece is an increasing map or an average with
+positive weights, so the step is monotone for every rho <= 0, and at rho = 0
+(theta = 1) it is the trapezoid step term for term.  An epsilon term
+eps Lambda^theta does not depend on W, so it adds a quarter step
+dt/4 eps Lambda^theta on each side of each Bernoulli half step.  The solve
+is not the fixed point of the trapezoid operator: a report's residual
 measures how far the two first-order schemes disagree.
 
 The sweep takes K drivers at once, too: side by side in an array of shape
@@ -465,7 +467,7 @@ def _residual(lat: Lattice, u: np.ndarray, W: np.ndarray, rho: float,
     """sup |log F(W) - log W| over the layers below the tail closure top,
     with F(W) clipped into [e^-700, e^700].
 
-    The solve clips each layer into that range too: where F(W) leaves it
+    The solve clamps its W into that range too: where F(W) leaves it
     (inf where u = inf, 0 above a block of zero consumption) the solve
     stores an end of the clamp.  F(W) is formed and compared one block of
     steps at a time in one backward sweep, so the check holds nothing of
@@ -539,36 +541,26 @@ class SolveReport:
         }
 
 
-def _half_step(w: np.ndarray, c: np.ndarray, e: np.ndarray | None,
-               theta: float) -> np.ndarray:
-    """Half a lattice step backward at one layer, exact for a frozen driver.
-
-    W' = -u W^rho with u frozen is linear in Z = W^(1/theta), Z' = -u/theta,
-    so over h = dt/2 it maps W to (W^(1/theta) + c)^theta, c = h u/theta.
-    The epsilon term e = dt/4 eps Lambda^theta, a quarter step of
-    W' = -eps Lambda^theta, which does not depend on W, is added on each
-    side of it.
-    """
-    if e is not None:
-        w = w + e
-    w = np.power(np.power(w, 1.0 / theta) + c, theta)
-    return w if e is None else w + e
-
-
 def _strang_sweep(prefs: Preferences, lat: Lattice, tail: TailClosure, u: np.ndarray,
                   eps_term: _SliceFn | None, out: np.ndarray | None = None) -> np.ndarray:
     """W by one explicit backward sweep; returns W_0, and writes every
     layer into out if it is given.
 
-    From the terminal layer W_n (`_terminal_layer`) down, each layer takes a
-    half step at step k+1, the one-step expectation and a half step at
-    step k (`_half_step`):
+    The sweep carries Z = W^(1/theta), in which a half step adds
+    c_k = h u_k/theta: from the terminal layer W_n (`_terminal_layer`) down,
 
-        Y = B_{k+1}(W_{k+1}),   W_k = B_k(E_k[Y]).
+        Y = (Z_{k+1} + c_{k+1})^theta,   Z_k = E_k[Y]^(1/theta) + c_k,
 
-    Each W_k is clipped into [e^-700, e^700]: a node with u = inf (C = 0 and
+    two powers a layer.  Z_k goes into out (or one layer buffer), and after
+    the sweep one call forms W = Z^theta on steps 0..n-1.  An epsilon term
+    e = dt/4 eps Lambda^theta adds a quarter step on each side of each half
+    step, in W: W_k = ((E_k[Y] + e)^(1/theta) + c_k)^theta + e goes into out,
+    and Y starts from (W_k + e)^(1/theta).
+
+    W is then clamped into [e^-700, e^700]: a node with u = inf (C = 0 and
     S > 1) gives W = inf, and one with u = 0 above a block of W = 0 gives 0.
-    Y is not clipped, so the nodes above an infinite one see it.
+    Y comes from the unclamped carry, so the clamp holds the whole cone
+    above an infinite node.
 
     The batch axis.  u is one packed driver, or K of them side by side in an
     array of shape (nodes, K): column r is row r of the batch.  A layer is
@@ -576,24 +568,48 @@ def _strang_sweep(prefs: Preferences, lat: Lattice, tail: TailClosure, u: np.nda
     numpy call steps layer k of every row, and a row's W is that of its
     single sweep.  The epsilon term has no batch axis.
 
-    The sweep holds one layer of Y and one of W beyond u and out.
+    Beyond u and out the sweep holds O(n): one layer each of Y, c, Z and
+    the epsilon term, and it allocates nothing else a layer.
     """
     n, theta, h = lat.n_steps, prefs.theta, 0.5 * lat.dt
     w = _terminal_layer(prefs, lat, tail, u, eps_term)
     if out is not None:
         out[AdaptedGrid.span(n)] = w
-    with np.errstate(over="ignore"):  # W^(1/theta) of a clipped inf
+    if n == 0:
+        return w
+    y, c, z = np.empty((3, n + 1) + u.shape[1:])
+    # 0-d operands, as for _HALF: a Python float is converted on every call
+    th, inv_th, c_per_u = np.array(theta), np.array(1.0 / theta), np.array(h / theta)
+    x = w if eps_term is not None else np.power(w, inv_th)  # the carry at step n
+    with np.errstate(over="ignore"):  # E_k[Y]^(1/theta) of a large Y
         for k in range(n, -1, -1):
             nodes = AdaptedGrid.span(k)
-            c = u[nodes] * (h / theta)
+            y_k = y[:k + 1]
+            c_k = np.multiply(u[nodes], c_per_u, out=c[:k + 1])
             e = None if eps_term is None else eps_term(nodes) * (0.5 * h)
             if k < n:
-                w = np.clip(_half_step(0.5 * (y[1:] + y[:-1]), c, e, theta),
-                            _CLAMP_LO, _CLAMP_HI)
-                if out is not None:
-                    out[nodes] = w
-            y = _half_step(w, c, e, theta)
-    return w
+                x = z[:k + 1] if out is None else out[nodes]
+                np.add(y[1:k + 2], y_k, out=x)
+                x *= _HALF
+                if e is not None:
+                    x += e
+                x **= inv_th
+                x += c_k
+            if e is not None:  # W_k into x, and (W_k + e)^(1/theta) into y_k
+                if k < n:
+                    x **= th
+                    x += e
+                x = np.add(x, e, out=y_k)
+                x **= inv_th
+            np.add(x, c_k, out=y_k)
+            y_k **= th
+            if e is not None:
+                y_k += e
+        w = z[:1] if out is None else out[:AdaptedGrid.span(n).start]
+        if eps_term is None:
+            w **= th
+    np.maximum(w, _CLAMP_LO, out=w)
+    return np.minimum(w, _CLAMP_HI, out=w)[:1]
 
 
 def picard_solve(prefs: Preferences, U: AdaptedGrid, lat: Lattice,
@@ -817,11 +833,11 @@ def _within_pairs(n: int) -> np.ndarray:
     return within
 
 
-def _pair_defects(lat: Lattice, V: np.ndarray, half: np.ndarray,
+def _pair_defects(n: int, V: np.ndarray, half: np.ndarray,
                   gaps: tuple[int, ...]) -> list[np.ndarray]:
     """Packed defects V_k - E_k[V_{k+g} + trapezoid(f)] for every start k,
     one array per gap g of the increasing gaps (each in 1..n), with
-    half = dt/2 * f.
+    half = dt/2 * f, read on steps 0..n.
 
     The one-step defects d_1(k) = V_k - (E_k[V_{k+1} + half_{k+1}] + half_k)
     give every gap: by the tower property the trapezoid sums telescope, so
@@ -835,7 +851,6 @@ def _pair_defects(lat: Lattice, V: np.ndarray, half: np.ndarray,
     array is let go once read, so beside d_1 and the families kept the
     chain holds two arrays of about a grid at most.
     """
-    n = lat.n_steps
     within = _within_pairs(n)
     ahead = AdaptedGrid.span(1, n)
     acc = _trapezoid_step(V[ahead] + half[ahead], None)[within[ahead.start:ahead.stop - 1]]
@@ -898,10 +913,10 @@ def _hitting_walks(n: int, mults: tuple[float, ...]) -> tuple:
     return tuple(walks)
 
 
-def _hitting_defect(lat: Lattice, V: np.ndarray, half: np.ndarray,
+def _hitting_defect(n: int, V: np.ndarray, half: np.ndarray,
                     mults) -> np.ndarray:
     """Defects at step 0 for the first exit of log-wealth from the bands
-    +/- mult * s sqrt(T), one per multiple in mults.
+    +/- mult * s sqrt(n dt), one per multiple in mults.
 
     Log-wealth lies (2j - k) s sqrt(dt) from its drift, so the walk
     d = 2j - k stops at step n or once d^2 >= mult^2 n, exactly.  The stopped
@@ -912,7 +927,7 @@ def _hitting_defect(lat: Lattice, V: np.ndarray, half: np.ndarray,
     their masses and the stop mask depend only on n and mults, so
     `_hitting_walks` keeps them for the last few (n, mults) asked for.
     """
-    walks = _hitting_walks(lat.n_steps, tuple(float(m) for m in mults))
+    walks = _hitting_walks(n, tuple(float(m) for m in mults))
     g = np.empty(len(walks))
     for b, (nodes, mass, stops) in enumerate(walks):
         h = half[nodes]
@@ -935,6 +950,8 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     from the one-step defects: by the tower property the gap-g defect is the
     sum of the expected one-step defects along the g steps, so one chain of
     24 neighbour means gives gaps 5 and 25 on its way (see `_pair_defects`).
+    A zero terminal layer (a zero tail's) makes u 0^rho infinite for rho < 0:
+    for n > 1 the families then leave step n out, as on a lattice of n-1 steps.
     The tolerance is relative: defects are compared against tol * sup|grid|.
 
     Raises
@@ -967,13 +984,16 @@ def check_solution(grid: AdaptedGrid, companion: AdaptedGrid, lat: Lattice,
     half = _aggregator_values(grid, companion, lat, prefs, space)
     half *= 0.5 * lat.dt
     V = grid.data
-    gaps = tuple(gap for gap in (1, 5, 25) if gap <= lat.n_steps)
+    n = lat.n_steps
+    if n > 1 and prefs.rho < 0.0 and not V[AdaptedGrid.span(n)].any():
+        n -= 1
+    gaps = tuple(gap for gap in (1, 5, 25) if gap <= n)
     families = [(f"pairs_gap_{gap}", d)
-                for gap, d in zip(gaps, _pair_defects(lat, V, half, gaps))]
+                for gap, d in zip(gaps, _pair_defects(n, V, half, gaps))]
     if lat.log_vol > 0.0:
         mults = (1.0, 2.0)
         families += [(f"hitting_band_{mult:g}sigma", d)
-                     for mult, d in zip(mults, _hitting_defect(lat, V, half, mults))]
+                     for mult, d in zip(mults, _hitting_defect(n, V, half, mults))]
     family_bounds = {label: (float(d.min()), float(d.max())) for label, d in families}
     lows, highs = zip(*family_bounds.values())
     # a running min/max from +-inf: a NaN family bound is passed over

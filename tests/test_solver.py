@@ -364,7 +364,7 @@ class TestPackedSweepMatchesPerStepReference:
         lat, _, W, f = grids
         half = 0.5 * lat.dt * np.concatenate(f)
         gaps = (1, 5, 25, 60)
-        chain = dict(zip(gaps, _pair_defects(lat, W.data, half, gaps)))
+        chain = dict(zip(gaps, _pair_defects(lat.n_steps, W.data, half, gaps)))
         ref = per_definition_pair_defects(lat, W.values, f, gap)
         if gap == 1:
             np.testing.assert_array_equal(chain[gap], ref)
@@ -387,7 +387,7 @@ class TestPackedSweepMatchesPerStepReference:
     def test_hitting_defect(self, grids):
         lat, _, W, f = grids
         half = 0.5 * lat.dt * np.concatenate(f)
-        np.testing.assert_allclose(_hitting_defect(lat, W.data, half, [1.0]),
+        np.testing.assert_allclose(_hitting_defect(lat.n_steps, W.data, half, [1.0]),
                                    self.per_band_hitting(lat, W.values, f, 1.0),
                                    rtol=1e-12, atol=0.0)
 
@@ -396,7 +396,7 @@ class TestPackedSweepMatchesPerStepReference:
         # the per-band loop.
         lat, _, W, f = grids
         half = 0.5 * lat.dt * np.concatenate(f)
-        rows = _hitting_defect(lat, W.data, half, [1.0, 2.0])
+        rows = _hitting_defect(lat.n_steps, W.data, half, [1.0, 2.0])
         assert rows.shape == (2,)
         for row, mult in zip(rows, [1.0, 2.0]):
             np.testing.assert_allclose(row, self.per_band_hitting(lat, W.values, f, mult),
@@ -436,13 +436,12 @@ class TestHittingMasses:
                             ahead[e] = ahead.get(e, 0) + count
                 counts = ahead
 
-    def test_node_on_the_band_stops(self, market, policy):
+    def test_node_on_the_band_stops(self):
         # n = 100: the nodes (10, 0) and (10, 10) have |2j - k| = sqrt(n),
         # so the 1-sigma walk stops there and the 2-sigma walk goes on.
-        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=100)
         V, half = np.zeros(AdaptedGrid.span(100).stop), np.zeros(AdaptedGrid.span(100).stop)
         V[[AdaptedGrid.span(10).start, AdaptedGrid.span(10).stop - 1]] = 1.0
-        assert _hitting_defect(lat, V, half, [1.0, 2.0]).tolist() == [-2.0**-9, 0.0]
+        assert _hitting_defect(100, V, half, [1.0, 2.0]).tolist() == [-2.0**-9, 0.0]
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_matches_exact_rule_loop(self, market, policy, rng, n):
@@ -452,7 +451,7 @@ class TestHittingMasses:
         V = AdaptedGrid([rng.uniform(0.5, 2.0, k + 1) for k in range(n + 1)])
         f = [rng.uniform(0.5, 2.0, k + 1) for k in range(n + 1)]
         half = 0.5 * lat.dt * np.concatenate(f)
-        for row, mult in zip(_hitting_defect(lat, V.data, half, [1.0, 2.0]), [1.0, 2.0]):
+        for row, mult in zip(_hitting_defect(n, V.data, half, [1.0, 2.0]), [1.0, 2.0]):
             np.testing.assert_allclose(
                 row, TestPackedSweepMatchesPerStepReference.per_band_hitting(
                     lat, V.values, f, mult), rtol=1e-12, atol=0.0)
@@ -796,6 +795,33 @@ class TestZeroTail:
         assert report.clamp_events == 0
         assert 5e-3 < report.residual < 1e-2
 
+    @pytest.mark.parametrize("tail_mode, verdict", [("zero", "subsolution"),
+                                                    ("proportional", "solution")])
+    @pytest.mark.parametrize("n", [100, 400])
+    @pytest.mark.parametrize("R, S, delta", [(2.0, 2.5, 0.03), (2.0, 5.0, 0.03),
+                                             (0.5, 0.25, 0.1)])
+    def test_check_solution_reads_both_sides_of_a_solve(self, market, rng, R, S, delta,
+                                                        n, tail_mode, verdict):
+        # A zero tail's terminal layer gives u 0^rho = inf at step n, which
+        # made every family that reached it read -inf; the families leave
+        # step n out then.  The solve and a nonincreasing scaling of it (the
+        # evidence workload's "sup" grid) read finite bounds, the scaling a
+        # supersolution under either tail.
+        p, _, lat, report = solve_candidate(market, R, S, 0.02, n, tail_mode, delta)
+        U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        sup = report.solution.scaled(np.sort(rng.uniform(1.05, 1.5, n + 1))[::-1])
+        for W, want in ((report.solution, verdict), (sup, "supersolution")):
+            check = check_solution(W, U, lat, p, 1e-6, "W")
+            assert math.isfinite(check.defect_min) and math.isfinite(check.defect_max)
+            assert check.classification == want
+
+    def test_one_step_zero_tail_keeps_its_terminal_step(self, prefs, market, policy):
+        # With one step there is no shorter lattice to read the families on.
+        lat = build_lattice(market, policy.strategy, dt=0.02, n_steps=1)
+        U = transformed_consumption_grid(prefs, lat, consumption_grid(lat))
+        W = picard_solve(prefs, U, lat, TailClosure.zero(), enforce_order=False).solution
+        assert check_solution(W, U, lat, prefs, 1e-6, "W").defect_min == -math.inf
+
 
 class TestSlope:
     """The closed-form least-squares slope of the order check and of
@@ -947,10 +973,23 @@ class TestStrangSweep:
                                  report)
 
     @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
-    def test_matches_the_step_definition_under_an_epsilon_term(self, market, tail_mode):
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_matches_the_step_definition_over_many_blocks(self, market, n, tail_mode):
+        # The reference point over horizon 5: the carry's rounding builds up
+        # over n layers and still meets the definition to 1e-12.
+        p, pol, lat, report = solve_candidate(market, 2.0, 2.5, 5.0 / n, n, tail_mode)
+        U = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        assert report.clamp_events == 0
+        assert_matches_step_loop(p, U, lat, candidate_tail(p, pol, market, tail_mode),
+                                 report)
+
+    @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
+    @pytest.mark.parametrize("n", [40, 600])
+    def test_matches_the_step_definition_under_an_epsilon_term(self, market, n,
+                                                               tail_mode):
         p = Preferences(b=1.0, delta=0.03, R=2.0, S=3.5)
         pol = candidate_policy(p, market)
-        lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=40)
+        lat = build_lattice(market, pol.strategy, dt=2.0 / n, n_steps=n)
         tail = candidate_tail(p, pol, market, tail_mode)
         U = transformed_consumption_grid(p, lat, consumption_grid(lat))
         lam = U.scaled(np.linspace(2.0, 1.0, lat.n_steps + 1))
@@ -1024,6 +1063,31 @@ class TestStrangSweep:
         free = np.isfinite(loop[:swept.size]) & (loop[:swept.size] > 0.0)
         np.testing.assert_allclose(swept[free], loop[:swept.size][free], rtol=1e-12)
         assert not (held & free).any()
+        assert math.isfinite(report.residual)
+
+    @pytest.mark.parametrize("S", [2.0, 2.01, 2.02])
+    def test_infinite_nodes_hold_their_whole_cone(self, market, S):
+        # R = 2, S = 2 (theta = 1) and just below theta = 1.  C = 0 on the
+        # nodes (20, 0..2) gives u = inf there; Y comes from the unclamped
+        # carry, so every node whose cone reaches them, (k, j) with k <= 20
+        # and j <= 2, is infinite and held at e^700, whatever theta.
+        p = Preferences(b=1.0, delta=0.03, R=2.0, S=S)
+        assert 0.98 < p.theta <= 1.0
+        pol = candidate_policy(p, market)
+        lat = build_lattice(market, pol.strategy, dt=0.05, n_steps=40)
+        tail = TailClosure.proportional(pol.strategy, p, market)
+        C = consumption_grid(lat).copy()
+        C.values[20][:3] = 0.0
+        U = transformed_consumption_grid(p, lat, C)
+        lam = transformed_consumption_grid(p, lat, consumption_grid(lat))
+        report = picard_solve(p, U, lat, tail, Lambda=lam, enforce_order=False)
+        swept = report.solution.data[:AdaptedGrid.span(lat.n_steps).start]
+        k = AdaptedGrid.per_node(np.arange(lat.n_steps))
+        j = np.concatenate([np.arange(i + 1) for i in range(lat.n_steps)])
+        held = swept == math.exp(700.0)
+        np.testing.assert_array_equal(held, (k <= 20) & (j <= 2))
+        assert report.clamp_events == np.count_nonzero(held) == 60
+        assert report.solution.data[0] == math.exp(700.0)
         assert math.isfinite(report.residual)
 
     @pytest.mark.parametrize("tail_mode", ["proportional", "zero"])
